@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .dsp import LogMelSpectrogram
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,9 @@ def apply_masks(values: np.ndarray, masks: list[Mask]) -> np.ndarray:
     return out
 
 
-def spec_augment(spec, cfg: AugmentConfig, rng: np.random.Generator):
-    """Apply time and frequency masks; accepts a spectrogram or bare matrix."""
-    if isinstance(spec, LogMelSpectrogram):
-        values = apply_masks(spec.values, draw_masks(*spec.values.shape, cfg, rng))
-        return LogMelSpectrogram(values, config=spec.config, rate=spec.rate)
-    values = np.asarray(spec)
+def spec_augment(values: np.ndarray, cfg: AugmentConfig,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Apply time and frequency masks to a [n_frames x n_mels] matrix."""
     return apply_masks(values, draw_masks(*values.shape, cfg, rng))
 
 
@@ -112,8 +108,7 @@ def make_mix_pairs(batch_size: int, alpha: float,
 def _stack(batch) -> np.ndarray:
     if isinstance(batch, np.ndarray):
         return batch
-    arrays = [b.values if isinstance(b, LogMelSpectrogram) else np.asarray(b)
-              for b in batch]
+    arrays = [np.asarray(b) for b in batch]
     shapes = {a.shape for a in arrays}
     if len(shapes) > 1:
         raise ShapeMismatchError(f"cannot mix items of shapes {sorted(shapes)}")

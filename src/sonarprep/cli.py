@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,13 +23,11 @@ import numpy as np
 from . import __version__
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, load_manifest, parse_wav, write_manifest
-from .dsp import (FeatureConfig, effective_config, features_for_segment,
-                  mel_filterbank, read_feature_archive, resample, segment,
+from .dsp import (ArchiveFormatError, FeatureConfig, read_feature_archive,
                   write_feature_archive)
 from .augment import AugmentConfig
-from .datasplit import (SplitSpec, compute_norm_stats, normalize, read_split_rows,
-                        segment_counts, stratified_split, validate_split,
-                        write_split_file)
+from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, segment_counts,
+                        stratified_split, validate_split, write_split_file)
 from .nn import (DEFAULT_ARCHITECTURE, apply_checkpoint, init_model,
                  load_checkpoint, save_checkpoint)
 from .trainer import TrainConfig, FeatureSets, build_feature_sets, history_csv, run_seeds
@@ -110,9 +107,9 @@ class RunConfig:
     sweep_model_rates: tuple[int, ...] = ()
 
     def augment_config(self) -> AugmentConfig:
-        kwargs = {"data_rate": self.data_rate, "model_rate": self.feature.model_rate}
-        kwargs.update(self.augment_overrides)
-        return AugmentConfig(**kwargs)
+        return AugmentConfig(data_rate=self.data_rate,
+                             model_rate=self.feature.model_rate,
+                             **self.augment_overrides)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(lr=self.lr, batch_size=self.batch_size,
@@ -182,8 +179,6 @@ _CONFIG_KEYS = {
     "augment.freq_mask_width": _augment_setter("freq_mask_width", int),
     "augment.n_time_masks": _augment_setter("n_time_masks", int),
     "augment.n_freq_masks": _augment_setter("n_freq_masks", int),
-    "augment.data_rate": _augment_setter("data_rate", parse_rate),
-    "augment.model_rate": _augment_setter("model_rate", parse_rate),
     "augment.mixup_alpha": _augment_setter("mixup_alpha", float),
     "train.lr": _attr_setter("lr", float),
     "train.batch_size": _attr_setter("batch_size", int),
@@ -196,6 +191,13 @@ _CONFIG_KEYS = {
     "sweep.data_rates": _attr_setter("sweep_data_rates", _parse_rate_list),
     "sweep.model_rates": _attr_setter("sweep_model_rates", _parse_rate_list),
 }
+
+
+def _set_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
+    try:
+        _CONFIG_KEYS[key](cfg, value)
+    except (ValueError, TypeError) as exc:
+        raise OutOfRangeError(f"{where}: {key} = {value!r}: {exc}") from exc
 
 
 def load_config(path=None, env: dict | None = None) -> RunConfig:
@@ -230,10 +232,7 @@ def load_config(path=None, env: dict | None = None) -> RunConfig:
                                        raw_line.find("=") + 2)
             staged.append((key, value, lineno))
     for key, value, lineno in staged:
-        try:
-            _CONFIG_KEYS[key](cfg, value)
-        except (ValueError, TypeError) as exc:
-            raise OutOfRangeError(f"line {lineno}: {key} = {value!r}: {exc}") from exc
+        _set_key(cfg, key, value, f"line {lineno}")
     # construction-time validation for composite values
     try:
         cfg.feature = FeatureConfig(**{**_FEATURE_DEFAULTS, **cfg.feature_overrides})
@@ -301,7 +300,24 @@ def _read_wav(corpus_root: Path, entry: ManifestEntry):
 
 
 def _load_classes(features_dir: Path) -> list[str]:
-    return json.loads((features_dir / "classes.json").read_text())["classes"]
+    path = features_dir / "classes.json"
+    try:
+        return json.loads(path.read_text())["classes"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
+
+
+def _load_split(features_dir: Path, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of one split archive written by ``featurize``."""
+    path = features_dir / f"{name}.sprf"
+    items = read_feature_archive(path)
+    if not items:
+        raise SonarprepError(f"{path}: archive holds no segments")
+    shapes = {values.shape for values, _ in items}
+    if len(shapes) > 1:
+        raise ArchiveFormatError(f"{path}: items differ in shape {sorted(shapes)}")
+    return (np.stack([values for values, _ in items]),
+            np.array([label for _, label in items], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +384,7 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
         click.echo("split OK")
         return
     if ratios is not None:
-        cfg.split = replace(cfg.split, ratios=tuple(float(p) for p in ratios.split(",")))
+        _set_key(cfg, "split.ratios", ratios, "--ratios")
     if seed is not None:
         cfg.split = replace(cfg.split, seed=seed)
     if segment_seconds is not None:
@@ -398,7 +414,7 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
     """Resample, segment, and write normalized log-mel archives per split."""
     cfg = load_config(config_path)
     manifest = _load_manifest_file(_require(manifest_path or cfg.manifest, "--manifest"))
-    corpus = _require(corpus_root or cfg.corpus_root, "--corpus-root")
+    corpus = Path(_require(corpus_root or cfg.corpus_root, "--corpus-root"))
     rows, _ = read_split_rows(Path(_require(split_file or cfg.split_file,
                                             "--split-file")).read_text())
     report = validate_split(rows, manifest)
@@ -413,54 +429,20 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
     if jobs is not None:
         cfg.jobs = jobs
     out = _require(out_dir or cfg.output_dir, "--out")
+    data, stats = build_feature_sets(manifest, lambda entry: _read_wav(corpus, entry),
+                                     assignment, cfg.data_rate, cfg.feature,
+                                     cfg.segment_seconds, jobs=cfg.jobs)
     out.mkdir(parents=True, exist_ok=True)
-    label_index = manifest.label_indices()
-    fb = mel_filterbank(effective_config(cfg.feature, cfg.data_rate))
-
-    def featurize_recording(entry: ManifestEntry):
-        w = resample(_read_wav(Path(corpus), entry), cfg.data_rate)
-        return [features_for_segment(seg, cfg.feature, fb=fb).values
-                for seg in segment(w, cfg.segment_seconds)]
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_recording = list(pool.map(featurize_recording, manifest.entries))
-    else:
-        per_recording = [featurize_recording(e) for e in manifest.entries]
-    buckets = {name: [] for name in ("train", "val", "test")}
-    for entry, spectrograms in zip(manifest.entries, per_recording):
-        for values in spectrograms:
-            buckets[assignment[entry.recording_id]].append(
-                (values, label_index[entry.class_label]))
-    if not buckets["train"]:
-        raise click.ClickException("training split produced no segments")
-    stats = compute_norm_stats(values for values, _ in buckets["train"])
-    for name, items in buckets.items():
-        write_feature_archive(out / f"{name}.sprf",
-                              [(normalize(values, stats).astype(np.float32), label)
-                               for values, label in items])
-        click.echo(f"{name}.sprf: {len(items)} segments")
+    for name in SPLIT_NAMES:
+        x, y = getattr(data, name)
+        write_feature_archive(out / f"{name}.sprf", zip(x, y))
+        click.echo(f"{name}.sprf: {len(y)} segments")
     (out / "norm_stats.json").write_text(json.dumps(
         {"global_min": stats.global_min, "global_max": stats.global_max},
         indent=2, sort_keys=True) + "\n")
     (out / "classes.json").write_text(json.dumps(
         {"classes": list(manifest.classes)}, indent=2, sort_keys=True) + "\n")
     _write_run_record(out, "featurize", cfg)
-
-
-def _load_feature_sets(features_dir: Path, n_classes: int) -> FeatureSets:
-    sets = {}
-    for name in ("train", "val", "test"):
-        items = read_feature_archive(features_dir / f"{name}.sprf")
-        if items:
-            x = np.stack([values for values, _ in items])
-            y = np.array([label for _, label in items], dtype=np.int64)
-        else:
-            x = np.zeros((0, 1, 1), dtype=np.float32)
-            y = np.zeros(0, dtype=np.int64)
-        sets[name] = (x, y)
-    return FeatureSets(train=sets["train"], val=sets["val"], test=sets["test"],
-                       n_classes=n_classes)
 
 
 @main.command()
@@ -473,7 +455,8 @@ def train(config_path, features_dir, out_dir):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
     classes = _load_classes(features_dir)
-    data = _load_feature_sets(features_dir, len(classes))
+    data = FeatureSets(*(_load_split(features_dir, name) for name in SPLIT_NAMES),
+                       n_classes=len(classes))
     out = _require(out_dir or cfg.output_dir, "--out")
     out.mkdir(parents=True, exist_ok=True)
     results = run_seeds(cfg.train_config(), data)
@@ -516,9 +499,7 @@ def _restore_model(model_path: Path, n_classes: int):
 def eval_cmd(model_path, features_dir, out_dir):
     """Evaluate a checkpoint on the test archive."""
     classes = _load_classes(features_dir)
-    items = read_feature_archive(features_dir / "test.sprf")
-    features = np.stack([values for values, _ in items])
-    labels = np.array([label for _, label in items], dtype=np.int64)
+    features, labels = _load_split(features_dir, "test")
     model = _restore_model(model_path, len(classes))
     metrics = evaluate(model, features, labels)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -546,9 +527,7 @@ def eval_cmd(model_path, features_dir, out_dir):
 def gradcam(model_path, features_dir, out_dir):
     """Aggregate class activation maps over the test archive."""
     classes = _load_classes(features_dir)
-    items = read_feature_archive(features_dir / "test.sprf")
-    features = np.stack([values for values, _ in items])
-    labels = np.array([label for _, label in items], dtype=np.int64)
+    features, labels = _load_split(features_dir, "test")
     model = _restore_model(model_path, len(classes))
     cam_agg = aggregate_cams(model, features, labels)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -608,7 +587,8 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
     out.mkdir(parents=True, exist_ok=True)
     result = run_sweep(rates_d, rates_m, cfg.train_config(), manifest,
                        lambda entry: _read_wav(corpus, entry),
-                       split_spec=cfg.split, seconds=cfg.segment_seconds)
+                       split_spec=cfg.split, seconds=cfg.segment_seconds,
+                       jobs=cfg.jobs)
     raw = _cells_to_raw(result)
     (out / "sweep_raw.json").write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
     (out / "sweep_table.csv").write_text(_raw_to_table(raw))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SonarprepError
-from .dsp import LogMelSpectrogram
 from .wavio import Manifest
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -241,16 +240,12 @@ def read_split_file(text: str) -> SplitFile:
     return SplitFile(assignment, seed if seed is not None else 0)
 
 
-def _values_of(spec) -> np.ndarray:
-    return spec.values if isinstance(spec, LogMelSpectrogram) else np.asarray(spec)
-
-
 def compute_norm_stats(spectrograms) -> NormStats:
-    """Global scalar min and max over every entry of the training features."""
+    """Global scalar min and max over every entry of the training features,
+    given as an iterable of arrays."""
     lo, hi = np.inf, -np.inf
     count = 0
-    for spec in spectrograms:
-        values = _values_of(spec)
+    for values in spectrograms:
         lo = min(lo, float(values.min()))
         hi = max(hi, float(values.max()))
         count += 1
@@ -259,7 +254,7 @@ def compute_norm_stats(spectrograms) -> NormStats:
     return NormStats(lo, hi)
 
 
-def normalize(spec, stats: NormStats):
+def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     """Min-max scale so the training extrema map to [0, 1]; no clamping,
     so validation or test values outside the training range may exceed it."""
     if stats.degenerate:
@@ -267,7 +262,4 @@ def normalize(spec, stats: NormStats):
             f"stats are degenerate: min={stats.global_min}, max={stats.global_max}"
         )
     span = stats.global_max - stats.global_min
-    if isinstance(spec, LogMelSpectrogram):
-        return LogMelSpectrogram((spec.values - stats.global_min) / span,
-                                 config=spec.config, rate=spec.rate)
-    return (_values_of(spec) - stats.global_min) / span
+    return (values - stats.global_min) / span

@@ -87,23 +87,6 @@ class Segment:
     index: int
 
 
-@dataclass(eq=False)
-class LogMelSpectrogram:
-    """Log-mel feature matrix, frames along the first axis."""
-
-    values: np.ndarray
-    config: FeatureConfig | None = None
-    rate: int | None = None
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # resampling
 # ---------------------------------------------------------------------------
@@ -260,17 +243,15 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return fb / peaks
 
 
-def log_mel(power: np.ndarray, fb: np.ndarray,
-            config: FeatureConfig | None = None,
-            rate: int | None = None) -> LogMelSpectrogram:
-    """Apply a filterbank to a power spectrogram and compress to dB."""
+def log_mel(power: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Apply a filterbank to a power spectrogram and compress to dB,
+    giving a [n_frames x n_mels] matrix."""
     power = np.asarray(power)
     if power.ndim != 2 or fb.ndim != 2 or power.shape[1] != fb.shape[0]:
         raise DimensionMismatchError(
             f"power {power.shape} incompatible with filterbank {fb.shape}"
         )
-    values = 10.0 * np.log10(np.maximum(power @ fb, LOG_FLOOR))
-    return LogMelSpectrogram(values, config=config, rate=rate)
+    return 10.0 * np.log10(np.maximum(power @ fb, LOG_FLOOR))
 
 
 def effective_config(cfg: FeatureConfig, data_rate: int) -> FeatureConfig:
@@ -292,8 +273,9 @@ def effective_config(cfg: FeatureConfig, data_rate: int) -> FeatureConfig:
 
 
 def features_for_segment(seg: Segment, cfg: FeatureConfig,
-                         fb: np.ndarray | None = None) -> LogMelSpectrogram:
-    """Full segment -> log-mel path using the model's window and hop.
+                         fb: np.ndarray | None = None) -> np.ndarray:
+    """Full segment -> [n_frames x n_mels] log-mel matrix using the model's
+    window and hop.
 
     ``fb`` may carry a precomputed filterbank for the segment's rate
     (build it once per run with ``mel_filterbank(effective_config(...))``).
@@ -301,7 +283,7 @@ def features_for_segment(seg: Segment, cfg: FeatureConfig,
     if fb is None:
         fb = mel_filterbank(effective_config(cfg, seg.rate))
     power = stft_power(seg, cfg)
-    return log_mel(power, fb, config=cfg, rate=seg.rate)
+    return log_mel(power, fb)
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             pos += n_bytes
     except struct.error as exc:
         raise CheckpointFormatError("checkpoint truncated in a header") from exc
+    if pos != len(data):
+        raise CheckpointFormatError(f"{len(data) - pos} trailing bytes after last tensor")
     return tensors
 
 

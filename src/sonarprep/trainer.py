@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -21,8 +22,8 @@ from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, effective_config,
                   features_for_segment, frame_count, mel_filterbank, resample,
                   scale_config, segment)
 from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, spec_augment
-from .datasplit import (SplitSpec, compute_norm_stats, normalize,
-                        segment_counts, stratified_split)
+from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
+                        normalize, segment_counts, stratified_split)
 from .nn import (AdamState, Architecture, DEFAULT_ARCHITECTURE, ModelState,
                  adam_step, backward, cross_entropy_soft, forward, init_model)
 from .evaluation import Metrics, RunAggregate, aggregate_runs, evaluate
@@ -197,10 +198,8 @@ class CellResult:
     model_rate: int
     mask_width: int
     n_frames: int
-    feature: FeatureConfig
     accuracies: list[float]
     aggregate: RunAggregate
-    seed_results: list[SeedResult]
 
 
 @dataclass
@@ -212,42 +211,54 @@ class SweepResult:
 def build_feature_sets(manifest: Manifest,
                        load_waveform: Callable[[ManifestEntry], Waveform],
                        assignment: dict[str, str], data_rate: int,
-                       feature_cfg: FeatureConfig, seconds: float) -> FeatureSets:
+                       feature_cfg: FeatureConfig, seconds: float,
+                       jobs: int = 1) -> tuple[FeatureSets, NormStats]:
     """Resample, segment, featurize, and normalize a corpus into split arrays.
 
-    Normalization stats come from the training split alone.
+    Recordings are featurized on ``jobs`` threads; the arrays do not
+    depend on ``jobs``. Normalization stats come from the training split
+    alone, and each split must produce at least one segment.
     """
-    label_index = manifest.label_indices()
     fb = mel_filterbank(effective_config(feature_cfg, data_rate))
-    buckets = {name: [] for name in ("train", "val", "test")}
-    for entry in manifest.entries:
-        split_name = assignment[entry.recording_id]
+
+    def featurize_recording(entry: ManifestEntry) -> list[np.ndarray]:
         w = resample(load_waveform(entry), data_rate)
-        for seg in segment(w, seconds):
-            spec = features_for_segment(seg, feature_cfg, fb=fb)
-            buckets[split_name].append((spec.values, label_index[entry.class_label]))
-    if not buckets["train"]:
-        raise EmptyDatasetError("training split produced no segments")
-    stats = compute_norm_stats(values for values, _ in buckets["train"])
-    stacked = {}
-    for name, items in buckets.items():
-        if not items:
+        return [features_for_segment(seg, feature_cfg, fb=fb)
+                for seg in segment(w, seconds)]
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_recording = list(pool.map(featurize_recording, manifest.entries))
+    else:
+        per_recording = [featurize_recording(e) for e in manifest.entries]
+    label_index = manifest.label_indices()
+    buckets = {name: ([], []) for name in SPLIT_NAMES}
+    for entry, spectrograms in zip(manifest.entries, per_recording):
+        values, labels = buckets[assignment[entry.recording_id]]
+        values.extend(spectrograms)
+        labels.extend([label_index[entry.class_label]] * len(spectrograms))
+    for name, (values, _) in buckets.items():
+        if not values:
             raise EmptyDatasetError(f"{name} split produced no segments")
-        x = np.stack([normalize(values, stats) for values, _ in items]).astype(np.float32)
-        y = np.array([label for _, label in items], dtype=np.int64)
-        stacked[name] = (x, y)
-    return FeatureSets(train=stacked["train"], val=stacked["val"],
-                       test=stacked["test"], n_classes=len(manifest.classes))
+    stats = compute_norm_stats(buckets["train"][0])
+    sets = {}
+    for name, (values, labels) in buckets.items():
+        x = np.empty((len(values),) + values[0].shape, dtype=np.float32)
+        for i, spectrogram in enumerate(values):
+            x[i] = normalize(spectrogram, stats)
+        sets[name] = (x, np.array(labels, dtype=np.int64))
+    return FeatureSets(**sets, n_classes=len(manifest.classes)), stats
 
 
 def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
           load_waveform: Callable[[ManifestEntry], Waveform],
-          split_spec: SplitSpec | None = None, seconds: float = 5.0) -> SweepResult:
+          split_spec: SplitSpec | None = None, seconds: float = 5.0,
+          jobs: int = 1) -> SweepResult:
     """Full grid over data and model sampling rates.
 
     The recording-level split is drawn once and reused for every cell;
     each cell rescales the feature config and the time-mask budget, then
-    runs the usual multi-seed training.
+    runs the usual multi-seed training. ``jobs`` threads featurize each cell.
     """
     split_spec = split_spec if split_spec is not None else SplitSpec()
     counts = segment_counts(manifest, seconds)
@@ -259,8 +270,8 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
             cell_augment = replace(cfg.augment, data_rate=data_rate,
                                    model_rate=model_rate)
             cell_cfg = replace(cfg, feature=cell_feature, augment=cell_augment)
-            data = build_feature_sets(manifest, load_waveform, split.assignment,
-                                      data_rate, cell_feature, seconds)
+            data, _ = build_feature_sets(manifest, load_waveform, split.assignment,
+                                         data_rate, cell_feature, seconds, jobs=jobs)
             results = run_seeds(cell_cfg, data)
             aggregate = aggregate_runs([r.metrics for r in results])
             cells[(data_rate, model_rate)] = CellResult(
@@ -269,9 +280,7 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
                 mask_width=scaled_mask_width(cell_augment),
                 n_frames=frame_count(int(round(seconds * data_rate)),
                                      cell_feature.hop_length),
-                feature=cell_feature,
                 accuracies=[r.metrics.accuracy for r in results],
                 aggregate=aggregate,
-                seed_results=results,
             )
     return SweepResult(cells=cells, classes=manifest.classes)

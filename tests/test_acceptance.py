@@ -58,7 +58,7 @@ def test_criterion_01_frame_counts():
 
         x16 = np.random.default_rng(1).normal(size=5 * 16000)
         features = features_for_segment(Waveform(samples=x16, rate=16000), cfg)
-        assert features.values.shape[0] == 251
+        assert features.shape[0] == 251
         assert frame_count(5 * 16000, cfg.hop_length) == 251
 
 

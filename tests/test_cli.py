@@ -1,6 +1,7 @@
 """Config parsing and the command-line pipeline, driven through CliRunner."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from click.testing import CliRunner
 
 from sonarprep.cli import (ConfigParseError, OutOfRangeError, UnknownKeyError,
                            load_config, main, parse_rate)
-from synthdata import make_corpus
+from sonarprep.datasplit import read_split_rows
+from sonarprep.dsp import write_feature_archive
+from synthdata import make_corpus, write_pcm16
 
 SMOKE_CONFIG = """\
 # pipeline smoke settings
@@ -78,9 +81,11 @@ class TestLoadConfig:
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("trian.lr = 0.1\n")
-        with pytest.raises(UnknownKeyError):
-            load_config(p, env={})
+        # augment rates come only from data.rate and feature.model_rate
+        for line in ("trian.lr = 0.1\n", "augment.data_rate = 2k\n"):
+            p.write_text(line)
+            with pytest.raises(UnknownKeyError):
+                load_config(p, env={})
 
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -116,6 +121,15 @@ class TestLoadConfig:
         p = tmp_path / "c.cfg"
         p.write_text("\n# note\n  \ndata.rate = 16k\n")
         assert load_config(p, env={}).data_rate == 16000
+
+
+def assert_clean_failure(result):
+    """Exit code 1 with a single ``Error:`` line and no traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +297,65 @@ class TestPipelineCommands:
         assert cell["n_frames"] == 501
         table = (out / "sweep_table.csv").read_text()
         assert table.startswith("data_rate_hz,8000")
+
+
+class TestErrorSurface:
+    @pytest.mark.parametrize("ratios", ["abc", "0.5,0.5,0.5"])
+    def test_split_bad_ratios(self, pipeline, tmp_path, ratios):
+        root, runner = pipeline
+        result = runner.invoke(main, [
+            "split", "--manifest", str(root / "manifest.csv"),
+            "--ratios", ratios, "--out", str(tmp_path / "split.csv")])
+        assert_clean_failure(result)
+        assert "--ratios" in result.output
+
+    def test_featurize_refuses_split_without_segments(self, pipeline, tmp_path):
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        rows, _ = read_split_rows((root / "split.csv").read_text())
+        for rec_id, split_name in rows:
+            if split_name == "val":  # 2 s, shorter than one 5 s segment
+                write_pcm16(next(corpus.rglob(f"{rec_id}.wav")), np.zeros(16000), 8000)
+        result = runner.invoke(main, [
+            "featurize", "--config", str(root / "run.cfg"),
+            "--manifest", str(root / "manifest.csv"),
+            "--split-file", str(root / "split.csv"),
+            "--corpus-root", str(corpus), "--out", str(tmp_path / "feats")])
+        assert_clean_failure(result)
+        assert "val split produced no segments" in result.output
+
+    @pytest.mark.parametrize("items", [
+        [], [(np.zeros((3, 2)), 0), (np.zeros((4, 2)), 1)]], ids=["empty", "ragged"])
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_unusable_test_archive(self, pipeline, tmp_path, command, items):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        write_feature_archive(feats / "test.sprf", items)
+        result = runner.invoke(main, [
+            command, "--model", str(root / "runs" / "model_seed0.spnn"),
+            "--features", str(feats), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "test.sprf" in result.output
+
+    def test_malformed_classes_file(self, pipeline, tmp_path):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        (feats / "classes.json").write_text('{"classes": ')
+        result = runner.invoke(main, [
+            "eval", "--model", str(root / "runs" / "model_seed0.spnn"),
+            "--features", str(feats), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "classes.json" in result.output
+
+    def test_checkpoint_with_trailing_bytes(self, pipeline, tmp_path):
+        root, runner = pipeline
+        model = tmp_path / "model.spnn"
+        model.write_bytes((root / "runs" / "model_seed0.spnn").read_bytes() + b"JUNK")
+        result = runner.invoke(main, [
+            "eval", "--model", str(model), "--features", str(root / "feats"),
+            "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "trailing bytes" in result.output

@@ -330,6 +330,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
+        path = tmp_path / "m.spnn"
+        save_checkpoint(path, m.params)
+        path.write_bytes(path.read_bytes() + b"JUNK")
+        with pytest.raises(CheckpointFormatError, match="4 trailing bytes"):
+            load_checkpoint(path)
+
     def test_missing_tensor_rejected(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
         partial = dict(list(m.params.items())[:-1])

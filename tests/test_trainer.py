@@ -205,18 +205,17 @@ def synthetic_manifest_and_loader(n_per_class=4, seconds=10.0, rate=8000):
     return manifest, lambda entry: waves[entry.recording_id]
 
 
+SYNTHETIC_ASSIGNMENT = {f"{cls}{i}": split for cls in ("hum", "whine")
+                        for i, split in enumerate(("train", "train", "val", "test"))}
+
+
 class TestBuildFeatureSets:
     def test_shapes_counts_and_train_based_scaling(self):
         manifest, loader = synthetic_manifest_and_loader()
-        assignment = {}
-        for cls in ("hum", "whine"):
-            assignment[f"{cls}0"] = "train"
-            assignment[f"{cls}1"] = "train"
-            assignment[f"{cls}2"] = "val"
-            assignment[f"{cls}3"] = "test"
-        data = build_feature_sets(manifest, loader, assignment,
-                                  data_rate=8000, feature_cfg=TINY_FEAT,
-                                  seconds=5.0)
+        data, stats = build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
+                                         data_rate=8000, feature_cfg=TINY_FEAT,
+                                         seconds=5.0)
+        assert stats.global_min < stats.global_max
         # 10 s recordings -> 2 segments each
         assert data.train[0].shape[0] == 8
         assert data.val[0].shape[0] == 4
@@ -231,6 +230,17 @@ class TestBuildFeatureSets:
         # labels follow sorted class order: hum=0, whine=1
         assert set(data.train[1][:4]) == {0}
         assert set(data.train[1][4:]) == {1}
+
+    def test_threads_do_not_change_output(self):
+        manifest, loader = synthetic_manifest_and_loader()
+        runs = [build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
+                                   data_rate=8000, feature_cfg=TINY_FEAT,
+                                   seconds=5.0, jobs=jobs) for jobs in (1, 3)]
+        (serial, serial_stats), (threaded, threaded_stats) = runs
+        assert serial_stats == threaded_stats
+        for a, b in zip(serial[:3], threaded[:3]):
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestSweep:
