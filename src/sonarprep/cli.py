@@ -3,9 +3,9 @@ gradcam, and report.
 
 Configuration lives in a flat text file of ``section.key = value``
 lines; every key has a sensible default, the ``SONARPREP_SEED``
-environment variable overrides configured seeds, and explicit CLI
-flags override both. All outputs are deterministic for fixed inputs
-and seeds.
+environment variable overrides configured seeds, and each settings
+flag is a config key given on the command line, which overrides both.
+All outputs are deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, load_manifest, parse_wav, write_manifest
-from .dsp import (ArchiveFormatError, FeatureConfig, read_feature_archive,
+from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, read_feature_archive,
                   write_feature_archive)
 from .augment import AugmentConfig
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, segment_counts,
@@ -82,9 +83,26 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"invalid boolean {text!r}")
 
 
-@dataclass
+def _positive(caster):
+    def cast(text: str):
+        value = caster(text)
+        if not value > 0:
+            raise ValueError(f"must be positive, got {value}")
+        return value
+    return cast
+
+
+# execution settings that change no output bytes, left out of the fingerprint
+_UNHASHED_FIELDS = ("corpus_root", "manifest", "split_file", "output_dir", "jobs")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Effective settings for a pipeline run."""
+    """Effective settings for a pipeline run.
+
+    The library configs are held whole: ``train`` carries the feature and
+    augmentation configs, ``split`` the split spec.
+    """
 
     corpus_root: Path | None = None
     manifest: Path | None = None
@@ -93,161 +111,128 @@ class RunConfig:
     data_rate: int = 32000
     segment_seconds: float = 5.0
     jobs: int = 1
-    feature: FeatureConfig = field(default_factory=lambda: FeatureConfig(32000))
-    feature_overrides: dict = field(default_factory=dict)
-    augment_overrides: dict = field(default_factory=dict)
-    lr: float = 5e-5
-    batch_size: int = 64
-    max_epochs: int = 100
-    patience: int = 50
-    seeds: tuple[int, ...] = (0, 1, 2)
-    use_mixup: bool = True
-    split: SplitSpec = field(default_factory=SplitSpec)
     sweep_data_rates: tuple[int, ...] = ()
     sweep_model_rates: tuple[int, ...] = ()
-
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(data_rate=self.data_rate,
-                             model_rate=self.feature.model_rate,
-                             **self.augment_overrides)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, batch_size=self.batch_size,
-                           max_epochs=self.max_epochs, patience=self.patience,
-                           seeds=self.seeds, augment=self.augment_config(),
-                           feature=self.feature, arch=DEFAULT_ARCHITECTURE,
-                           use_mixup=self.use_mixup)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    split: SplitSpec = field(default_factory=SplitSpec)
 
     def fingerprint(self) -> str:
-        # jobs is a pure execution knob; it cannot change any output bytes
-        parts = []
-        for key in sorted(vars(self)):
-            if key == "jobs":
-                continue
-            parts.append(f"{key}={getattr(self, key)!r}")
+        """Hash of the effective settings in field order."""
+        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                 if f.name not in _UNHASHED_FIELDS]
         return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-# feature keys are staged and validated together once the whole file is read,
-# so the file may set model_rate and f_max in any order
-_FEATURE_DEFAULTS = {"model_rate": 32000, "win_length": 1024, "hop_length": 320,
-                     "n_mels": 64, "f_min": 50.0, "f_max": 14000.0}
-
-
-def _feature_setter(name, caster):
-    def apply(cfg: RunConfig, value: str):
-        cfg.feature_overrides[name] = caster(value)
-    return apply
-
-
-def _augment_setter(name, caster):
-    def apply(cfg: RunConfig, value: str):
-        cfg.augment_overrides[name] = caster(value)
-    return apply
-
-
-def _attr_setter(name, caster):
-    def apply(cfg: RunConfig, value: str):
-        setattr(cfg, name, caster(value))
-    return apply
-
-
-def _split_ratio_setter(cfg: RunConfig, value: str):
-    ratios = tuple(float(p) for p in value.split(","))
-    cfg.split = replace(cfg.split, ratios=ratios)
-
-
-def _split_seed_setter(cfg: RunConfig, value: str):
-    cfg.split = replace(cfg.split, seed=int(value))
-
-
+# key -> (object the value is staged for, field name, caster); each object is
+# built once after every key is read, so keys may come in any order
 _CONFIG_KEYS = {
-    "paths.corpus_root": _attr_setter("corpus_root", Path),
-    "paths.manifest": _attr_setter("manifest", Path),
-    "paths.split_file": _attr_setter("split_file", Path),
-    "paths.output_dir": _attr_setter("output_dir", Path),
-    "data.rate": _attr_setter("data_rate", parse_rate),
-    "data.segment_seconds": _attr_setter("segment_seconds", float),
-    "data.jobs": _attr_setter("jobs", int),
-    "feature.model_rate": _feature_setter("model_rate", parse_rate),
-    "feature.win_length": _feature_setter("win_length", int),
-    "feature.hop_length": _feature_setter("hop_length", int),
-    "feature.n_mels": _feature_setter("n_mels", int),
-    "feature.f_min": _feature_setter("f_min", float),
-    "feature.f_max": _feature_setter("f_max", float),
-    "augment.base_time_mask_width": _augment_setter("base_time_mask_width", int),
-    "augment.freq_mask_width": _augment_setter("freq_mask_width", int),
-    "augment.n_time_masks": _augment_setter("n_time_masks", int),
-    "augment.n_freq_masks": _augment_setter("n_freq_masks", int),
-    "augment.mixup_alpha": _augment_setter("mixup_alpha", float),
-    "train.lr": _attr_setter("lr", float),
-    "train.batch_size": _attr_setter("batch_size", int),
-    "train.max_epochs": _attr_setter("max_epochs", int),
-    "train.patience": _attr_setter("patience", int),
-    "train.seeds": _attr_setter("seeds", lambda v: tuple(int(p) for p in v.split(","))),
-    "train.use_mixup": _attr_setter("use_mixup", _parse_bool),
-    "split.ratios": _split_ratio_setter,
-    "split.seed": _split_seed_setter,
-    "sweep.data_rates": _attr_setter("sweep_data_rates", _parse_rate_list),
-    "sweep.model_rates": _attr_setter("sweep_model_rates", _parse_rate_list),
+    "paths.corpus_root": ("run", "corpus_root", Path),
+    "paths.manifest": ("run", "manifest", Path),
+    "paths.split_file": ("run", "split_file", Path),
+    "paths.output_dir": ("run", "output_dir", Path),
+    "data.rate": ("run", "data_rate", parse_rate),
+    "data.segment_seconds": ("run", "segment_seconds", _positive(float)),
+    "data.jobs": ("run", "jobs", _positive(int)),
+    "feature.model_rate": ("feature", "model_rate", parse_rate),
+    "feature.win_length": ("feature", "win_length", int),
+    "feature.hop_length": ("feature", "hop_length", int),
+    "feature.n_mels": ("feature", "n_mels", int),
+    "feature.f_min": ("feature", "f_min", float),
+    "feature.f_max": ("feature", "f_max", float),
+    "augment.base_time_mask_width": ("augment", "base_time_mask_width", int),
+    "augment.freq_mask_width": ("augment", "freq_mask_width", int),
+    "augment.n_time_masks": ("augment", "n_time_masks", int),
+    "augment.n_freq_masks": ("augment", "n_freq_masks", int),
+    "augment.mixup_alpha": ("augment", "mixup_alpha", float),
+    "train.lr": ("train", "lr", float),
+    "train.batch_size": ("train", "batch_size", int),
+    "train.max_epochs": ("train", "max_epochs", int),
+    "train.patience": ("train", "patience", int),
+    "train.seeds": ("train", "seeds", lambda v: tuple(int(p) for p in v.split(","))),
+    "train.use_mixup": ("train", "use_mixup", _parse_bool),
+    "split.ratios": ("split", "ratios", lambda v: tuple(float(p) for p in v.split(","))),
+    "split.seed": ("split", "seed", int),
+    "sweep.data_rates": ("run", "sweep_data_rates", _parse_rate_list),
+    "sweep.model_rates": ("run", "sweep_model_rates", _parse_rate_list),
 }
 
 
-def _set_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
+def _stage(staged: dict, key: str, value: str, where: str) -> None:
+    """Cast one value and stage it, with its origin, for its object."""
+    target, name, caster = _CONFIG_KEYS[key]
     try:
-        _CONFIG_KEYS[key](cfg, value)
+        staged[target][name] = (caster(value), where)
     except (ValueError, TypeError) as exc:
         raise OutOfRangeError(f"{where}: {key} = {value!r}: {exc}") from exc
 
 
-def load_config(path=None, env: dict | None = None) -> RunConfig:
+def _read_config_lines(path) -> list[tuple[str, str, int]]:
+    entries = []
+    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigParseError("expected 'section.key = value'",
+                                   lineno, len(raw_line) + 1)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or "." not in key:
+            raise ConfigParseError(f"malformed key {key!r}", lineno,
+                                   raw_line.find("=") + 1)
+        if key not in _CONFIG_KEYS:
+            raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
+        if not value:
+            raise ConfigParseError(f"empty value for {key!r}", lineno,
+                                   raw_line.find("=") + 2)
+        entries.append((key, value, lineno))
+    return entries
+
+
+def load_config(path=None, env: dict | None = None,
+                flags: dict | None = None) -> RunConfig:
     """Read a flat ``section.key = value`` config file over the defaults.
 
     A missing path (or empty file) yields the default configuration.
     ``SONARPREP_SEED`` in the environment overrides the split seed and
-    re-bases the training seeds.
+    re-bases the training seeds. ``flags`` maps each settings flag to
+    ``(config key, value or None)``; a given value is cast like a file
+    line and wins over the file and the environment.
     """
     env = os.environ if env is None else env
-    cfg = RunConfig()
-    staged: list[tuple[str, str, int]] = []
+    # target -> field -> (value, origin)
+    staged: dict[str, dict] = {t: {} for t in ("run", "feature", "augment", "train", "split")}
     if path is not None:
-        text = Path(path).read_text()
-        for lineno, raw_line in enumerate(text.splitlines(), start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigParseError("expected 'section.key = value'",
-                                       lineno, len(raw_line) + 1)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or "." not in key:
-                raise ConfigParseError(f"malformed key {key!r}", lineno,
-                                       raw_line.find("=") + 1)
-            if key not in _CONFIG_KEYS:
-                raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
-            if not value:
-                raise ConfigParseError(f"empty value for {key!r}", lineno,
-                                       raw_line.find("=") + 2)
-            staged.append((key, value, lineno))
-    for key, value, lineno in staged:
-        _set_key(cfg, key, value, f"line {lineno}")
-    # construction-time validation for composite values
-    try:
-        cfg.feature = FeatureConfig(**{**_FEATURE_DEFAULTS, **cfg.feature_overrides})
-        cfg.augment_config()
-        cfg.train_config()
-    except ValueError as exc:
-        raise OutOfRangeError(str(exc)) from exc
+        for key, value, lineno in _read_config_lines(path):
+            _stage(staged, key, value, f"line {lineno}")
     if ENV_SEED in env:
         try:
             seed = int(env[ENV_SEED])
         except ValueError as exc:
             raise OutOfRangeError(f"{ENV_SEED} must be an integer") from exc
-        cfg.split = replace(cfg.split, seed=seed)
-        cfg.seeds = tuple(seed + i for i in range(len(cfg.seeds)))
-    return cfg
+        seeds, _ = staged["train"].get("seeds", (TrainConfig.seeds, None))
+        staged["split"]["seed"] = (seed, ENV_SEED)
+        staged["train"]["seeds"] = (tuple(seed + i for i in range(len(seeds))), ENV_SEED)
+    for flag, (key, value) in (flags or {}).items():
+        if value is not None:
+            _stage(staged, key, value, flag)
+
+    def build(target: str, make, **derived):
+        """Construct one object; its own checks name where its values came from."""
+        values = {name: value for name, (value, _) in staged[target].items()}
+        try:
+            return make(**values, **derived)
+        except ValueError as exc:
+            origins = dict.fromkeys(where for _, where in staged[target].values())
+            raise OutOfRangeError(f"{', '.join(origins)}: {exc}") from exc
+
+    run = build("run", RunConfig)
+    feature = build("feature", partial(replace, DEFAULT_FEATURE_CONFIG))
+    augment = build("augment", AugmentConfig, data_rate=run.data_rate,
+                    model_rate=feature.model_rate)
+    train = build("train", TrainConfig, feature=feature, augment=augment)
+    return replace(run, train=train, split=build("split", SplitSpec))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +265,7 @@ def _write_run_record(out_dir: Path, command: str, cfg: RunConfig) -> None:
     record = {
         "command": command,
         "config_hash": cfg.fingerprint(),
-        "seeds": {"split": cfg.split.seed, "train": list(cfg.seeds)},
+        "seeds": {"split": cfg.split.seed, "train": list(cfg.train.seeds)},
         "versions": {
             "sonarprep": __version__,
             "numpy": np.__version__,
@@ -307,7 +292,8 @@ def _load_classes(features_dir: Path) -> list[str]:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
 
 
-def _load_split(features_dir: Path, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _load_split(features_dir: Path, name: str,
+                n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels of one split archive written by ``featurize``."""
     path = features_dir / f"{name}.sprf"
     items = read_feature_archive(path)
@@ -316,8 +302,11 @@ def _load_split(features_dir: Path, name: str) -> tuple[np.ndarray, np.ndarray]:
     shapes = {values.shape for values, _ in items}
     if len(shapes) > 1:
         raise ArchiveFormatError(f"{path}: items differ in shape {sorted(shapes)}")
-    return (np.stack([values for values, _ in items]),
-            np.array([label for _, label in items], dtype=np.int64))
+    labels = np.array([label for _, label in items], dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ArchiveFormatError(f"{path}: labels outside 0..{n_classes - 1} "
+                                 f"of classes.json")
+    return np.stack([values for values, _ in items]), labels
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +348,8 @@ def ingest(corpus_root: Path, out: Path):
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path))
 @click.option("--manifest", "manifest_path", type=click.Path(exists=True, path_type=Path))
 @click.option("--ratios", type=str, default=None, help="train,val,test e.g. 0.7,0.1,0.2")
-@click.option("--seed", type=int, default=None)
-@click.option("--segment-seconds", type=float, default=None)
+@click.option("--seed", type=str, default=None)
+@click.option("--segment-seconds", type=str, default=None)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--validate", "do_validate", is_flag=True,
               help="Check an existing split file instead of writing one.")
@@ -370,7 +359,9 @@ def ingest(corpus_root: Path, out: Path):
 def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
               do_validate, split_file):
     """Write (or validate) a leakage-free recording-level split."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, flags={
+        "--ratios": ("split.ratios", ratios), "--seed": ("split.seed", seed),
+        "--segment-seconds": ("data.segment_seconds", segment_seconds)})
     manifest = _load_manifest_file(_require(manifest_path or cfg.manifest, "--manifest"))
     if do_validate:
         rows, _ = read_split_rows(Path(_require(split_file or cfg.split_file,
@@ -383,12 +374,6 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
                                        f"({len(report.failures)} problems)")
         click.echo("split OK")
         return
-    if ratios is not None:
-        _set_key(cfg, "split.ratios", ratios, "--ratios")
-    if seed is not None:
-        cfg.split = replace(cfg.split, seed=seed)
-    if segment_seconds is not None:
-        cfg.segment_seconds = segment_seconds
     counts = segment_counts(manifest, cfg.segment_seconds)
     sf = stratified_split(manifest, counts, cfg.split)
     out_path = _require(out or cfg.split_file, "--out")
@@ -406,13 +391,14 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
 @click.option("--split-file", type=click.Path(exists=True, path_type=Path))
 @click.option("--corpus-root", type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--data-rate", type=str, default=None, help="Target rate, e.g. 8k.")
-@click.option("--jobs", type=int, default=None, help="Parallel featurization workers.")
+@click.option("--jobs", type=str, default=None, help="Parallel featurization workers.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path))
 @_guarded
 def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
               jobs, out_dir):
     """Resample, segment, and write normalized log-mel archives per split."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, flags={"--data-rate": ("data.rate", data_rate),
+                                          "--jobs": ("data.jobs", jobs)})
     manifest = _load_manifest_file(_require(manifest_path or cfg.manifest, "--manifest"))
     corpus = Path(_require(corpus_root or cfg.corpus_root, "--corpus-root"))
     rows, _ = read_split_rows(Path(_require(split_file or cfg.split_file,
@@ -424,13 +410,9 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
             + "; ".join(f"{code}: {detail}" for code, detail in report.failures[:3])
         )
     assignment = dict(rows)
-    if data_rate is not None:
-        cfg.data_rate = parse_rate(data_rate)
-    if jobs is not None:
-        cfg.jobs = jobs
     out = _require(out_dir or cfg.output_dir, "--out")
     data, stats = build_feature_sets(manifest, lambda entry: _read_wav(corpus, entry),
-                                     assignment, cfg.data_rate, cfg.feature,
+                                     assignment, cfg.data_rate, cfg.train.feature,
                                      cfg.segment_seconds, jobs=cfg.jobs)
     out.mkdir(parents=True, exist_ok=True)
     for name in SPLIT_NAMES:
@@ -455,11 +437,12 @@ def train(config_path, features_dir, out_dir):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
     classes = _load_classes(features_dir)
-    data = FeatureSets(*(_load_split(features_dir, name) for name in SPLIT_NAMES),
+    data = FeatureSets(*(_load_split(features_dir, name, len(classes))
+                         for name in SPLIT_NAMES),
                        n_classes=len(classes))
     out = _require(out_dir or cfg.output_dir, "--out")
     out.mkdir(parents=True, exist_ok=True)
-    results = run_seeds(cfg.train_config(), data)
+    results = run_seeds(cfg.train, data)
     summary = {"seeds": [], "classes": classes}
     for result in results:
         save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params)
@@ -499,7 +482,7 @@ def _restore_model(model_path: Path, n_classes: int):
 def eval_cmd(model_path, features_dir, out_dir):
     """Evaluate a checkpoint on the test archive."""
     classes = _load_classes(features_dir)
-    features, labels = _load_split(features_dir, "test")
+    features, labels = _load_split(features_dir, "test", len(classes))
     model = _restore_model(model_path, len(classes))
     metrics = evaluate(model, features, labels)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -527,7 +510,7 @@ def eval_cmd(model_path, features_dir, out_dir):
 def gradcam(model_path, features_dir, out_dir):
     """Aggregate class activation maps over the test archive."""
     classes = _load_classes(features_dir)
-    features, labels = _load_split(features_dir, "test")
+    features, labels = _load_split(features_dir, "test", len(classes))
     model = _restore_model(model_path, len(classes))
     cam_agg = aggregate_cams(model, features, labels)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -575,17 +558,17 @@ def _raw_to_table(raw: dict) -> str:
 def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
               out_dir):
     """Train the full grid of data-rate x model-rate combinations."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, flags={
+        "--data-rates": ("sweep.data_rates", data_rates),
+        "--model-rates": ("sweep.model_rates", model_rates)})
     manifest = _load_manifest_file(_require(manifest_path or cfg.manifest, "--manifest"))
     corpus = Path(_require(corpus_root or cfg.corpus_root, "--corpus-root"))
-    rates_d = _parse_rate_list(data_rates) if data_rates else cfg.sweep_data_rates
-    rates_m = _parse_rate_list(model_rates) if model_rates else cfg.sweep_model_rates
-    if not rates_d or not rates_m:
+    if not cfg.sweep_data_rates or not cfg.sweep_model_rates:
         raise click.ClickException("sweep needs --data-rates and --model-rates "
                                    "(or sweep.* config keys)")
     out = _require(out_dir or cfg.output_dir, "--out")
     out.mkdir(parents=True, exist_ok=True)
-    result = run_sweep(rates_d, rates_m, cfg.train_config(), manifest,
+    result = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train, manifest,
                        lambda entry: _read_wav(corpus, entry),
                        split_spec=cfg.split, seconds=cfg.segment_seconds,
                        jobs=cfg.jobs)

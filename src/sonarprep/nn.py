@@ -88,7 +88,6 @@ class Architecture:
 
     layers: tuple
     in_channels: int = 1
-    in_features: int | None = None  # set for networks fed flat vectors
 
 
 #: Compact default: two conv blocks, global pooling, linear head.
@@ -123,9 +122,9 @@ def init_model(arch: Architecture, n_classes: int, seed: int,
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    spatial = arch.in_features is None
+    spatial = True
     channels = arch.in_channels
-    features = arch.in_features
+    features = None
     last_conv = -1
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Conv):
@@ -256,16 +255,10 @@ def _maxpool_backward(dy: np.ndarray, cache, size: int):
 def forward(model: ModelState, batch: np.ndarray) -> np.ndarray:
     """Run the network, caching what backward and grad_cam need."""
     x = np.asarray(batch).astype(model.dtype, copy=False)
-    if model.arch.in_features is None:
-        if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
-            raise ShapeMismatchError(
-                f"expected [batch, {model.arch.in_channels}, H, W], got {x.shape}"
-            )
-    else:
-        if x.ndim != 2 or x.shape[1] != model.arch.in_features:
-            raise ShapeMismatchError(
-                f"expected [batch, {model.arch.in_features}], got {x.shape}"
-            )
+    if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
+        raise ShapeMismatchError(
+            f"expected [batch, {model.arch.in_channels}, H, W], got {x.shape}"
+        )
     cache: list = []
     for i, layer in enumerate(model.arch.layers):
         if isinstance(layer, Conv):
@@ -488,6 +481,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             pos += n_bytes
     except struct.error as exc:
         raise CheckpointFormatError("checkpoint truncated in a header") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}") from exc
     if pos != len(data):
         raise CheckpointFormatError(f"{len(data) - pos} trailing bytes after last tensor")
     return tensors

@@ -53,12 +53,12 @@ class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None, env={})
         assert cfg.data_rate == 32000
-        assert cfg.feature.win_length == 1024
-        assert cfg.lr == 5e-5
-        assert cfg.batch_size == 64
-        assert cfg.max_epochs == 100
-        assert cfg.patience == 50
-        assert cfg.seeds == (0, 1, 2)
+        assert cfg.train.feature.win_length == 1024
+        assert cfg.train.lr == 5e-5
+        assert cfg.train.batch_size == 64
+        assert cfg.train.max_epochs == 100
+        assert cfg.train.patience == 50
+        assert cfg.train.seeds == (0, 1, 2)
         assert cfg.split.ratios == (0.7, 0.1, 0.2)
 
     def test_file_overrides_defaults(self, tmp_path):
@@ -66,18 +66,20 @@ class TestLoadConfig:
         p.write_text(SMOKE_CONFIG)
         cfg = load_config(p, env={})
         assert cfg.data_rate == 8000
-        assert cfg.feature.model_rate == 8000
-        assert cfg.feature.n_mels == 24
-        assert cfg.batch_size == 8
+        assert cfg.train.feature.model_rate == 8000
+        assert cfg.train.feature.n_mels == 24
+        assert cfg.train.augment.data_rate == 8000
+        assert cfg.train.augment.model_rate == 8000
+        assert cfg.train.batch_size == 8
         assert cfg.split.seed == 7
-        assert cfg.seeds == (0,)
+        assert cfg.train.seeds == (0,)
 
     def test_key_order_does_not_matter(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("feature.f_max = 3500\nfeature.model_rate = 8k\n")
         cfg = load_config(p, env={})
-        assert cfg.feature.f_max == 3500.0
-        assert cfg.feature.model_rate == 8000
+        assert cfg.train.feature.f_max == 3500.0
+        assert cfg.train.feature.model_rate == 8000
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -111,7 +113,7 @@ class TestLoadConfig:
         p.write_text("train.seeds = 0,1,2\nsplit.seed = 5\n")
         cfg = load_config(p, env={"SONARPREP_SEED": "40"})
         assert cfg.split.seed == 40
-        assert cfg.seeds == (40, 41, 42)
+        assert cfg.train.seeds == (40, 41, 42)
 
     def test_env_seed_must_be_integer(self):
         with pytest.raises(OutOfRangeError):
@@ -121,6 +123,56 @@ class TestLoadConfig:
         p = tmp_path / "c.cfg"
         p.write_text("\n# note\n  \ndata.rate = 16k\n")
         assert load_config(p, env={}).data_rate == 16000
+
+    def test_flags_are_cast_like_keys_and_win(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("split.seed = 5\ndata.rate = 16k\n")
+        cfg = load_config(p, env={"SONARPREP_SEED": "40"},
+                          flags={"--seed": ("split.seed", "3"),
+                                 "--data-rate": ("data.rate", "8k"),
+                                 "--jobs": ("data.jobs", None)})
+        assert cfg.split.seed == 3
+        assert cfg.train.seeds == (40, 41, 42)
+        assert cfg.data_rate == 8000
+        assert cfg.train.augment.data_rate == 8000
+        assert cfg.jobs == 1
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"data.jobs = {value}\n")
+        with pytest.raises(OutOfRangeError, match="line 1"):
+            load_config(p, env={})
+
+
+class TestFingerprint:
+    BASE = "data.rate = 8k\nfeature.model_rate = 8k\nfeature.f_max = 3500\n"
+
+    def fingerprint(self, tmp_path, text, **flags):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        return load_config(p, env={}, flags=flags).fingerprint()
+
+    def test_ignores_key_order(self, tmp_path):
+        reordered = "feature.f_max = 3500\nfeature.model_rate = 8k\ndata.rate = 8k\n"
+        assert (self.fingerprint(tmp_path, self.BASE)
+                == self.fingerprint(tmp_path, reordered))
+
+    @pytest.mark.parametrize("line", ["feature.n_mels = 64", "paths.output_dir = elsewhere",
+                                      "data.jobs = 4"])
+    def test_ignores_defaults_paths_and_jobs(self, tmp_path, line):
+        assert (self.fingerprint(tmp_path, self.BASE)
+                == self.fingerprint(tmp_path, self.BASE + line + "\n"))
+
+    def test_flag_equals_key(self, tmp_path):
+        without_rate = "feature.model_rate = 8k\nfeature.f_max = 3500\n"
+        assert (self.fingerprint(tmp_path, self.BASE)
+                == self.fingerprint(tmp_path, without_rate,
+                                    **{"--data-rate": ("data.rate", "8k")}))
+
+    def test_changes_with_a_setting(self, tmp_path):
+        assert (self.fingerprint(tmp_path, self.BASE)
+                != self.fingerprint(tmp_path, self.BASE + "feature.n_mels = 32\n"))
 
 
 def assert_clean_failure(result):
@@ -309,6 +361,38 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert "--ratios" in result.output
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("featurize", "--data-rate", "abc"), ("featurize", "--data-rate", "0"),
+        ("featurize", "--jobs", "0"), ("sweep", "--data-rates", "abc"),
+        ("sweep", "--model-rates", "0"), ("split", "--segment-seconds", "0")])
+    def test_bad_flag_value(self, pipeline, tmp_path, command, flag, value):
+        root, runner = pipeline
+        inputs = {
+            "split": ["--manifest", str(root / "manifest.csv")],
+            "featurize": ["--manifest", str(root / "manifest.csv"),
+                          "--split-file", str(root / "split.csv"),
+                          "--corpus-root", str(root / "corpus")],
+            "sweep": ["--manifest", str(root / "manifest.csv"),
+                      "--corpus-root", str(root / "corpus"),
+                      "--data-rates", "8k", "--model-rates", "8k"],
+        }[command]
+        result = runner.invoke(main, [command, "--config", str(root / "run.cfg"),
+                                      *inputs, flag, value,
+                                      "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert flag in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_beats_environment(self, pipeline, tmp_path):
+        root, runner = pipeline
+        out = tmp_path / "split.csv"
+        result = runner.invoke(main, [
+            "split", "--config", str(root / "run.cfg"),
+            "--manifest", str(root / "manifest.csv"), "--seed", "3",
+            "--out", str(out)], env={"SONARPREP_SEED": "40"})
+        assert result.exit_code == 0, result.output
+        assert "# seed=3" in out.read_text().splitlines()
+
     def test_featurize_refuses_split_without_segments(self, pipeline, tmp_path):
         root, runner = pipeline
         corpus = tmp_path / "corpus"
@@ -338,6 +422,19 @@ class TestErrorSurface:
             "--features", str(feats), "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
         assert "test.sprf" in result.output
+
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_label_outside_classes(self, pipeline, tmp_path, command):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        values = np.zeros((501, 24), dtype=np.float32)
+        write_feature_archive(feats / "test.sprf", [(values, 0), (values, 5)])
+        result = runner.invoke(main, [
+            command, "--model", str(root / "runs" / "model_seed0.spnn"),
+            "--features", str(feats), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "classes.json" in result.output
 
     def test_malformed_classes_file(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -285,10 +285,10 @@ class TestGradCam:
         np.testing.assert_array_equal(cam_from_activations(acts, grads), 0.0)
 
     def test_no_conv_architecture_rejected(self):
-        arch = Architecture((Dense(),), in_channels=1, in_features=10)
+        arch = Architecture((GlobalAvgPool(), Dense()))
         m = init_model(arch, 2, seed=0)
         with pytest.raises(NoCacheError):
-            grad_cam(m, np.zeros((1, 10)), 0)
+            grad_cam(m, np.zeros((1, 1, 6, 5)), 0)
 
 
 class TestCheckpoint:
@@ -336,6 +336,16 @@ class TestCheckpoint:
         save_checkpoint(path, m.params)
         path.write_bytes(path.read_bytes() + b"JUNK")
         with pytest.raises(CheckpointFormatError, match="4 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
+        path = tmp_path / "m.spnn"
+        save_checkpoint(path, m.params)
+        data = bytearray(path.read_bytes())
+        data[13] = 0xFF  # magic (5) + count (4) + name length (4)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointFormatError, match="not UTF-8"):
             load_checkpoint(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
