@@ -105,19 +105,9 @@ def make_mix_pairs(batch_size: int, alpha: float,
             for i in range(batch_size)]
 
 
-def _stack(batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray):
-        return batch
-    arrays = [np.asarray(b) for b in batch]
-    shapes = {a.shape for a in arrays}
-    if len(shapes) > 1:
-        raise ShapeMismatchError(f"cannot mix items of shapes {sorted(shapes)}")
-    return np.stack(arrays)
-
-
-def mixup(batch_inputs, batch_targets, pairs: list[MixPair]):
-    """Convex-combine paired inputs and targets with each pair's lambda."""
-    x = _stack(batch_inputs)
+def mixup(x: np.ndarray, batch_targets, pairs: list[MixPair]):
+    """Convex-combine a batch's paired inputs and targets with each pair's
+    lambda; ``x`` is the [batch x ...] input array."""
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
     y = np.asarray(batch_targets, dtype=x.dtype)

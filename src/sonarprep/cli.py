@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -57,6 +58,13 @@ class OutOfRangeError(SonarprepError):
     """A config value parses but falls outside its allowed range."""
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def parse_rate(text: str) -> int:
     """Sampling rate with optional k-suffix: '2k' -> 2000."""
     text = text.strip()
@@ -65,7 +73,7 @@ def parse_rate(text: str) -> int:
         scale = 1000
         text = text[:-1]
     value = float(text) * scale
-    if value != int(value) or int(value) <= 0:
+    if not math.isfinite(value) or value != int(value) or int(value) <= 0:
         raise ValueError(f"invalid rate {text!r}")
     return int(value)
 
@@ -131,26 +139,26 @@ _CONFIG_KEYS = {
     "paths.split_file": ("run", "split_file", Path),
     "paths.output_dir": ("run", "output_dir", Path),
     "data.rate": ("run", "data_rate", parse_rate),
-    "data.segment_seconds": ("run", "segment_seconds", _positive(float)),
+    "data.segment_seconds": ("run", "segment_seconds", _positive(_finite)),
     "data.jobs": ("run", "jobs", _positive(int)),
     "feature.model_rate": ("feature", "model_rate", parse_rate),
     "feature.win_length": ("feature", "win_length", int),
     "feature.hop_length": ("feature", "hop_length", int),
     "feature.n_mels": ("feature", "n_mels", int),
-    "feature.f_min": ("feature", "f_min", float),
-    "feature.f_max": ("feature", "f_max", float),
+    "feature.f_min": ("feature", "f_min", _finite),
+    "feature.f_max": ("feature", "f_max", _finite),
     "augment.base_time_mask_width": ("augment", "base_time_mask_width", int),
     "augment.freq_mask_width": ("augment", "freq_mask_width", int),
     "augment.n_time_masks": ("augment", "n_time_masks", int),
     "augment.n_freq_masks": ("augment", "n_freq_masks", int),
-    "augment.mixup_alpha": ("augment", "mixup_alpha", float),
-    "train.lr": ("train", "lr", float),
+    "augment.mixup_alpha": ("augment", "mixup_alpha", _finite),
+    "train.lr": ("train", "lr", _finite),
     "train.batch_size": ("train", "batch_size", int),
     "train.max_epochs": ("train", "max_epochs", int),
     "train.patience": ("train", "patience", int),
     "train.seeds": ("train", "seeds", lambda v: tuple(int(p) for p in v.split(","))),
     "train.use_mixup": ("train", "use_mixup", _parse_bool),
-    "split.ratios": ("split", "ratios", lambda v: tuple(float(p) for p in v.split(","))),
+    "split.ratios": ("split", "ratios", lambda v: tuple(_finite(p) for p in v.split(","))),
     "split.seed": ("split", "seed", int),
     "sweep.data_rates": ("run", "sweep_data_rates", _parse_rate_list),
     "sweep.model_rates": ("run", "sweep_model_rates", _parse_rate_list),
@@ -261,11 +269,29 @@ def _require(value, name: str):
     return value
 
 
-def _write_run_record(out_dir: Path, command: str, cfg: RunConfig) -> None:
+def _settings_record(cfg: RunConfig) -> dict:
+    return {"config_hash": cfg.fingerprint(),
+            "seeds": {"split": cfg.split.seed, "train": list(cfg.train.seeds)}}
+
+
+def _inputs_record(model_path: Path, features_dir: Path) -> dict:
+    """SHA-256 of the checkpoint and test archive that eval or gradcam read."""
+    digests = {}
+    for role, path in (("model", model_path), ("test_features", features_dir / "test.sprf")):
+        digest = hashlib.sha256()
+        with open(path, "rb") as f:
+            for block in iter(lambda: f.read(1 << 20), b""):
+                digest.update(block)
+        digests[role] = digest.hexdigest()
+    return {"sha256": digests}
+
+
+def _write_run_record(out_dir: Path, command: str, details: dict) -> None:
+    """Write run.json: the command, what it depends on, and library versions;
+    no paths and no times."""
     record = {
         "command": command,
-        "config_hash": cfg.fingerprint(),
-        "seeds": {"split": cfg.split.seed, "train": list(cfg.train.seeds)},
+        **details,
         "versions": {
             "sonarprep": __version__,
             "numpy": np.__version__,
@@ -296,17 +322,13 @@ def _load_split(features_dir: Path, name: str,
                 n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels of one split archive written by ``featurize``."""
     path = features_dir / f"{name}.sprf"
-    items = read_feature_archive(path)
-    if not items:
+    values, labels = read_feature_archive(path)
+    if not labels.size:
         raise SonarprepError(f"{path}: archive holds no segments")
-    shapes = {values.shape for values, _ in items}
-    if len(shapes) > 1:
-        raise ArchiveFormatError(f"{path}: items differ in shape {sorted(shapes)}")
-    labels = np.array([label for _, label in items], dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= n_classes:
+    if labels.max() >= n_classes:
         raise ArchiveFormatError(f"{path}: labels outside 0..{n_classes - 1} "
                                  f"of classes.json")
-    return np.stack([values for values, _ in items]), labels
+    return values, labels
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +439,14 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
     out.mkdir(parents=True, exist_ok=True)
     for name in SPLIT_NAMES:
         x, y = getattr(data, name)
-        write_feature_archive(out / f"{name}.sprf", zip(x, y))
+        write_feature_archive(out / f"{name}.sprf", x, y)
         click.echo(f"{name}.sprf: {len(y)} segments")
     (out / "norm_stats.json").write_text(json.dumps(
         {"global_min": stats.global_min, "global_max": stats.global_max},
         indent=2, sort_keys=True) + "\n")
     (out / "classes.json").write_text(json.dumps(
         {"classes": list(manifest.classes)}, indent=2, sort_keys=True) + "\n")
-    _write_run_record(out, "featurize", cfg)
+    _write_run_record(out, "featurize", _settings_record(cfg))
 
 
 @main.command()
@@ -461,7 +483,7 @@ def train(config_path, features_dir, out_dir):
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     (out / "confusion_mean.csv").write_text(
         render_confusion_csv(aggregate.mean_confusion, classes))
-    _write_run_record(out, "train", cfg)
+    _write_run_record(out, "train", _settings_record(cfg))
     click.echo(f"mean test accuracy "
                f"{aggregate.mean_accuracy:.4f} +/- {aggregate.std_accuracy:.4f}")
 
@@ -496,6 +518,7 @@ def eval_cmd(model_path, features_dir, out_dir):
         render_confusion_csv(metrics.confusion, classes))
     (out_dir / "confusion_rownorm.csv").write_text(
         render_confusion_rownorm_csv(metrics.confusion, classes))
+    _write_run_record(out_dir, "eval", _inputs_record(model_path, features_dir))
     click.echo(f"accuracy {metrics.accuracy:.4f} on {labels.size} segments")
 
 
@@ -515,6 +538,7 @@ def gradcam(model_path, features_dir, out_dir):
     cam_agg = aggregate_cams(model, features, labels)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_cam_report(out_dir, cam_agg, classes)
+    _write_run_record(out_dir, "gradcam", _inputs_record(model_path, features_dir))
     correct = sum(count for (_, ok), count in cam_agg.counts.items() if ok)
     click.echo(f"aggregated maps over {labels.size} segments "
                f"({correct} classified correctly)")
@@ -575,7 +599,7 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
     raw = _cells_to_raw(result)
     (out / "sweep_raw.json").write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
     (out / "sweep_table.csv").write_text(_raw_to_table(raw))
-    _write_run_record(out, "sweep", cfg)
+    _write_run_record(out, "sweep", _settings_record(cfg))
     for cell in raw["cells"]:
         click.echo(f"data {cell['data_rate']} Hz / model {cell['model_rate']} Hz: "
                    f"{cell['mean_accuracy']:.4f} +/- {cell['std_accuracy']:.4f}")

@@ -155,11 +155,10 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
     return SplitFile(assignment, spec.seed, class_counts)
 
 
-def validate_split(split, manifest: Manifest) -> SplitReport:
-    """Check a split against a manifest: exact partition, no leakage,
-    every class present in every split. Accepts a SplitFile or raw
-    (recording_id, split) rows as loaded from disk."""
-    rows = list(split.assignment.items()) if isinstance(split, SplitFile) else list(split)
+def validate_split(rows, manifest: Manifest) -> SplitReport:
+    """Check (recording_id, split) rows, as loaded from disk, against a
+    manifest: exact partition, no leakage, every class present in every
+    split."""
     failures: list[tuple[str, str]] = []
     known = manifest.by_id()
     first_seen: dict[str, str] = {}
@@ -227,17 +226,6 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
             raise ValueError(f"line {lineno}: expected 'recording_id,split'")
         rows.append((parts[0], parts[1]))
     return rows, seed
-
-
-def read_split_file(text: str) -> SplitFile:
-    """Strict loader for files this package wrote; duplicates are an error."""
-    rows, seed = read_split_rows(text)
-    assignment: dict[str, str] = {}
-    for rec_id, split_name in rows:
-        if rec_id in assignment:
-            raise ValueError(f"split file lists {rec_id!r} more than once")
-        assignment[rec_id] = split_name
-    return SplitFile(assignment, seed if seed is not None else 0)
 
 
 def compute_norm_stats(spectrograms) -> NormStats:

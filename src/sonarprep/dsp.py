@@ -77,16 +77,6 @@ class FeatureConfig:
 DEFAULT_FEATURE_CONFIG = FeatureConfig(model_rate=32000)
 
 
-@dataclass(eq=False)
-class Segment:
-    """A fixed-length slice of a recording."""
-
-    samples: np.ndarray
-    rate: int
-    recording_id: str
-    index: int
-
-
 # ---------------------------------------------------------------------------
 # resampling
 # ---------------------------------------------------------------------------
@@ -142,8 +132,9 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 # segmentation and config scaling
 # ---------------------------------------------------------------------------
 
-def segment(w: Waveform, seconds: float) -> list[Segment]:
-    """Chop a waveform into consecutive fixed-length segments.
+def segment(w: Waveform, seconds: float) -> np.ndarray:
+    """Chop a waveform into consecutive fixed-length segments, returned as a
+    [count x length] view of its samples.
 
     The trailing remainder shorter than one segment is dropped.
     seconds * rate must land on a whole number of samples.
@@ -153,10 +144,7 @@ def segment(w: Waveform, seconds: float) -> list[Segment]:
     if length <= 0 or abs(exact - length) > 1e-9 * max(1.0, exact):
         raise ValueError(f"seconds * rate must be a positive integer, got {exact}")
     count = w.samples.size // length
-    return [
-        Segment(w.samples[i * length:(i + 1) * length], w.rate, w.source_id, i)
-        for i in range(count)
-    ]
+    return w.samples[:count * length].reshape(count, length)
 
 
 def scale_config(base: FeatureConfig, model_rate: int) -> FeatureConfig:
@@ -187,13 +175,13 @@ def frame_count(n_samples: int, hop_length: int) -> int:
 # STFT and mel filterbank
 # ---------------------------------------------------------------------------
 
-def stft_power(seg: Segment, cfg: FeatureConfig) -> np.ndarray:
-    """Power spectrogram of a segment, [n_frames x (win/2 + 1)].
+def stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """Power spectrogram of 1-d samples, [n_frames x (win/2 + 1)].
 
     The signal is reflect-padded by win/2 on each side so frames are
     centered on multiples of the hop; window is a symmetric Hann.
     """
-    x = np.asarray(seg.samples, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     win, hop = cfg.win_length, cfg.hop_length
     if win % 2:
         raise ValueError("win_length must be even")
@@ -272,18 +260,15 @@ def effective_config(cfg: FeatureConfig, data_rate: int) -> FeatureConfig:
         ) from exc
 
 
-def features_for_segment(seg: Segment, cfg: FeatureConfig,
-                         fb: np.ndarray | None = None) -> np.ndarray:
-    """Full segment -> [n_frames x n_mels] log-mel matrix using the model's
-    window and hop.
+def features_for_segment(samples: np.ndarray, cfg: FeatureConfig,
+                         fb: np.ndarray) -> np.ndarray:
+    """One segment's samples -> [n_frames x n_mels] log-mel matrix using the
+    model's window and hop.
 
-    ``fb`` may carry a precomputed filterbank for the segment's rate
-    (build it once per run with ``mel_filterbank(effective_config(...))``).
+    ``fb`` is the filterbank for the samples' rate, built once per run with
+    ``mel_filterbank(effective_config(cfg, rate))``.
     """
-    if fb is None:
-        fb = mel_filterbank(effective_config(cfg, seg.rate))
-    power = stft_power(seg, cfg)
-    return log_mel(power, fb)
+    return log_mel(stft_power(samples, cfg), fb)
 
 
 # ---------------------------------------------------------------------------
@@ -293,44 +278,55 @@ def features_for_segment(seg: Segment, cfg: FeatureConfig,
 ARCHIVE_MAGIC = b"SPRF1"
 
 
-def write_feature_archive(path, items) -> None:
-    """Write (matrix, label) pairs to the little-endian binary archive format."""
-    items = list(items)
+def write_feature_archive(path, values: np.ndarray, labels) -> None:
+    """Write a [n x frames x mels] array and its n labels to the
+    little-endian binary archive format, one item at a time."""
+    if values.ndim != 3 or len(labels) != values.shape[0]:
+        raise ArchiveFormatError(
+            f"need [n x frames x mels] values and n labels, got {values.shape} "
+            f"and {len(labels)} labels")
+    _, n_frames, n_mels = values.shape
     with open(path, "wb") as f:
         f.write(ARCHIVE_MAGIC)
-        f.write(struct.pack("<I", len(items)))
-        for values, label in items:
-            values = np.asarray(values)
-            if values.ndim != 2:
-                raise ArchiveFormatError(f"archive items must be 2-d, got {values.shape}")
-            n_frames, n_mels = values.shape
+        f.write(struct.pack("<I", len(labels)))
+        for item, label in zip(values, labels):
             f.write(struct.pack("<III", n_frames, n_mels, int(label)))
-            f.write(values.astype("<f4").tobytes())
+            f.write(item.astype("<f4").tobytes())
 
 
-def read_feature_archive(path) -> list[tuple[np.ndarray, int]]:
-    """Read back (float32 matrix, label) pairs written by :func:`write_feature_archive`."""
+def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read back the [n x frames x mels] float32 values and int64 labels
+    written by :func:`write_feature_archive`.
+
+    Every item must have the first item's shape; the file is read through
+    one structured view and copied once into the returned values.
+    """
     with open(path, "rb") as f:
         data = f.read()
+
+    def refuse(problem: str):
+        raise ArchiveFormatError(f"{path}: {problem}")
+
     if data[:5] != ARCHIVE_MAGIC:
-        raise ArchiveFormatError("bad magic: not a feature archive")
-    pos = 5
+        refuse("bad magic: not a feature archive")
     try:
-        (count,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        items = []
-        for _ in range(count):
-            n_frames, n_mels, label = struct.unpack_from("<III", data, pos)
-            pos += 12
-            n_bytes = n_frames * n_mels * 4
-            if pos + n_bytes > len(data):
-                raise ArchiveFormatError("archive truncated inside an item")
-            values = np.frombuffer(data, dtype="<f4", count=n_frames * n_mels,
-                                   offset=pos).reshape(n_frames, n_mels)
-            pos += n_bytes
-            items.append((values.copy(), int(label)))
-    except struct.error as exc:
-        raise ArchiveFormatError("archive truncated in a header") from exc
-    if pos != len(data):
-        raise ArchiveFormatError(f"{len(data) - pos} trailing bytes after last item")
-    return items
+        (count,) = struct.unpack_from("<I", data, 5)
+        shape = struct.unpack_from("<II", data, 9) if count else (0, 0)
+    except struct.error:
+        refuse("archive truncated in a header")
+    item_size = 12 + 4 * shape[0] * shape[1]
+    size = 9 + count * item_size
+    n_fit = min(count, (len(data) - 9) // item_size)
+    if count and not n_fit:
+        refuse(f"archive truncated: {len(data)} of {size} bytes")
+    item = np.dtype([("frames", "<u4"), ("mels", "<u4"), ("label", "<u4"),
+                     ("values", "<f4", shape)])
+    records = np.frombuffer(data, dtype=item, count=n_fit, offset=9)
+    if np.any(records["frames"] != shape[0]) or np.any(records["mels"] != shape[1]):
+        refuse(f"items differ in shape from the first item's {shape}")
+    if len(data) < size:
+        refuse(f"archive truncated: {len(data)} of {size} bytes")
+    if len(data) > size:
+        refuse(f"{len(data) - size} trailing bytes after last item")
+    return (np.ascontiguousarray(records["values"], dtype=np.float32),
+            records["label"].astype(np.int64))

@@ -79,15 +79,12 @@ def predict(model: ModelState, features: np.ndarray,
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
-def evaluate(model: ModelState, features: np.ndarray, labels: np.ndarray,
-             n_classes: int | None = None) -> Metrics:
+def evaluate(model: ModelState, features: np.ndarray, labels: np.ndarray) -> Metrics:
     """Accuracy, per-class recall, and the confusion matrix on a test set."""
     labels = np.asarray(labels)
     if features.shape[0] == 0 or labels.size == 0:
         raise EmptyTestSetError("test set is empty")
-    if n_classes is None:
-        n_classes = model.n_classes
-    return metrics_from_predictions(labels, predict(model, features), n_classes)
+    return metrics_from_predictions(labels, predict(model, features), model.n_classes)
 
 
 def aggregate_runs(all_metrics: list[Metrics]) -> RunAggregate:
@@ -211,19 +208,17 @@ def render_confusion_rownorm_csv(confusion: np.ndarray, classes) -> str:
 
 def write_cam_report(out_dir, cam_agg: CamAggregate, classes) -> None:
     """Write mean maps in the feature-archive layout plus a JSON sidecar."""
-    items = []
-    sidecar = []
-    for class_index in range(len(classes)):
-        for correct in (True, False):
-            key = (class_index, correct)
-            items.append((cam_agg.maps[key], class_index))
-            sidecar.append({
-                "item": len(items) - 1,
-                "class_index": class_index,
-                "class_label": classes[class_index],
-                "correct": correct,
-                "count": cam_agg.counts[key],
-            })
-    write_feature_archive(out_dir / "cams.sprf", items)
+    keys = [(class_index, correct) for class_index in range(len(classes))
+            for correct in (True, False)]
+    sidecar = [{
+        "item": item,
+        "class_index": class_index,
+        "class_label": classes[class_index],
+        "correct": correct,
+        "count": cam_agg.counts[(class_index, correct)],
+    } for item, (class_index, correct) in enumerate(keys)]
+    write_feature_archive(out_dir / "cams.sprf",
+                          np.stack([cam_agg.maps[key] for key in keys]),
+                          [class_index for class_index, _ in keys])
     payload = {"map_shape": list(cam_agg.map_shape), "buckets": sidecar}
     (out_dir / "cams.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

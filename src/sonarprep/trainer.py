@@ -223,8 +223,8 @@ def build_feature_sets(manifest: Manifest,
 
     def featurize_recording(entry: ManifestEntry) -> list[np.ndarray]:
         w = resample(load_waveform(entry), data_rate)
-        return [features_for_segment(seg, feature_cfg, fb=fb)
-                for seg in segment(w, seconds)]
+        return [features_for_segment(samples, feature_cfg, fb)
+                for samples in segment(w, seconds)]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

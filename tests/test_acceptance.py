@@ -22,14 +22,14 @@ from sonarprep.cli import main
 from sonarprep.datasplit import (SplitSpec, read_split_rows, segment_counts,
                                  stratified_split, validate_split,
                                  write_split_file)
-from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig,
-                           features_for_segment, frame_count, scale_config,
-                           stft_power)
+from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig, effective_config,
+                           features_for_segment, frame_count, mel_filterbank,
+                           scale_config, stft_power)
 from sonarprep.evaluation import aggregate_runs, confusion_matrix, metrics_from_predictions
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, Architecture, Conv, Dense,
                           GlobalAvgPool, MaxPool, Relu, aggregate_input_channels,
                           backward, cross_entropy_soft, forward, init_model)
-from sonarprep.wavio import Manifest, ManifestEntry, Waveform
+from sonarprep.wavio import Manifest, ManifestEntry
 from synthdata import make_corpus
 
 
@@ -52,12 +52,13 @@ def test_criterion_01_frame_counts():
     with criterion(1, "5 s frame counts at matched and halved data rates", 1.0):
         cfg = DEFAULT_FEATURE_CONFIG
         x32 = np.random.default_rng(0).normal(size=5 * 32000)
-        power = stft_power(Waveform(samples=x32, rate=32000), cfg)
+        power = stft_power(x32, cfg)
         assert power.shape[0] == 501
         assert frame_count(5 * 32000, cfg.hop_length) == 501
 
         x16 = np.random.default_rng(1).normal(size=5 * 16000)
-        features = features_for_segment(Waveform(samples=x16, rate=16000), cfg)
+        features = features_for_segment(
+            x16, cfg, mel_filterbank(effective_config(cfg, 16000)))
         assert features.shape[0] == 251
         assert frame_count(5 * 16000, cfg.hop_length) == 251
 
@@ -107,7 +108,7 @@ def test_criterion_04_stft_against_dft_oracle():
         worst = 0.0
         for _ in range(100):
             x = rng.normal(size=4096)
-            got = stft_power(Waveform(samples=x, rate=32000), cfg)
+            got = stft_power(x, cfg)
             xp = np.pad(x, win // 2, mode="reflect")
             frames = np.stack([xp[j * hop:j * hop + win] * window
                                for j in range(1 + len(x) // hop)])
@@ -233,7 +234,7 @@ def test_criterion_07_split_soundness_fuzz():
             counts = segment_counts(manifest, 5.0)
             seed = int(rng.integers(0, 2**31))
             split = stratified_split(manifest, counts, SplitSpec(seed=seed))
-            report = validate_split(split, manifest)
+            report = validate_split(split.assignment.items(), manifest)
             assert report.passed, report.failures
             per_class = {}
             for e in manifest.entries:

@@ -147,12 +147,6 @@ class TestMixup:
         mx, _ = mixup(x, y, [MixPair(0.5, 0, 1), MixPair(0.5, 1, 0)])
         np.testing.assert_allclose(mx[0], 1.0)
 
-    def test_ragged_batch_rejected(self):
-        y = np.eye(2)
-        with pytest.raises(ShapeMismatchError):
-            mixup([np.ones((2, 2)), np.ones((3, 2))], y,
-                  [MixPair(0.5, 0, 1), MixPair(0.5, 1, 0)])
-
     def test_target_rows_must_sum_to_one(self):
         x = np.ones((2, 2, 2))
         y = np.array([[0.9, 0.0], [0.5, 0.5]])

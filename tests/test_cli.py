@@ -1,7 +1,9 @@
 """Config parsing and the command-line pipeline, driven through CliRunner."""
 
+import hashlib
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sonarprep.cli import (ConfigParseError, OutOfRangeError, UnknownKeyError,
                            load_config, main, parse_rate)
 from sonarprep.datasplit import read_split_rows
 from sonarprep.dsp import write_feature_archive
+from sonarprep.nn import load_checkpoint, save_checkpoint
 from synthdata import make_corpus, write_pcm16
 
 SMOKE_CONFIG = """\
@@ -136,6 +139,15 @@ class TestLoadConfig:
         assert cfg.data_rate == 8000
         assert cfg.train.augment.data_rate == 8000
         assert cfg.jobs == 1
+
+    @pytest.mark.parametrize("line", [
+        "data.rate = inf", "data.rate = 1e306k", "data.segment_seconds = inf", "train.lr = nan",
+        "augment.mixup_alpha = nan", "feature.f_max = inf", "split.ratios = nan,0.5,0.5"])
+    def test_non_finite_rejected(self, tmp_path, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(OutOfRangeError, match="line 1"):
+            load_config(p, env={})
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, value):
@@ -306,6 +318,32 @@ class TestPipelineCommands:
         sidecar = json.loads((out / "cams.json").read_text())
         assert len(sidecar["buckets"]) == 4  # 2 classes x correct/incorrect
 
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_run_record_hashes_inputs(self, pipeline, tmp_path, command):
+        root, runner = pipeline
+        params = load_checkpoint(root / "runs" / "model_seed0.spnn")
+        records = []
+        for shift in (0, 1):
+            model = tmp_path / f"model{shift}.spnn"
+            save_checkpoint(model, {name: p + shift for name, p in params.items()})
+            out = tmp_path / f"out{shift}"
+            result = runner.invoke(main, [command, "--model", str(model),
+                                          "--features", str(root / "feats"),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            text = (out / "run.json").read_text()
+            assert str(tmp_path) not in text and str(root) not in text
+            records.append(json.loads(text))
+        first, second = records
+        assert first["command"] == command
+        assert set(first["versions"]) == {"sonarprep", "numpy", "python"}
+        assert first["sha256"] == {
+            "model": hashlib.sha256((tmp_path / "model0.spnn").read_bytes()).hexdigest(),
+            "test_features": hashlib.sha256(
+                (root / "feats" / "test.sprf").read_bytes()).hexdigest()}
+        assert second["sha256"]["model"] != first["sha256"]["model"]
+        assert second["sha256"]["test_features"] == first["sha256"]["test_features"]
+
     def test_missing_required_flag_is_usage_error(self, pipeline):
         _, runner = pipeline
         result = runner.invoke(main, ["eval"])
@@ -364,7 +402,9 @@ class TestErrorSurface:
     @pytest.mark.parametrize("command,flag,value", [
         ("featurize", "--data-rate", "abc"), ("featurize", "--data-rate", "0"),
         ("featurize", "--jobs", "0"), ("sweep", "--data-rates", "abc"),
-        ("sweep", "--model-rates", "0"), ("split", "--segment-seconds", "0")])
+        ("sweep", "--model-rates", "0"), ("split", "--segment-seconds", "0"),
+        ("featurize", "--data-rate", "inf"), ("featurize", "--data-rate", "1e306k"),
+        ("split", "--segment-seconds", "inf")])
     def test_bad_flag_value(self, pipeline, tmp_path, command, flag, value):
         root, runner = pipeline
         inputs = {
@@ -409,14 +449,16 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert "val split produced no segments" in result.output
 
-    @pytest.mark.parametrize("items", [
-        [], [(np.zeros((3, 2)), 0), (np.zeros((4, 2)), 1)]], ids=["empty", "ragged"])
+    @pytest.mark.parametrize("blob", [
+        b"SPRF1" + struct.pack("<I", 0),
+        b"SPRF1" + struct.pack("<I", 2) + struct.pack("<III", 3, 2, 0) + bytes(24)
+        + struct.pack("<III", 4, 2, 1) + bytes(32)], ids=["empty", "ragged"])
     @pytest.mark.parametrize("command", ["eval", "gradcam"])
-    def test_unusable_test_archive(self, pipeline, tmp_path, command, items):
+    def test_unusable_test_archive(self, pipeline, tmp_path, command, blob):
         root, runner = pipeline
         feats = tmp_path / "feats"
         shutil.copytree(root / "feats", feats)
-        write_feature_archive(feats / "test.sprf", items)
+        (feats / "test.sprf").write_bytes(blob)
         result = runner.invoke(main, [
             command, "--model", str(root / "runs" / "model_seed0.spnn"),
             "--features", str(feats), "--out", str(tmp_path / "out")])
@@ -428,8 +470,8 @@ class TestErrorSurface:
         root, runner = pipeline
         feats = tmp_path / "feats"
         shutil.copytree(root / "feats", feats)
-        values = np.zeros((501, 24), dtype=np.float32)
-        write_feature_archive(feats / "test.sprf", [(values, 0), (values, 5)])
+        write_feature_archive(feats / "test.sprf",
+                              np.zeros((2, 501, 24), dtype=np.float32), [0, 5])
         result = runner.invoke(main, [
             command, "--model", str(root / "runs" / "model_seed0.spnn"),
             "--features", str(feats), "--out", str(tmp_path / "out")])

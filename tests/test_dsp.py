@@ -6,6 +6,7 @@ vectorized code never validates itself.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -86,9 +87,9 @@ class TestSegment:
         x = np.arange(30.0)
         w = Waveform(samples=x, rate=10)
         segs = segment(w, 1.0)
-        assert [len(s.samples) for s in segs] == [10, 10, 10]
-        np.testing.assert_array_equal(segs[1].samples, x[10:20])
-        assert all(s.rate == 10 for s in segs)
+        assert [len(s) for s in segs] == [10, 10, 10]
+        np.testing.assert_array_equal(segs[1], x[10:20])
+        assert np.shares_memory(segs, x)
 
     def test_trailing_partial_dropped(self):
         w = Waveform(samples=np.arange(25.0), rate=10)
@@ -97,7 +98,7 @@ class TestSegment:
 
     def test_shorter_than_segment_yields_nothing(self):
         w = Waveform(samples=np.arange(5.0), rate=10)
-        assert segment(w, 1.0) == []
+        assert segment(w, 1.0).shape == (0, 10)
 
     def test_non_integer_samples_per_segment_rejected(self):
         w = Waveform(samples=np.arange(100.0), rate=3)
@@ -159,21 +160,21 @@ class TestStft:
                             f_min=50, f_max=3500)
         rng = np.random.default_rng(0)
         x = rng.normal(size=256)
-        got = stft_power(Waveform(samples=x, rate=8000), cfg)
+        got = stft_power(x, cfg)
         want = naive_stft_power(x, cfg)
         assert got.shape == want.shape == (17, 33)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_frame_count_five_seconds_at_32k(self):
         x = np.zeros(160000)
-        p = stft_power(Waveform(samples=x, rate=32000), DEFAULT_FEATURE_CONFIG)
+        p = stft_power(x, DEFAULT_FEATURE_CONFIG)
         assert p.shape == (501, 513)
 
     def test_signal_too_short_to_pad(self):
         cfg = FeatureConfig(8000, win_length=64, hop_length=16, n_mels=8,
                             f_min=50, f_max=3500)
         with pytest.raises(ConfigMismatchError):
-            stft_power(Waveform(samples=np.zeros(16), rate=8000), cfg)
+            stft_power(np.zeros(16), cfg)
 
 
 def reference_mel_points(f_min: float, f_max: float, n_mels: int) -> list:
@@ -257,40 +258,86 @@ class TestEffectiveConfig:
     def test_mismatched_rate_feature_shape(self):
         # 16 kHz audio through the 32 kHz model settings: 251 frames
         x = np.random.default_rng(0).normal(size=5 * 16000)
-        seg = Waveform(samples=x, rate=16000)
-        lm = features_for_segment(seg, DEFAULT_FEATURE_CONFIG)
+        fb = mel_filterbank(effective_config(DEFAULT_FEATURE_CONFIG, 16000))
+        lm = features_for_segment(x, DEFAULT_FEATURE_CONFIG, fb)
         assert lm.shape == (251, 64)
 
     def test_matched_rate_feature_shape(self):
         x = np.random.default_rng(0).normal(size=5 * 32000)
-        seg = Waveform(samples=x, rate=32000)
-        lm = features_for_segment(seg, DEFAULT_FEATURE_CONFIG)
+        fb = mel_filterbank(effective_config(DEFAULT_FEATURE_CONFIG, 32000))
+        lm = features_for_segment(x, DEFAULT_FEATURE_CONFIG, fb)
         assert lm.shape == (501, 64)
+
+
+def packed_archive(*items, count=None, tail=b""):
+    """Hand-packed SPRF1 bytes for (frames, mels, label, float values) items."""
+    blob = b"SPRF1" + struct.pack("<I", len(items) if count is None else count)
+    for n_frames, n_mels, label, values in items:
+        blob += struct.pack("<III", n_frames, n_mels, label)
+        blob += struct.pack(f"<{len(values)}f", *values)
+    return blob + tail
 
 
 class TestArchive:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        items = [(rng.normal(size=(7, 5)).astype(np.float32), 2),
-                 (rng.normal(size=(3, 5)).astype(np.float32), 0)]
+        values = rng.normal(size=(2, 7, 5)).astype(np.float32)
         path = tmp_path / "x.sprf"
-        write_feature_archive(path, items)
-        back = read_feature_archive(path)
-        assert len(back) == 2
-        for (va, la), (vb, lb) in zip(items, back):
-            assert la == lb
-            np.testing.assert_array_equal(va, vb)
+        write_feature_archive(path, values, [2, 0])
+        back, labels = read_feature_archive(path)
+        assert back.dtype == np.float32 and labels.dtype == np.int64
+        assert labels.tolist() == [2, 0]
+        np.testing.assert_array_equal(back, values)
+
+    def test_golden_bytes(self, tmp_path):
+        values = np.arange(12, dtype=np.float32).reshape(2, 3, 2) / 4
+        golden = packed_archive((3, 2, 1, values[0].ravel().tolist()),
+                                (3, 2, 0, values[1].ravel().tolist()))
+        path = tmp_path / "x.sprf"
+        write_feature_archive(path, values, [1, 0])
+        assert path.read_bytes() == golden
+        back, labels = read_feature_archive(path)
+        np.testing.assert_array_equal(back, values)
+        assert labels.tolist() == [1, 0]
+
+    def test_empty_archive(self, tmp_path):
+        path = tmp_path / "x.sprf"
+        write_feature_archive(path, np.zeros((0, 3, 2), dtype=np.float32), [])
+        assert path.read_bytes() == packed_archive()
+        back, labels = read_feature_archive(path)
+        assert back.shape[0] == 0 and labels.shape == (0,)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.sprf"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
-        with pytest.raises(ArchiveFormatError):
+        with pytest.raises(ArchiveFormatError, match="x.sprf"):
             read_feature_archive(path)
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "x.sprf"
-        write_feature_archive(path, [(np.ones((4, 4), dtype=np.float32), 1)])
+        write_feature_archive(path, np.ones((1, 4, 4), dtype=np.float32), [1])
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
-        with pytest.raises(ArchiveFormatError):
+        with pytest.raises(ArchiveFormatError, match="x.sprf"):
             read_feature_archive(path)
+
+    @pytest.mark.parametrize("blob,problem", [
+        (packed_archive((3, 2, 0, [0.0] * 6), (4, 2, 1, [0.0] * 8)), "differ in shape"),
+        (packed_archive((4, 2, 0, [0.0] * 8), (3, 2, 1, [0.0] * 6)), "truncated"),
+        (packed_archive((3, 2, 0, [0.0] * 6), count=2), "truncated"),
+        (packed_archive((3, 2, 0, [0.0] * 6))[:-4], "truncated"),
+        (packed_archive((3, 2, 0, [0.0] * 6))[:15], "truncated in a header"),
+        (b"SPRF1\x01", "truncated in a header"),
+        (packed_archive((3, 2, 0, [0.0] * 6), tail=b"JUNK"), "4 trailing bytes"),
+        (packed_archive(tail=b"JUNK"), "4 trailing bytes"),
+    ], ids=["ragged-grows", "ragged-shrinks", "missing-item", "truncated-item",
+            "truncated-header", "no-count", "trailing", "trailing-after-empty"])
+    def test_malformed_archive_rejected(self, tmp_path, blob, problem):
+        path = tmp_path / "x.sprf"
+        path.write_bytes(blob)
+        with pytest.raises(ArchiveFormatError, match=f"x.sprf: .*{problem}"):
+            read_feature_archive(path)
+
+    def test_writer_needs_one_label_per_item(self, tmp_path):
+        with pytest.raises(ArchiveFormatError):
+            write_feature_archive(tmp_path / "x.sprf", np.zeros((2, 3, 2)), [0])

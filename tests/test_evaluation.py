@@ -217,8 +217,8 @@ class TestCamAggregation:
         sidecar = json.loads((tmp_path / "cams.json").read_text())
         assert sidecar["map_shape"] == list(agg.map_shape)
         assert len(sidecar["buckets"]) == 4
-        items = read_feature_archive(tmp_path / "cams.sprf")
-        assert len(items) == 4
-        for bucket, (values, label) in zip(sidecar["buckets"], items):
+        maps, labels = read_feature_archive(tmp_path / "cams.sprf")
+        assert len(labels) == 4
+        for bucket, values, label in zip(sidecar["buckets"], maps, labels):
             assert bucket["class_index"] == label
             assert values.shape == agg.map_shape
