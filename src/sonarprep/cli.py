@@ -26,7 +26,7 @@ from . import __version__
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, load_manifest, parse_wav, write_manifest
 from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, read_feature_archive,
-                  write_feature_archive)
+                  segment_length, write_feature_archive)
 from .augment import AugmentConfig
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, segment_counts,
                         stratified_split, validate_split, write_split_file)
@@ -36,7 +36,7 @@ from .trainer import TrainConfig, FeatureSets, build_feature_sets, history_csv, 
 from .trainer import sweep as run_sweep
 from .evaluation import (aggregate_cams, aggregate_runs, evaluate,
                          render_confusion_csv, render_confusion_rownorm_csv,
-                         render_sweep_table, write_cam_report, RunAggregate)
+                         render_sweep_table, write_cam_report)
 
 ENV_SEED = "SONARPREP_SEED"
 
@@ -123,6 +123,10 @@ class RunConfig:
     sweep_model_rates: tuple[int, ...] = ()
     train: TrainConfig = field(default_factory=TrainConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
+
+    def __post_init__(self):
+        for rate in (self.data_rate, *self.sweep_data_rates):
+            segment_length(self.segment_seconds, rate)
 
     def fingerprint(self) -> str:
         """Hash of the effective settings in field order."""
@@ -535,40 +539,12 @@ def gradcam(model_path, features_dir, out_dir):
     classes = _load_classes(features_dir)
     features, labels = _load_split(features_dir, "test", len(classes))
     model = _restore_model(model_path, len(classes))
-    cam_agg = aggregate_cams(model, features, labels)
+    maps, counts = aggregate_cams(model, features, labels)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_cam_report(out_dir, cam_agg, classes)
+    write_cam_report(out_dir, maps, counts, classes)
     _write_run_record(out_dir, "gradcam", _inputs_record(model_path, features_dir))
-    correct = sum(count for (_, ok), count in cam_agg.counts.items() if ok)
     click.echo(f"aggregated maps over {labels.size} segments "
-               f"({correct} classified correctly)")
-
-
-def _cells_to_raw(result) -> dict:
-    cells = []
-    for (data_rate, model_rate), cell in sorted(result.cells.items()):
-        cells.append({
-            "data_rate": data_rate,
-            "model_rate": model_rate,
-            "mask_width": cell.mask_width,
-            "n_frames": cell.n_frames,
-            "accuracies": cell.accuracies,
-            "mean_accuracy": cell.aggregate.mean_accuracy,
-            "std_accuracy": cell.aggregate.std_accuracy,
-            "mean_confusion": cell.aggregate.mean_confusion.tolist(),
-        })
-    return {"classes": list(result.classes), "cells": cells}
-
-
-def _raw_to_table(raw: dict) -> str:
-    cells = {}
-    for cell in raw["cells"]:
-        cells[(cell["data_rate"], cell["model_rate"])] = RunAggregate(
-            mean_accuracy=cell["mean_accuracy"],
-            std_accuracy=cell["std_accuracy"],
-            mean_confusion=np.asarray(cell["mean_confusion"]),
-        )
-    return render_sweep_table(cells)
+               f"({counts[:, 0].sum()} classified correctly)")
 
 
 @main.command("sweep")
@@ -592,13 +568,12 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
                                    "(or sweep.* config keys)")
     out = _require(out_dir or cfg.output_dir, "--out")
     out.mkdir(parents=True, exist_ok=True)
-    result = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train, manifest,
-                       lambda entry: _read_wav(corpus, entry),
-                       split_spec=cfg.split, seconds=cfg.segment_seconds,
-                       jobs=cfg.jobs)
-    raw = _cells_to_raw(result)
+    raw = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train, manifest,
+                    lambda entry: _read_wav(corpus, entry),
+                    split_spec=cfg.split, seconds=cfg.segment_seconds,
+                    jobs=cfg.jobs)
     (out / "sweep_raw.json").write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
-    (out / "sweep_table.csv").write_text(_raw_to_table(raw))
+    (out / "sweep_table.csv").write_text(render_sweep_table(raw["cells"]))
     _write_run_record(out, "sweep", _settings_record(cfg))
     for cell in raw["cells"]:
         click.echo(f"data {cell['data_rate']} Hz / model {cell['model_rate']} Hz: "
@@ -615,7 +590,7 @@ def report(raw_path, out_dir):
     """Re-render the sweep table and confusion views from raw sweep output."""
     raw = json.loads(raw_path.read_text())
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep_table.csv").write_text(_raw_to_table(raw))
+    (out_dir / "sweep_table.csv").write_text(render_sweep_table(raw["cells"]))
     classes = raw["classes"]
     for cell in raw["cells"]:
         stem = f"confusion_{cell['data_rate']}_{cell['model_rate']}"

@@ -33,7 +33,7 @@ class NonPositiveResultError(SonarprepError):
 
 
 class ConfigMismatchError(SonarprepError):
-    """A feature config cannot be applied to the given segment."""
+    """A feature config cannot be applied to the given segment or model rate."""
 
 
 class DegenerateBandError(SonarprepError):
@@ -64,6 +64,8 @@ class FeatureConfig:
             raise InvalidRateError("model_rate must be positive")
         if not (self.win_length >= self.hop_length > 0):
             raise ValueError("need win_length >= hop_length > 0")
+        if self.win_length % 2:
+            raise ValueError(f"win_length must be even, got {self.win_length}")
         if self.n_mels < 1:
             raise ValueError("n_mels must be at least 1")
         if not (0 <= self.f_min < self.f_max <= self.model_rate / 2):
@@ -132,17 +134,23 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 # segmentation and config scaling
 # ---------------------------------------------------------------------------
 
+def segment_length(seconds: float, rate: int) -> int:
+    """Samples in one segment; seconds * rate must land on a whole number."""
+    exact = seconds * rate
+    length = int(round(exact))
+    if length <= 0 or abs(exact - length) > 1e-9 * max(1.0, exact):
+        raise ValueError(f"{seconds} s at {rate} Hz is {exact} samples, "
+                         f"not a positive whole number")
+    return length
+
+
 def segment(w: Waveform, seconds: float) -> np.ndarray:
     """Chop a waveform into consecutive fixed-length segments, returned as a
     [count x length] view of its samples.
 
     The trailing remainder shorter than one segment is dropped.
-    seconds * rate must land on a whole number of samples.
     """
-    exact = seconds * w.rate
-    length = int(round(exact))
-    if length <= 0 or abs(exact - length) > 1e-9 * max(1.0, exact):
-        raise ValueError(f"seconds * rate must be a positive integer, got {exact}")
+    length = segment_length(seconds, w.rate)
     count = w.samples.size // length
     return w.samples[:count * length].reshape(count, length)
 
@@ -158,8 +166,13 @@ def scale_config(base: FeatureConfig, model_rate: int) -> FeatureConfig:
         raise NonPositiveResultError(
             f"scaling {base.win_length}/{base.hop_length} by {rho} collapses the frame grid"
         )
-    return replace(base, model_rate=int(model_rate), win_length=win, hop_length=hop,
-                   f_max=float(base.f_max * rho))
+    try:
+        return replace(base, model_rate=int(model_rate), win_length=win,
+                       hop_length=hop, f_max=float(base.f_max * rho))
+    except ValueError as exc:
+        raise ConfigMismatchError(
+            f"cannot scale the feature config to model rate {model_rate}: {exc}"
+        ) from exc
 
 
 def frame_count(n_samples: int, hop_length: int) -> int:
@@ -183,8 +196,6 @@ def stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """
     x = np.asarray(samples, dtype=np.float64)
     win, hop = cfg.win_length, cfg.hop_length
-    if win % 2:
-        raise ValueError("win_length must be even")
     pad = win // 2
     if pad > x.size - 1:
         raise ConfigMismatchError(

@@ -35,15 +35,6 @@ class RunAggregate:
     mean_confusion: np.ndarray
 
 
-@dataclass
-class CamAggregate:
-    """Mean class activation maps bucketed by (true class, correctness)."""
-
-    maps: dict[tuple[int, bool], np.ndarray]
-    counts: dict[tuple[int, bool], int]
-    map_shape: tuple[int, int]
-
-
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -99,41 +90,32 @@ def aggregate_runs(all_metrics: list[Metrics]) -> RunAggregate:
 
 
 def aggregate_cams(model: ModelState, features: np.ndarray,
-                   labels: np.ndarray) -> CamAggregate:
-    """Mean activation map per (true class, correct/incorrect) bucket.
+                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean activation map per (true class, correct/misclassified) bucket.
 
     Maps are computed against each sample's predicted class, so the
-    misclassified buckets show what the model actually looked at.
+    misclassified buckets show what the model actually looked at. Returns
+    ``maps`` [classes x 2 x h x w] (float64 means) and ``counts``
+    [classes x 2]; index 0 is correct, 1 misclassified, and an empty
+    bucket's map is zeros.
     """
     labels = np.asarray(labels)
     if features.shape[0] == 0:
         raise EmptyTestSetError("no samples to aggregate maps over")
-    predictions = predict(model, features)
-    sums: dict[tuple[int, bool], np.ndarray] = {}
-    counts: dict[tuple[int, bool], int] = {}
-    map_shape = None
-    for i in range(features.shape[0]):
-        cam = grad_cam(model, features[i][None, None, :, :], int(predictions[i]))
-        map_shape = cam.shape
-        key = (int(labels[i]), bool(predictions[i] == labels[i]))
-        if key in sums:
-            sums[key] += cam
-            counts[key] += 1
-        else:
-            sums[key] = cam.astype(np.float64)
-            counts[key] = 1
-    maps = {}
-    all_counts = {}
-    for class_index in range(model.n_classes):
-        for correct in (True, False):
-            key = (class_index, correct)
-            if key in sums:
-                maps[key] = sums[key] / counts[key]
-                all_counts[key] = counts[key]
-            else:
-                maps[key] = np.zeros(map_shape, dtype=np.float64)
-                all_counts[key] = 0
-    return CamAggregate(maps=maps, counts=all_counts, map_shape=tuple(map_shape))
+    if labels.min() < 0 or labels.max() >= model.n_classes:
+        raise ValueError("labels out of range")
+    maps = counts = None
+    for x, label in zip(features, labels):
+        cam, predicted = grad_cam(model, x[None, None, :, :])
+        if maps is None:
+            maps = np.zeros((model.n_classes, 2) + cam.shape)
+            counts = np.zeros((model.n_classes, 2), dtype=np.int64)
+        bucket = (label, int(predicted != label))
+        maps[bucket] += cam
+        counts[bucket] += 1
+    filled = counts[:, :, None, None]
+    np.divide(maps, filled, out=maps, where=filled > 0)
+    return maps, counts
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +133,19 @@ def parse_mean_std(cell: str) -> tuple[float, float]:
     return float(mean_text.strip()) / 100.0, float(std_text.strip()) / 100.0
 
 
-def render_sweep_table(cells: dict[tuple[int, int], RunAggregate]) -> str:
-    """CSV with one row per data rate and one column per model rate."""
-    data_rates = sorted({rd for rd, _ in cells})
-    model_rates = sorted({rm for _, rm in cells})
+def render_sweep_table(cells: list[dict]) -> str:
+    """CSV with one row per data rate and one column per model rate, from
+    the cell records of ``sweep_raw.json``."""
+    by_rates = {(cell["data_rate"], cell["model_rate"]): cell for cell in cells}
+    data_rates = sorted({rd for rd, _ in by_rates})
+    model_rates = sorted({rm for _, rm in by_rates})
     lines = ["data_rate_hz," + ",".join(str(rm) for rm in model_rates)]
     for rd in data_rates:
         row = [str(rd)]
         for rm in model_rates:
-            agg = cells.get((rd, rm))
-            row.append(format_mean_std(agg.mean_accuracy, agg.std_accuracy)
-                       if agg is not None else "")
+            cell = by_rates.get((rd, rm))
+            row.append(format_mean_std(cell["mean_accuracy"], cell["std_accuracy"])
+                       if cell is not None else "")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -206,19 +190,19 @@ def render_confusion_rownorm_csv(confusion: np.ndarray, classes) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_cam_report(out_dir, cam_agg: CamAggregate, classes) -> None:
-    """Write mean maps in the feature-archive layout plus a JSON sidecar."""
-    keys = [(class_index, correct) for class_index in range(len(classes))
-            for correct in (True, False)]
+def write_cam_report(out_dir, maps: np.ndarray, counts: np.ndarray, classes) -> None:
+    """Write the mean maps of :func:`aggregate_cams` in the feature-archive
+    layout plus a JSON sidecar. Item ``2c + k`` is class ``c``'s correct
+    (``k = 0``) or misclassified (``k = 1``) map."""
+    n_classes, _, height, width = maps.shape
     sidecar = [{
         "item": item,
-        "class_index": class_index,
-        "class_label": classes[class_index],
-        "correct": correct,
-        "count": cam_agg.counts[(class_index, correct)],
-    } for item, (class_index, correct) in enumerate(keys)]
-    write_feature_archive(out_dir / "cams.sprf",
-                          np.stack([cam_agg.maps[key] for key in keys]),
-                          [class_index for class_index, _ in keys])
-    payload = {"map_shape": list(cam_agg.map_shape), "buckets": sidecar}
+        "class_index": item // 2,
+        "class_label": classes[item // 2],
+        "correct": item % 2 == 0,
+        "count": int(count),
+    } for item, count in enumerate(counts.ravel())]
+    write_feature_archive(out_dir / "cams.sprf", maps.reshape(-1, height, width),
+                          np.repeat(np.arange(n_classes), 2))
+    payload = {"map_shape": [height, width], "buckets": sidecar}
     (out_dir / "cams.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

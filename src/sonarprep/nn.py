@@ -53,12 +53,10 @@ class CheckpointFormatError(SonarprepError):
 class Conv:
     out_channels: int
     kernel: int = 3
-    padding: int | None = None  # None: kernel//2 for odd kernels, else 0
 
     @property
     def pad(self) -> int:
-        if self.padding is not None:
-            return self.padding
+        """Zero padding: kernel // 2 for odd kernels, which keeps the size; else 0."""
         return self.kernel // 2 if self.kernel % 2 else 0
 
 
@@ -413,21 +411,24 @@ def cam_from_activations(activations: np.ndarray, grads: np.ndarray) -> np.ndarr
     return (cam - low) / (high - low)
 
 
-def grad_cam(model: ModelState, x: np.ndarray, class_index: int) -> np.ndarray:
-    """Class activation map for one input with respect to one class logit."""
+def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Class activation map for one input against its own predicted class.
+
+    Returns the map and the predicted class; ties resolve to the lowest
+    class index.
+    """
     if model._last_conv_index < 0:
         raise NoCacheError("architecture has no convolution layer to map")
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[0] != 1:
         raise ShapeMismatchError(f"expected a single input [1, C, H, W], got {x.shape}")
     logits = forward(model, x)
-    if not (0 <= class_index < logits.shape[1]):
-        raise ValueError(f"class index {class_index} out of range")
+    predicted = int(np.argmax(logits[0]))
     seed_grad = np.zeros_like(logits)
-    seed_grad[0, class_index] = 1.0
+    seed_grad[0, predicted] = 1.0
     backward(model, seed_grad)
     return cam_from_activations(model.last_conv_activations[0],
-                                model.last_conv_grads[0])
+                                model.last_conv_grads[0]), predicted
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, Waveform
 from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, effective_config,
                   features_for_segment, frame_count, mel_filterbank, resample,
-                  scale_config, segment)
+                  scale_config, segment, segment_length)
 from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, spec_augment
 from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
                         normalize, segment_counts, stratified_split)
 from .nn import (AdamState, Architecture, DEFAULT_ARCHITECTURE, ModelState,
                  adam_step, backward, cross_entropy_soft, forward, init_model)
-from .evaluation import Metrics, RunAggregate, aggregate_runs, evaluate
+from .evaluation import Metrics, aggregate_runs, evaluate
 
 
 class EmptyDatasetError(SonarprepError):
@@ -192,22 +192,6 @@ def history_csv(history: RunHistory) -> str:
 # rate sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CellResult:
-    data_rate: int
-    model_rate: int
-    mask_width: int
-    n_frames: int
-    accuracies: list[float]
-    aggregate: RunAggregate
-
-
-@dataclass
-class SweepResult:
-    cells: dict[tuple[int, int], CellResult]
-    classes: tuple[str, ...]
-
-
 def build_feature_sets(manifest: Manifest,
                        load_waveform: Callable[[ManifestEntry], Waveform],
                        assignment: dict[str, str], data_rate: int,
@@ -253,20 +237,22 @@ def build_feature_sets(manifest: Manifest,
 def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
           load_waveform: Callable[[ManifestEntry], Waveform],
           split_spec: SplitSpec | None = None, seconds: float = 5.0,
-          jobs: int = 1) -> SweepResult:
+          jobs: int = 1) -> dict:
     """Full grid over data and model sampling rates.
 
     The recording-level split is drawn once and reused for every cell;
     each cell rescales the feature config and the time-mask budget, then
     runs the usual multi-seed training. ``jobs`` threads featurize each cell.
+    Returns the ``sweep_raw.json`` record: the class labels and one cell
+    record per (data rate, model rate), sorted by data rate, then model rate.
     """
     split_spec = split_spec if split_spec is not None else SplitSpec()
     counts = segment_counts(manifest, seconds)
     split = stratified_split(manifest, counts, split_spec)
-    cells: dict[tuple[int, int], CellResult] = {}
-    for model_rate in model_rates:
-        cell_feature = scale_config(cfg.feature, model_rate)
-        for data_rate in data_rates:
+    features = {rm: scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))}
+    cells = []
+    for data_rate in sorted(set(data_rates)):
+        for model_rate, cell_feature in features.items():
             cell_augment = replace(cfg.augment, data_rate=data_rate,
                                    model_rate=model_rate)
             cell_cfg = replace(cfg, feature=cell_feature, augment=cell_augment)
@@ -274,13 +260,15 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
                                          data_rate, cell_feature, seconds, jobs=jobs)
             results = run_seeds(cell_cfg, data)
             aggregate = aggregate_runs([r.metrics for r in results])
-            cells[(data_rate, model_rate)] = CellResult(
-                data_rate=data_rate,
-                model_rate=model_rate,
-                mask_width=scaled_mask_width(cell_augment),
-                n_frames=frame_count(int(round(seconds * data_rate)),
-                                     cell_feature.hop_length),
-                accuracies=[r.metrics.accuracy for r in results],
-                aggregate=aggregate,
-            )
-    return SweepResult(cells=cells, classes=manifest.classes)
+            cells.append({
+                "data_rate": data_rate,
+                "model_rate": model_rate,
+                "mask_width": scaled_mask_width(cell_augment),
+                "n_frames": frame_count(segment_length(seconds, data_rate),
+                                        cell_feature.hop_length),
+                "accuracies": [r.metrics.accuracy for r in results],
+                "mean_accuracy": aggregate.mean_accuracy,
+                "std_accuracy": aggregate.std_accuracy,
+                "mean_confusion": aggregate.mean_confusion.tolist(),
+            })
+    return {"classes": list(manifest.classes), "cells": cells}

@@ -149,6 +149,13 @@ class TestLoadConfig:
         with pytest.raises(OutOfRangeError, match="line 1"):
             load_config(p, env={})
 
+    def test_segment_must_be_whole_samples_at_sweep_rates(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("data.rate = 8k\ndata.segment_seconds = 0.001\n")
+        assert load_config(p, env={}).segment_seconds == 0.001  # 8 samples
+        with pytest.raises(OutOfRangeError, match="22050 Hz"):  # 22.05 samples
+            load_config(p, env={}, flags={"--data-rates": ("sweep.data_rates", "8k,22.05k")})
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, value):
         p = tmp_path / "c.cfg"
@@ -387,6 +394,11 @@ class TestPipelineCommands:
         assert cell["n_frames"] == 501
         table = (out / "sweep_table.csv").read_text()
         assert table.startswith("data_rate_hz,8000")
+        result = runner.invoke(main, ["report", "--raw", str(out / "sweep_raw.json"),
+                                      "--out", str(tmp_path / "report")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "report" / "sweep_table.csv").read_bytes() == \
+            (out / "sweep_table.csv").read_bytes()
 
 
 class TestErrorSurface:
@@ -404,7 +416,7 @@ class TestErrorSurface:
         ("featurize", "--jobs", "0"), ("sweep", "--data-rates", "abc"),
         ("sweep", "--model-rates", "0"), ("split", "--segment-seconds", "0"),
         ("featurize", "--data-rate", "inf"), ("featurize", "--data-rate", "1e306k"),
-        ("split", "--segment-seconds", "inf")])
+        ("split", "--segment-seconds", "inf"), ("split", "--segment-seconds", "0.33333")])
     def test_bad_flag_value(self, pipeline, tmp_path, command, flag, value):
         root, runner = pipeline
         inputs = {
@@ -422,6 +434,29 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert flag in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_odd_window_names_config_line(self, pipeline, tmp_path):
+        root, runner = pipeline
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("feature.win_length = 256",
+                                            "feature.win_length = 255"))
+        result = runner.invoke(main, [
+            "featurize", "--config", str(cfg),
+            "--manifest", str(root / "manifest.csv"),
+            "--split-file", str(root / "split.csv"),
+            "--corpus-root", str(root / "corpus"), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "line 5" in result.output and "win_length must be even" in result.output
+
+    def test_sweep_model_rate_with_odd_window(self, pipeline, tmp_path):
+        root, runner = pipeline
+        result = runner.invoke(main, [  # window 256 at 8 kHz scales to 259 at 8.1 kHz
+            "sweep", "--config", str(root / "run.cfg"),
+            "--manifest", str(root / "manifest.csv"),
+            "--corpus-root", str(root / "corpus"),
+            "--data-rates", "8k", "--model-rates", "8100", "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "model rate 8100" in result.output
 
     def test_seed_flag_beats_environment(self, pipeline, tmp_path):
         root, runner = pipeline

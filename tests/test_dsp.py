@@ -126,6 +126,15 @@ class TestConfigScaling:
         with pytest.raises(NonPositiveResultError):
             scale_config(DEFAULT_FEATURE_CONFIG, 4)
 
+    def test_odd_window_rejected(self):
+        with pytest.raises(ValueError, match="win_length must be even"):
+            FeatureConfig(8000, win_length=255, hop_length=80, f_max=3500)
+
+    def test_scaling_to_odd_window_names_model_rate(self):
+        base = FeatureConfig(8000, win_length=256, hop_length=80, f_max=3500)
+        with pytest.raises(ConfigMismatchError, match="model rate 8100"):
+            scale_config(base, 8100)  # 256 * 8100 / 8000 rounds to 259
+
     def test_five_second_frame_count_invariant(self):
         # 5 s of audio under each scaled config always yields 501 frames
         for rate in (8000, 16000, 32000):

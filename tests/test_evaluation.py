@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sonarprep.evaluation
+import sonarprep.nn
 from sonarprep.dsp import read_feature_archive
-from sonarprep.nn import Architecture, Conv, Dense, GlobalAvgPool, Relu, init_model
-from sonarprep.evaluation import (CamAggregate, EmptyTestSetError, Metrics,
+from sonarprep.nn import (Architecture, Conv, Dense, GlobalAvgPool, Relu, backward,
+                          cam_from_activations, forward, init_model)
+from sonarprep.evaluation import (EmptyTestSetError, Metrics,
                                   aggregate_cams, aggregate_runs,
                                   confusion_matrix, evaluate, format_mean_std,
                                   metrics_from_predictions, parse_mean_std,
                                   parse_sweep_table, predict,
                                   render_confusion_csv,
                                   render_confusion_rownorm_csv,
-                                  render_sweep_table, RunAggregate,
-                                  write_cam_report)
+                                  render_sweep_table, write_cam_report)
 
 
 def brute_confusion(y_true, y_pred, n):
@@ -150,10 +152,12 @@ class TestRendering:
         assert (mean, std) == (0.706, 0.008)
 
     def test_sweep_table_layout(self):
-        cells = {}
+        cells = []
         for rd in (2000, 4000):
             for rm in (8000, 16000):
-                cells[(rd, rm)] = RunAggregate(rd / 10000, 0.01, np.eye(2))
+                cells.append({"data_rate": rd, "model_rate": rm,
+                              "mean_accuracy": rd / 10000, "std_accuracy": 0.01,
+                              "mean_confusion": np.eye(2).tolist()})
         text = render_sweep_table(cells)
         lines = text.strip().splitlines()
         assert lines[0] == "data_rate_hz,8000,16000"
@@ -185,24 +189,23 @@ class TestCamAggregation:
         m = zero_logit_model(n_classes=3)
         x = np.random.default_rng(0).normal(size=(7, 8, 6))
         labels = np.array([0, 0, 1, 1, 2, 2, 2])
-        agg = aggregate_cams(m, x, labels)
-        assert set(agg.counts) == {(c, ok) for c in range(3)
-                                   for ok in (True, False)}
-        assert sum(agg.counts.values()) == 7
+        maps, counts = aggregate_cams(m, x, labels)
+        assert counts.shape == (3, 2) and maps.shape[:2] == (3, 2)
+        assert counts.sum() == 7
         # zero-weight head predicts class 0 everywhere
-        assert agg.counts[(0, True)] == 2
-        assert agg.counts[(1, False)] == 2
-        assert agg.counts[(2, False)] == 3
-        for key, cam in agg.maps.items():
-            assert cam.shape == agg.map_shape
+        assert counts[0, 0] == 2
+        assert counts[1, 1] == 2
+        assert counts[2, 1] == 3
+        for cam in maps.reshape(-1, *maps.shape[2:]):
+            assert cam.shape == maps.shape[2:]
             assert cam.min() >= 0.0 and cam.max() <= 1.0
 
     def test_empty_bucket_map_is_zero(self):
         m = zero_logit_model(n_classes=3)
         x = np.random.default_rng(0).normal(size=(2, 8, 6))
-        agg = aggregate_cams(m, x, np.array([0, 0]))
-        np.testing.assert_array_equal(agg.maps[(1, True)], 0.0)
-        assert agg.counts[(1, True)] == 0
+        maps, counts = aggregate_cams(m, x, np.array([0, 0]))
+        np.testing.assert_array_equal(maps[1, 0], 0.0)
+        assert counts[1, 0] == 0
 
     def test_empty_input_rejected(self):
         m = zero_logit_model()
@@ -212,13 +215,57 @@ class TestCamAggregation:
     def test_report_files(self, tmp_path):
         m = zero_logit_model(n_classes=2)
         x = np.random.default_rng(0).normal(size=(4, 8, 6))
-        agg = aggregate_cams(m, x, np.array([0, 1, 0, 1]))
-        write_cam_report(tmp_path, agg, ["anchor", "buoy"])
+        maps, counts = aggregate_cams(m, x, np.array([0, 1, 0, 1]))
+        write_cam_report(tmp_path, maps, counts, ["anchor", "buoy"])
         sidecar = json.loads((tmp_path / "cams.json").read_text())
-        assert sidecar["map_shape"] == list(agg.map_shape)
+        assert sidecar["map_shape"] == list(maps.shape[2:])
         assert len(sidecar["buckets"]) == 4
-        maps, labels = read_feature_archive(tmp_path / "cams.sprf")
+        items, labels = read_feature_archive(tmp_path / "cams.sprf")
         assert len(labels) == 4
-        for bucket, values, label in zip(sidecar["buckets"], maps, labels):
-            assert bucket["class_index"] == label
-            assert values.shape == agg.map_shape
+        for i, (bucket, values, label) in enumerate(zip(sidecar["buckets"], items, labels)):
+            assert bucket["class_index"] == label == i // 2
+            assert bucket["correct"] == (i % 2 == 0)
+            assert bucket["count"] == counts[i // 2, i % 2]
+            assert values.shape == maps.shape[2:]
+            np.testing.assert_array_equal(values, maps[i // 2, i % 2].astype(np.float32))
+
+    def test_matches_per_sample_reference(self):
+        m = zero_logit_model(n_classes=3)
+        rng = np.random.default_rng(3)
+        m.params["dense3.weight"][:] = rng.normal(size=m.params["dense3.weight"].shape)
+        x = rng.normal(size=(12, 8, 6))
+        labels = rng.integers(0, 3, 12)
+        sums, want_counts = {}, {}
+        for sample, label in zip(x, labels):
+            logits = forward(m, sample[None, None])
+            predicted = int(np.argmax(logits[0]))
+            seed_grad = np.zeros_like(logits)
+            seed_grad[0, predicted] = 1.0
+            backward(m, seed_grad)
+            cam = cam_from_activations(m.last_conv_activations[0], m.last_conv_grads[0])
+            key = (int(label), predicted == label)
+            sums[key] = sums.get(key, 0.0) + cam
+            want_counts[key] = want_counts.get(key, 0) + 1
+        maps, counts = aggregate_cams(m, x, labels)
+        assert 0 < counts[:, 0].sum() < 12  # some samples misclassified
+        for c in range(3):
+            for k, correct in enumerate((True, False)):
+                n = want_counts.get((c, correct), 0)
+                assert counts[c, k] == n
+                want = sums[(c, correct)] / n if n else np.zeros(maps.shape[2:])
+                np.testing.assert_array_equal(maps[c, k], want)
+
+    def test_one_forward_pass_per_sample(self, monkeypatch):
+        calls = []
+        original = sonarprep.nn.forward
+
+        def counting(model, batch):
+            calls.append(batch.shape[0])
+            return original(model, batch)
+
+        monkeypatch.setattr(sonarprep.nn, "forward", counting)
+        monkeypatch.setattr(sonarprep.evaluation, "forward", counting)
+        m = zero_logit_model(n_classes=2)
+        x = np.random.default_rng(0).normal(size=(5, 8, 6))
+        aggregate_cams(m, x, np.array([0, 1, 0, 1, 1]))
+        assert calls == [1] * 5

@@ -262,7 +262,8 @@ class TestGradCam:
     def test_map_range_and_shape(self):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0, dtype=np.float64)
         x = np.random.default_rng(1).normal(size=(1, 1, 12, 10))
-        cam = grad_cam(m, x, 2)
+        cam, predicted = grad_cam(m, x)
+        assert predicted == int(np.argmax(forward(m, x)[0]))
         assert cam.shape == (6, 5)  # after the 2x2 pool, conv output is 6x5
         assert cam.min() >= 0.0 and cam.max() <= 1.0
 
@@ -270,7 +271,8 @@ class TestGradCam:
         arch = Architecture((Conv(2, 3), Relu(), GlobalAvgPool(), Dense()))
         m = init_model(arch, 2, seed=0, dtype=np.float64)
         m.params["dense3.weight"][:] = 0.0
-        cam = grad_cam(m, np.ones((1, 1, 4, 4)), 0)
+        cam, predicted = grad_cam(m, np.ones((1, 1, 4, 4)))
+        assert predicted == 0  # tied logits pick the lowest class
         np.testing.assert_array_equal(cam, 0.0)
 
     def test_flat_positive_map_becomes_ones(self):
@@ -288,7 +290,7 @@ class TestGradCam:
         arch = Architecture((GlobalAvgPool(), Dense()))
         m = init_model(arch, 2, seed=0)
         with pytest.raises(NoCacheError):
-            grad_cam(m, np.zeros((1, 1, 6, 5)), 0)
+            grad_cam(m, np.zeros((1, 1, 6, 5)))
 
 
 class TestCheckpoint:

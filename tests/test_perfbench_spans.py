@@ -1,11 +1,16 @@
 """The benchmark traces package functions by name (``SPANNED`` in
 perfbench/layers.py); a rename or a removal there would leave a span that
-never fires, so every spanned name must stay a function of its module."""
+never fires, so every spanned name must stay a function of its module.
+Its ``nn.gflop`` metric reads the fields of the layer descriptors, so those
+must stay too."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
+
+from sonarprep.nn import DEFAULT_ARCHITECTURE
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -27,3 +32,12 @@ def test_spanned_names_are_module_functions():
             if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
                 missing.append(f"{module_name}.{name}")
     assert not missing, missing
+
+
+def test_forward_flops_reads_layer_fields(monkeypatch):
+    """``nn.gflop`` counts FLOPs from the layer descriptors' fields."""
+    monkeypatch.syspath_prepend(str(LAYERS.parent))  # layers.py imports tracer
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.forward_flops(DEFAULT_ARCHITECTURE, 4, (1, 1, 501, 64)) == 82_962_688

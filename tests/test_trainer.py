@@ -252,9 +252,9 @@ class TestSweep:
         result = sweep((8000,), (8000,), cfg, manifest, loader,
                        split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
                        seconds=5.0)
-        assert set(result.cells) == {(8000, 8000)}
-        cell = result.cells[(8000, 8000)]
-        assert cell.mask_width == TINY_AUG.base_time_mask_width  # same-rate cell
-        assert cell.n_frames == 1 + (5 * 8000) // TINY_FEAT.hop_length
-        assert len(cell.accuracies) == 1
-        assert result.classes == ("hum", "whine")
+        assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [(8000, 8000)]
+        cell = result["cells"][0]
+        assert cell["mask_width"] == TINY_AUG.base_time_mask_width  # same-rate cell
+        assert cell["n_frames"] == 1 + (5 * 8000) // TINY_FEAT.hop_length
+        assert len(cell["accuracies"]) == 1
+        assert result["classes"] == ["hum", "whine"]
