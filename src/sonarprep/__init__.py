@@ -1,35 +1,3 @@
 """Passive-sonar spectrogram preprocessing, augmentation, and training."""
 
 __version__ = "0.1.0"
-
-from .errors import SonarprepError, ShapeMismatchError
-from .wavio import Waveform, Manifest, ManifestEntry, parse_wav, write_wav
-from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, resample, segment,
-                  scale_config, effective_config, stft_power, mel_filterbank,
-                  log_mel, features_for_segment, frame_count)
-from .augment import AugmentConfig, spec_augment, mixup, scaled_mask_width
-from .datasplit import (SplitSpec, SplitFile, NormStats, stratified_split,
-                        validate_split, compute_norm_stats, normalize)
-from .nn import (Architecture, Conv, Relu, MaxPool, GlobalAvgPool, Dense,
-                 DEFAULT_ARCHITECTURE, init_model, forward, backward,
-                 cross_entropy_soft, AdamState, adam_step, grad_cam,
-                 aggregate_input_channels)
-from .trainer import TrainConfig, train, run_seeds, sweep, build_feature_sets
-from .evaluation import evaluate, aggregate_runs, format_mean_std, render_sweep_table
-
-__all__ = [
-    "SonarprepError", "ShapeMismatchError",
-    "Waveform", "Manifest", "ManifestEntry", "parse_wav", "write_wav",
-    "FeatureConfig", "DEFAULT_FEATURE_CONFIG", "resample", "segment",
-    "scale_config", "effective_config", "stft_power", "mel_filterbank",
-    "log_mel", "features_for_segment", "frame_count",
-    "AugmentConfig", "spec_augment", "mixup", "scaled_mask_width",
-    "SplitSpec", "SplitFile", "NormStats", "stratified_split",
-    "validate_split", "compute_norm_stats", "normalize",
-    "Architecture", "Conv", "Relu", "MaxPool", "GlobalAvgPool", "Dense",
-    "DEFAULT_ARCHITECTURE", "init_model", "forward", "backward",
-    "cross_entropy_soft", "AdamState", "adam_step", "grad_cam",
-    "aggregate_input_channels",
-    "TrainConfig", "train", "run_seeds", "sweep", "build_feature_sets",
-    "evaluate", "aggregate_runs", "format_mean_std", "render_sweep_table",
-]

@@ -588,16 +588,20 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
 @_guarded
 def report(raw_path, out_dir):
     """Re-render the sweep table and confusion views from raw sweep output."""
-    raw = json.loads(raw_path.read_text())
+    try:
+        raw = json.loads(raw_path.read_text())
+        classes = raw["classes"]
+        files = {"sweep_table.csv": render_sweep_table(raw["cells"])}
+        for cell in raw["cells"]:
+            stem = f"confusion_{cell['data_rate']}_{cell['model_rate']}"
+            conf = np.asarray(cell["mean_confusion"])
+            files[f"{stem}.csv"] = render_confusion_csv(conf, classes)
+            files[f"{stem}_rownorm.csv"] = render_confusion_rownorm_csv(conf, classes)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise SonarprepError(f"{raw_path}: not a sweep record ({exc!r})") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep_table.csv").write_text(render_sweep_table(raw["cells"]))
-    classes = raw["classes"]
-    for cell in raw["cells"]:
-        stem = f"confusion_{cell['data_rate']}_{cell['model_rate']}"
-        conf = np.asarray(cell["mean_confusion"])
-        (out_dir / f"{stem}.csv").write_text(render_confusion_csv(conf, classes))
-        (out_dir / f"{stem}_rownorm.csv").write_text(
-            render_confusion_rownorm_csv(conf, classes))
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
     click.echo(f"rendered {len(raw['cells'])} sweep cells to {out_dir}")
 
 

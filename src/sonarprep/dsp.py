@@ -221,11 +221,6 @@ def _mel_edges(cfg: FeatureConfig) -> np.ndarray:
     return mel_to_hz(mel_points)
 
 
-def mel_center_frequencies(cfg: FeatureConfig) -> np.ndarray:
-    """Peak frequency of each triangular filter, in Hz."""
-    return _mel_edges(cfg)[1:-1]
-
-
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     """Triangular mel filterbank, [(win/2 + 1) x n_mels], each filter peaking at 1."""
     edges = _mel_edges(cfg)

@@ -64,9 +64,8 @@ def predict(model: ModelState, features: np.ndarray,
     preds = []
     for start in range(0, features.shape[0], batch_size):
         chunk = features[start:start + batch_size]
-        logits = forward(model, chunk[:, None, :, :])
+        logits, _ = forward(model, chunk[:, None, :, :])
         preds.append(np.argmax(logits, axis=1))
-    model._cache = None  # inference only; nothing to backpropagate
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
@@ -127,12 +126,6 @@ def format_mean_std(mean: float, std: float) -> str:
     return f"{mean * 100:.1f} ± {std * 100:.1f}"
 
 
-def parse_mean_std(cell: str) -> tuple[float, float]:
-    """Inverse of :func:`format_mean_std`, back to fractions."""
-    mean_text, std_text = cell.split("±")
-    return float(mean_text.strip()) / 100.0, float(std_text.strip()) / 100.0
-
-
 def render_sweep_table(cells: list[dict]) -> str:
     """CSV with one row per data rate and one column per model rate, from
     the cell records of ``sweep_raw.json``."""
@@ -148,20 +141,6 @@ def render_sweep_table(cells: list[dict]) -> str:
                        if cell is not None else "")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def parse_sweep_table(text: str) -> dict[tuple[int, int], tuple[float, float]]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    header = lines[0].split(",")
-    model_rates = [int(c) for c in header[1:]]
-    out: dict[tuple[int, int], tuple[float, float]] = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        rd = int(parts[0])
-        for rm, cell in zip(model_rates, parts[1:]):
-            if cell.strip():
-                out[(rd, rm)] = parse_mean_std(cell)
-    return out
 
 
 def render_confusion_csv(confusion: np.ndarray, classes) -> str:

@@ -2,9 +2,10 @@
 
 Everything is plain numpy: convolution (stride 1, zero padding), ReLU,
 max pooling, global average pooling, and dense layers, plus softmax
-cross-entropy against soft targets and an Adam optimizer. forward and
-backward cache the final convolution's activations and their gradients
-so class activation maps can be read off afterwards.
+cross-entropy against soft targets and an Adam optimizer. forward
+returns the logits with a cache of what backward reads, and backward
+takes that cache, so a model holds only its parameters and any number
+of passes can run on it at once.
 
 Use float64 models when checking gradients numerically and float32 for
 actual training runs.
@@ -13,7 +14,7 @@ actual training runs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,10 +24,6 @@ from .errors import SonarprepError, ShapeMismatchError
 
 class ShapeComposeError(SonarprepError):
     """The layer stack does not compose into a valid network."""
-
-
-class StaleCacheError(SonarprepError):
-    """backward was called without a fresh matching forward pass."""
 
 
 class NoCacheError(SonarprepError):
@@ -102,10 +99,6 @@ class ModelState:
     n_classes: int
     params: dict[str, np.ndarray]
     dtype: np.dtype
-    last_conv_activations: np.ndarray | None = None
-    last_conv_grads: np.ndarray | None = None
-    _cache: list | None = field(default=None, repr=False)
-    _last_conv_index: int = -1
 
 
 def _param_name(index: int, layer) -> str:
@@ -123,7 +116,6 @@ def init_model(arch: Architecture, n_classes: int, seed: int,
     spatial = True
     channels = arch.in_channels
     features = None
-    last_conv = -1
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Conv):
             if not spatial:
@@ -137,7 +129,6 @@ def init_model(arch: Architecture, n_classes: int, seed: int,
             params[f"{_param_name(i, layer)}.bias"] = \
                 np.zeros(layer.out_channels, dtype=dtype)
             channels = layer.out_channels
-            last_conv = i
         elif isinstance(layer, MaxPool):
             if not spatial:
                 raise ShapeComposeError(f"layer {i}: pooling after flattening")
@@ -170,7 +161,7 @@ def init_model(arch: Architecture, n_classes: int, seed: int,
             f"network emits {features} outputs but {n_classes} classes were requested"
         )
     return ModelState(arch=arch, n_classes=n_classes, params=params,
-                      dtype=np.dtype(dtype), _last_conv_index=last_conv)
+                      dtype=np.dtype(dtype))
 
 
 def aggregate_input_channels(weights: np.ndarray) -> np.ndarray:
@@ -203,8 +194,11 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int):
     return y, xp
 
 
-def _conv_backward(dy: np.ndarray, xp: np.ndarray, x_shape, w: np.ndarray, pad: int):
-    batch, _, height, width = x_shape
+def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, pad: int,
+                   input_grad: bool):
+    """Weight, bias and input gradients; the input gradient is None unless
+    ``input_grad`` asks for it."""
+    batch = xp.shape[0]
     out_ch, in_ch, k, _ = w.shape
     out_h, out_w = dy.shape[2], dy.shape[3]
     windows = sliding_window_view(xp, (k, k), axis=(2, 3))
@@ -213,11 +207,13 @@ def _conv_backward(dy: np.ndarray, xp: np.ndarray, x_shape, w: np.ndarray, pad: 
     dy_flat = dy.transpose(0, 2, 3, 1).reshape(-1, out_ch)
     dw = (dy_flat.T @ cols).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return dw, db, None
     # grad wrt input: full correlation of dy with channel-swapped flipped kernels
     w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
     dxp, _ = _conv_forward(dyp, w_flip, np.zeros(in_ch, dtype=dy.dtype), pad=0)
-    dx = dxp[:, :, pad:pad + height, pad:pad + width]
+    dx = dxp[:, :, pad:xp.shape[2] - pad, pad:xp.shape[3] - pad]
     return dw, db, dx
 
 
@@ -250,8 +246,13 @@ def _maxpool_backward(dy: np.ndarray, cache, size: int):
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def forward(model: ModelState, batch: np.ndarray) -> np.ndarray:
-    """Run the network, caching what backward and grad_cam need."""
+def forward(model: ModelState, batch: np.ndarray) -> tuple[np.ndarray, list]:
+    """Run the network; returns the logits and the cache backward reads.
+
+    ``cache[i]`` is what layer ``i`` saved: a convolution its padded input
+    and its output, a ReLU its input, a max pool its argmax indices and
+    input shape, global pooling its input shape, a dense layer its input.
+    """
     x = np.asarray(batch).astype(model.dtype, copy=False)
     if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
         raise ShapeMismatchError(
@@ -263,13 +264,11 @@ def forward(model: ModelState, batch: np.ndarray) -> np.ndarray:
             name = _param_name(i, layer)
             y, xp = _conv_forward(x, model.params[f"{name}.weight"],
                                   model.params[f"{name}.bias"], layer.pad)
-            cache.append((xp, x.shape))
-            if i == model._last_conv_index:
-                model.last_conv_activations = y.copy()
+            cache.append((xp, y))
             x = y
         elif isinstance(layer, Relu):
-            x = np.maximum(x, 0)
             cache.append(x)
+            x = np.maximum(x, 0)
         elif isinstance(layer, MaxPool):
             x, pool_cache = _maxpool_forward(x, layer.size)
             cache.append(pool_cache)
@@ -280,30 +279,28 @@ def forward(model: ModelState, batch: np.ndarray) -> np.ndarray:
             cache.append(x)
             name = _param_name(i, layer)
             x = x @ model.params[f"{name}.weight"] + model.params[f"{name}.bias"]
-    model._cache = cache
-    return x
+    return x, cache
 
 
-def backward(model: ModelState, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate from logit gradients to parameter gradients.
+def backward(model: ModelState, cache: list, grad_logits: np.ndarray,
+             stop: int = 0) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Backpropagate logit gradients through ``layers[stop:]``.
 
-    Consumes the cache from the latest forward pass; a second call
-    without a new forward raises StaleCacheError.
+    ``cache`` is what :func:`forward` returned with those logits. Returns
+    the gradients of the parameters of ``layers[stop:]`` and the gradient
+    at the output of ``layers[stop - 1]``. For ``stop == 0`` that output is
+    the network input, whose gradient nobody reads: it is not computed
+    and None is returned in its place.
     """
-    if model._cache is None:
-        raise StaleCacheError("run forward before backward")
     g = np.asarray(grad_logits).astype(model.dtype, copy=False)
     grads: dict[str, np.ndarray] = {}
-    for i in range(len(model.arch.layers) - 1, -1, -1):
+    for i in range(len(model.arch.layers) - 1, stop - 1, -1):
         layer = model.arch.layers[i]
-        saved = model._cache[i]
+        saved = cache[i]
         if isinstance(layer, Conv):
-            if i == model._last_conv_index:
-                model.last_conv_grads = g.copy()
             name = _param_name(i, layer)
-            xp, x_shape = saved
-            dw, db, g = _conv_backward(g, xp, x_shape,
-                                       model.params[f"{name}.weight"], layer.pad)
+            dw, db, g = _conv_backward(g, saved[0], model.params[f"{name}.weight"],
+                                       layer.pad, input_grad=i > 0)
             grads[f"{name}.weight"] = dw
             grads[f"{name}.bias"] = db
         elif isinstance(layer, Relu):
@@ -319,8 +316,7 @@ def backward(model: ModelState, grad_logits: np.ndarray) -> dict[str, np.ndarray
             grads[f"{name}.weight"] = saved.T @ g
             grads[f"{name}.bias"] = g.sum(axis=0)
             g = g @ model.params[f"{name}.weight"].T
-    model._cache = None
-    return grads
+    return grads, (g if stop else None)
 
 
 def cross_entropy_soft(logits: np.ndarray, targets: np.ndarray):
@@ -414,21 +410,26 @@ def cam_from_activations(activations: np.ndarray, grads: np.ndarray) -> np.ndarr
 def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Class activation map for one input against its own predicted class.
 
+    Backpropagates only down to the output of the last convolution.
     Returns the map and the predicted class; ties resolve to the lowest
     class index.
     """
-    if model._last_conv_index < 0:
+    convs = [i for i, layer in enumerate(model.arch.layers) if isinstance(layer, Conv)]
+    if not convs:
         raise NoCacheError("architecture has no convolution layer to map")
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[0] != 1:
         raise ShapeMismatchError(f"expected a single input [1, C, H, W], got {x.shape}")
-    logits = forward(model, x)
+    logits, cache = forward(model, x)
     predicted = int(np.argmax(logits[0]))
     seed_grad = np.zeros_like(logits)
     seed_grad[0, predicted] = 1.0
-    backward(model, seed_grad)
-    return cam_from_activations(model.last_conv_activations[0],
-                                model.last_conv_grads[0]), predicted
+    _, grad = backward(model, cache, seed_grad, stop=convs[-1] + 1)
+    activations = cache[convs[-1]][1]
+    # The conv output is laid out channels-last; the sums of
+    # cam_from_activations round differently in another memory order.
+    return cam_from_activations(np.ascontiguousarray(activations[0]),
+                                np.ascontiguousarray(grad[0])), predicted
 
 
 # ---------------------------------------------------------------------------

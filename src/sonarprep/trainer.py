@@ -64,7 +64,6 @@ class RunHistory:
     val_acc: list[float] = field(default_factory=list)
     best_epoch: int = 0
     stopped_epoch: int = 0
-    augmented_batches: int = 0  # instrumentation: train batches that saw augmentation
 
 
 def one_hot(labels: np.ndarray, n_classes: int, dtype=np.float32) -> np.ndarray:
@@ -83,12 +82,11 @@ def validation_pass(model: ModelState, features: np.ndarray, labels: np.ndarray,
     for start in range(0, n, batch_size):
         chunk = features[start:start + batch_size]
         chunk_labels = labels[start:start + batch_size]
-        logits = forward(model, chunk[:, None, :, :])
+        logits, _ = forward(model, chunk[:, None, :, :])
         loss, _ = cross_entropy_soft(logits, one_hot(chunk_labels, logits.shape[1],
                                                      dtype=logits.dtype))
         total_loss += loss * chunk.shape[0]
         correct += int((np.argmax(logits, axis=1) == chunk_labels).sum())
-    model._cache = None
     return total_loss / n, correct / n
 
 
@@ -126,10 +124,10 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
             inputs = train_x[idx]
             targets = one_hot(train_y[idx], model.n_classes, dtype=model.dtype)
             inputs, targets = _augment_batch(inputs, targets, cfg, rng)
-            history.augmented_batches += 1
-            logits = forward(model, inputs[:, None, :, :])
+            logits, cache = forward(model, inputs[:, None, :, :])
             loss, grad_logits = cross_entropy_soft(logits, targets)
-            grads = backward(model, grad_logits)
+            grads, _ = backward(model, cache, grad_logits)
+            del cache  # else the next forward pass runs with two caches alive
             adam_step(model.params, grads, optimizer)
             epoch_loss += loss * len(idx)
         val_loss, val_acc = validation_pass(model, val_x, val_y)

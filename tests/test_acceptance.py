@@ -127,10 +127,12 @@ def fd_worst_error(arch, n_classes, x_shape, seed, picks_per_tensor=6):
     y[np.arange(x_shape[0]), rng.integers(0, n_classes, x_shape[0])] = 1.0
 
     def loss():
-        return cross_entropy_soft(forward(model, x), y)[0]
+        logits, _ = forward(model, x)
+        return cross_entropy_soft(logits, y)[0]
 
-    _, grad_logits = cross_entropy_soft(forward(model, x), y)
-    grads = backward(model, grad_logits)
+    logits, cache = forward(model, x)
+    _, grad_logits = cross_entropy_soft(logits, y)
+    grads, _ = backward(model, cache, grad_logits)
     worst = 0.0
     for name, p in model.params.items():
         flat = p.ravel()
@@ -182,7 +184,9 @@ def test_criterion_06_channel_aggregation_equivalence():
                 m1.params[name] = m3.params[name].copy()
             x1 = rng.normal(size=(2, 1, 9, 8)).astype(np.float32)
             x3 = np.repeat(x1, 3, axis=1)
-            delta = np.abs(forward(m1, x1) - forward(m3, x3)).max()
+            logits1, _ = forward(m1, x1)
+            logits3, _ = forward(m3, x3)
+            delta = np.abs(logits1 - logits3).max()
             worst = max(worst, float(delta))
         assert worst < 1e-5, worst
 

@@ -513,6 +513,23 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert "classes.json" in result.output
 
+    @pytest.mark.parametrize("text", [
+        "not json",
+        json.dumps({"classes": ["a", "b"], "cells": [
+            {"data_rate": 4000, "mean_accuracy": 0.5, "std_accuracy": 0.0,
+             "mean_confusion": [[1, 0], [0, 1]]}]}),
+        json.dumps(["cells"]),
+    ], ids=["not-json", "cell-without-model-rate", "not-an-object"])
+    def test_report_rejects_bad_sweep_record(self, pipeline, tmp_path, text):
+        _, runner = pipeline
+        raw = tmp_path / "sweep_raw.json"
+        raw.write_text(text)
+        result = runner.invoke(main, ["report", "--raw", str(raw),
+                                      "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert str(raw) in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_classes_file(self, pipeline, tmp_path):
         root, runner = pipeline
         feats = tmp_path / "feats"

@@ -1,5 +1,7 @@
 """Network layers checked against finite differences and hand-worked values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from sonarprep.errors import ShapeMismatchError
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, AdamState, Architecture,
                           CheckpointFormatError, Conv, Dense, GlobalAvgPool,
                           InvalidTargetError, MaxPool, NoCacheError, Relu,
-                          ShapeComposeError, StaleCacheError,
+                          ShapeComposeError,
                           WrongChannelCountError, adam_step,
                           aggregate_input_channels, apply_checkpoint, backward,
                           cam_from_activations, cross_entropy_soft, forward,
@@ -27,10 +29,12 @@ def fd_check(arch: Architecture, n_classes: int, x_shape, seed: int,
     y[np.arange(x_shape[0]), rng.integers(0, n_classes, x_shape[0])] = 1.0
 
     def loss():
-        return cross_entropy_soft(forward(model, x), y)[0]
+        logits, _ = forward(model, x)
+        return cross_entropy_soft(logits, y)[0]
 
-    _, grad_logits = cross_entropy_soft(forward(model, x), y)
-    grads = backward(model, grad_logits)
+    logits, cache = forward(model, x)
+    _, grad_logits = cross_entropy_soft(logits, y)
+    grads, _ = backward(model, cache, grad_logits)
     worst = 0.0
     for name, p in model.params.items():
         flat = p.ravel()
@@ -60,15 +64,15 @@ class TestForward:
         m.params["dense4.bias"] = np.array([0.1, 0.2])
         x = np.array([[[[1, 2, 0, 1], [0, 1, 3, 1],
                         [2, 1, 0, 0], [1, 0, 1, 2]]]], dtype=np.float64)
-        logits = forward(m, x)
+        logits, _ = forward(m, x)
         np.testing.assert_allclose(logits, [[4.225, -8.05]], rtol=0, atol=1e-12)
 
     def test_padding_preserves_spatial_size(self):
         arch = Architecture((Conv(4, 3), Relu(), GlobalAvgPool(), Dense()))
         m = init_model(arch, 3, seed=1, dtype=np.float64)
-        logits = forward(m, np.zeros((2, 1, 7, 9)))
+        logits, cache = forward(m, np.zeros((2, 1, 7, 9)))
         assert logits.shape == (2, 3)
-        assert m.last_conv_activations.shape == (2, 4, 7, 9)
+        assert cache[0][1].shape == (2, 4, 7, 9)  # the conv output
 
     def test_odd_input_cropped_by_pooling(self):
         arch = Architecture((Conv(2, 3), Relu(), MaxPool(2), GlobalAvgPool(),
@@ -139,15 +143,38 @@ class TestGradients:
     def test_input_gradient_not_needed_for_training_but_cam_path_works(self):
         m = init_model(DEFAULT_ARCHITECTURE, 3, seed=5, dtype=np.float64)
         x = np.random.default_rng(0).normal(size=(1, 1, 10, 8))
-        forward(m, x)
-        grads = backward(m, np.array([[1.0, 0.0, 0.0]]))
-        assert m.last_conv_grads.shape == m.last_conv_activations.shape
+        _, cache = forward(m, x)
+        grads, input_grad = backward(m, cache, np.array([[1.0, 0.0, 0.0]]))
+        assert input_grad is None
         assert set(grads) == set(m.params)
 
-    def test_backward_without_forward_rejected(self):
-        m = init_model(DEFAULT_ARCHITECTURE, 3, seed=0)
-        with pytest.raises(StaleCacheError):
-            backward(m, np.zeros((1, 3)))
+    def test_stop_gives_the_full_pass_gradients_of_the_layers_it_runs(self):
+        m = init_model(DEFAULT_ARCHITECTURE, 3, seed=5, dtype=np.float64)
+        rng = np.random.default_rng(0)
+        _, cache = forward(m, rng.normal(size=(2, 1, 10, 8)))
+        seed_grad = rng.normal(size=(2, 3))
+        full, _ = backward(m, cache, seed_grad)
+        for k in range(1, len(DEFAULT_ARCHITECTURE.layers)):
+            grads, out_grad = backward(m, cache, seed_grad, stop=k)
+            assert set(grads) == {n for n in full if int(re.search(r"\d+", n)[0]) >= k}
+            for name in grads:
+                np.testing.assert_array_equal(grads[name], full[name])
+            if isinstance(DEFAULT_ARCHITECTURE.layers[k - 1], Conv):
+                assert out_grad.shape == cache[k - 1][1].shape
+
+    def test_passes_share_no_state(self):
+        m = init_model(DEFAULT_ARCHITECTURE, 3, seed=5, dtype=np.float64)
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2, 2, 1, 10, 8))
+        seed_grad = rng.normal(size=(2, 3))
+        _, cache_a = forward(m, a)
+        forward(m, b)
+        got, _ = backward(m, cache_a, seed_grad)
+        _, alone = forward(m, a)
+        want, _ = backward(m, alone, seed_grad)
+        assert set(got) == set(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
 
 
 class TestLoss:
@@ -250,7 +277,7 @@ class TestChannelAggregation:
         m1.params["dense3.bias"] = m3.params["dense3.bias"].copy()
         x1 = rng.normal(size=(2, 1, 6, 6))
         x3 = np.repeat(x1, 3, axis=1)
-        np.testing.assert_allclose(forward(m1, x1), forward(m3, x3),
+        np.testing.assert_allclose(forward(m1, x1)[0], forward(m3, x3)[0],
                                    rtol=0, atol=1e-12)
 
     def test_wrong_channel_count_rejected(self):
@@ -263,7 +290,7 @@ class TestGradCam:
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0, dtype=np.float64)
         x = np.random.default_rng(1).normal(size=(1, 1, 12, 10))
         cam, predicted = grad_cam(m, x)
-        assert predicted == int(np.argmax(forward(m, x)[0]))
+        assert predicted == int(np.argmax(forward(m, x)[0][0]))
         assert cam.shape == (6, 5)  # after the 2x2 pool, conv output is 6x5
         assert cam.min() >= 0.0 and cam.max() <= 1.0
 
@@ -306,12 +333,12 @@ class TestCheckpoint:
     def test_apply_restores_forward_pass(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=3)
         x = np.random.default_rng(0).normal(size=(2, 1, 10, 8)).astype(np.float32)
-        want = forward(m, x)
+        want, _ = forward(m, x)
         path = tmp_path / "m.spnn"
         save_checkpoint(path, m.params)
         fresh = init_model(DEFAULT_ARCHITECTURE, 4, seed=99)
         fresh = apply_checkpoint(fresh, load_checkpoint(path))
-        np.testing.assert_allclose(forward(fresh, x), want, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(forward(fresh, x)[0], want, rtol=0, atol=1e-6)
 
     def test_three_channel_first_conv_aggregated_on_load(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)

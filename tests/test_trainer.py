@@ -120,12 +120,20 @@ class TestTrainLoop:
         _, h2 = train(cfg, data.train, data.val, model2, seed=1)
         assert h1.train_loss != h2.train_loss
 
-    def test_every_train_batch_augmented_including_partial(self):
+    def test_every_train_batch_augmented_including_partial(self, monkeypatch):
         cfg = tiny_config(batch_size=8, max_epochs=3)
         data = tiny_data(n_train=10)  # 20 samples -> 3 batches of 8, 8, 4
+        sizes = []
+        original = trainer_mod._augment_batch
+
+        def counting(inputs, targets, cfg, rng):
+            sizes.append(inputs.shape[0])
+            return original(inputs, targets, cfg, rng)
+
+        monkeypatch.setattr(trainer_mod, "_augment_batch", counting)
         model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
-        _, history = train(cfg, data.train, data.val, model, seed=0)
-        assert history.augmented_batches == 3 * 3
+        train(cfg, data.train, data.val, model, seed=0)
+        assert sizes == [8, 8, 4] * 3
 
     def test_validation_set_never_augmented(self, monkeypatch):
         cfg = tiny_config()
