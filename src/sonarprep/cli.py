@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from functools import partial
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -100,10 +100,6 @@ def _positive(caster):
     return cast
 
 
-# execution settings that change no output bytes, left out of the fingerprint
-_UNHASHED_FIELDS = ("corpus_root", "manifest", "split_file", "output_dir", "jobs")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings for a pipeline run.
@@ -129,10 +125,14 @@ class RunConfig:
             segment_length(self.segment_seconds, rate)
 
     def fingerprint(self) -> str:
-        """Hash of the effective settings in field order."""
-        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
-                 if f.name not in _UNHASHED_FIELDS]
-        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+        """Hash of canonical JSON of the effective value of every config key
+        but the paths and ``data.jobs``, which change no output bytes."""
+        objects = {"run": self, "train": self.train, "feature": self.train.feature,
+                   "augment": self.train.augment, "split": self.split}
+        values = {key: getattr(objects[target], name)
+                  for key, (target, name, _) in _CONFIG_KEYS.items()
+                  if not key.startswith("paths.") and key != "data.jobs"}
+        return hashlib.sha256(json.dumps(values, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 # key -> (object the value is staged for, field name, caster); each object is
@@ -169,6 +169,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _read_text(path) -> str:
+    """Text of a config, manifest or split file, or an error naming the file."""
+    try:
+        return Path(path).read_text()
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise SonarprepError(f"{path}: not a text file ({exc})") from exc
+
+
 def _stage(staged: dict, key: str, value: str, where: str) -> None:
     """Cast one value and stage it, with its origin, for its object."""
     target, name, caster = _CONFIG_KEYS[key]
@@ -180,7 +188,7 @@ def _stage(staged: dict, key: str, value: str, where: str) -> None:
 
 def _read_config_lines(path) -> list[tuple[str, str, int]]:
     entries = []
-    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw_line in enumerate(_read_text(path).splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -305,10 +313,6 @@ def _write_run_record(out_dir: Path, command: str, details: dict) -> None:
     (out_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _load_manifest_file(path: Path) -> Manifest:
-    return load_manifest(Path(path).read_text())
-
-
 def _read_wav(corpus_root: Path, entry: ManifestEntry):
     return parse_wav((corpus_root / entry.file_path).read_bytes(),
                      source_id=entry.recording_id)
@@ -388,10 +392,10 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
     cfg = load_config(config_path, flags={
         "--ratios": ("split.ratios", ratios), "--seed": ("split.seed", seed),
         "--segment-seconds": ("data.segment_seconds", segment_seconds)})
-    manifest = _load_manifest_file(_require(manifest_path or cfg.manifest, "--manifest"))
+    manifest = load_manifest(_read_text(_require(manifest_path or cfg.manifest, "--manifest")))
     if do_validate:
-        rows, _ = read_split_rows(Path(_require(split_file or cfg.split_file,
-                                                "--split-file")).read_text())
+        rows, _ = read_split_rows(_read_text(_require(split_file or cfg.split_file,
+                                                      "--split-file")))
         report = validate_split(rows, manifest)
         for code, detail in report.failures:
             click.echo(f"FAIL {code}: {detail}")
@@ -425,10 +429,10 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
     """Resample, segment, and write normalized log-mel archives per split."""
     cfg = load_config(config_path, flags={"--data-rate": ("data.rate", data_rate),
                                           "--jobs": ("data.jobs", jobs)})
-    manifest = _load_manifest_file(_require(manifest_path or cfg.manifest, "--manifest"))
+    manifest = load_manifest(_read_text(_require(manifest_path or cfg.manifest, "--manifest")))
     corpus = Path(_require(corpus_root or cfg.corpus_root, "--corpus-root"))
-    rows, _ = read_split_rows(Path(_require(split_file or cfg.split_file,
-                                            "--split-file")).read_text())
+    rows, _ = read_split_rows(_read_text(_require(split_file or cfg.split_file,
+                                                  "--split-file")))
     report = validate_split(rows, manifest)
     if not report.passed:
         raise click.ClickException(
@@ -561,7 +565,7 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
     cfg = load_config(config_path, flags={
         "--data-rates": ("sweep.data_rates", data_rates),
         "--model-rates": ("sweep.model_rates", model_rates)})
-    manifest = _load_manifest_file(_require(manifest_path or cfg.manifest, "--manifest"))
+    manifest = load_manifest(_read_text(_require(manifest_path or cfg.manifest, "--manifest")))
     corpus = Path(_require(corpus_root or cfg.corpus_root, "--corpus-root"))
     if not cfg.sweep_data_rates or not cfg.sweep_model_rates:
         raise click.ClickException("sweep needs --data-rates and --model-rates "

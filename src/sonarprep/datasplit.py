@@ -39,6 +39,10 @@ class DegenerateStatsError(SonarprepError):
     """Normalization stats have min >= max."""
 
 
+class SplitFormatError(SonarprepError):
+    """A split file is malformed."""
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
@@ -211,7 +215,7 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
     seed = None
     lines = text.splitlines()
     if not lines or lines[0].strip() != "recording_id,split":
-        raise ValueError("split file must start with header 'recording_id,split'")
+        raise SplitFormatError("split file must start with header 'recording_id,split'")
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -219,11 +223,15 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("seed="):
-                seed = int(body[len("seed="):])
+                try:
+                    seed = int(body[5:])
+                except ValueError:
+                    raise SplitFormatError(f"split file line {lineno}: seed "
+                                           f"{body[5:]!r} is not an integer") from None
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'recording_id,split'")
+            raise SplitFormatError(f"split file line {lineno}: expected 'recording_id,split'")
         rows.append((parts[0], parts[1]))
     return rows, seed
 

@@ -3,8 +3,9 @@
 The feature path mirrors the usual audio-tagging front end: a centered
 STFT with a Hann window, a power spectrum, a triangular mel filterbank
 with peak-normalized filters, and decibel compression with a fixed
-floor. Resampling uses a windowed-sinc polyphase filter with a Kaiser
-window so downsampling stays alias-free.
+floor. Resampling is polyphase: one array holds a Kaiser-windowed sinc
+filter per phase, cut off below the lower Nyquist so downsampling stays
+alias-free, and each phase filters its outputs with one strided matmul.
 """
 
 from __future__ import annotations
@@ -83,39 +84,31 @@ DEFAULT_FEATURE_CONFIG = FeatureConfig(model_rate=32000)
 # resampling
 # ---------------------------------------------------------------------------
 
-def _phase_filter(phase: int, up: int, scale: float, half: int, half_t: float) -> np.ndarray:
-    offsets = np.arange(-half, half + 1)
-    t = phase / up - offsets
-    u = t / half_t
-    window = np.zeros_like(u)
-    inside = np.abs(u) <= 1.0
-    window[inside] = np.i0(KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)) / np.i0(KAISER_BETA)
-    h = scale * np.sinc(scale * t) * window
-    return h / h.sum()  # unit DC gain per phase
-
-
 def resample_signal(x: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
-    """Rate-convert a 1-d signal; output length is round(n * target/source)."""
+    """Rate-convert a 1-d signal; output length is round(n * target/source).
+
+    With target/source = up/down in lowest terms, output ``j`` is the input
+    window at ``j * down // up`` dotted with row ``j * down % up`` of a bank
+    of ``up`` unit-gain Kaiser-sinc phases. Outputs ``r, r + up, ...`` share
+    a phase and their windows start ``down`` samples apart: one matmul each.
+    """
     x = np.asarray(x, dtype=np.float64)
-    ratio = Fraction(int(target_rate), int(source_rate))
-    up, down = ratio.numerator, ratio.denominator
+    up, down = Fraction(int(target_rate), int(source_rate)).as_integer_ratio()
     n_out = (2 * x.size * up + down) // (2 * down)
     scale = min(1.0, up / down)  # cutoff relative to the input Nyquist
     half_t = FILTER_ZERO_CROSSINGS / scale
     half = int(np.ceil(half_t))
-    taps = 2 * half + 1
-    filters = np.stack([_phase_filter(p, up, scale, half, half_t) for p in range(up)])
-    xp = np.concatenate([np.zeros(half), x, np.zeros(half + 2)])
-    out_idx = np.arange(n_out)
-    anchor = (out_idx * down) // up
-    phase = (out_idx * down) % up
+    t = np.arange(up)[:, None] / up - np.arange(-half, half + 1)
+    u = t / half_t
+    window = np.i0(KAISER_BETA * np.sqrt(np.maximum(1.0 - u ** 2, 0.0))) / np.i0(KAISER_BETA)
+    bank = scale * np.sinc(scale * t) * np.where(np.abs(u) <= 1.0, window, 0.0)
+    bank /= bank.sum(axis=1, keepdims=True)
+    windows = sliding_window_view(np.pad(x, (half, half + 2)), 2 * half + 1)
     out = np.empty(n_out)
-    offsets = np.arange(taps)
-    chunk = 4096  # bound the gathered window matrix
-    for start in range(0, n_out, chunk):
-        sl = slice(start, min(start + chunk, n_out))
-        windows = xp[anchor[sl, None] + offsets[None, :]]
-        out[sl] = np.einsum("ct,ct->c", windows, filters[phase[sl]])
+    for r in range(min(up, n_out)):
+        anchor, phase = divmod(r * down, up)
+        count = (n_out - r + up - 1) // up
+        out[r::up] = windows[anchor::down][:count] @ bank[phase]
     return out
 
 
@@ -126,8 +119,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     target_rate = int(target_rate)
     if target_rate == w.rate:
         return w
-    y = resample_signal(w.samples, w.rate, target_rate)
-    return Waveform(y, target_rate, w.source_id)
+    return Waveform(resample_signal(w.samples, w.rate, target_rate), target_rate, w.source_id)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +208,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def _mel_edges(cfg: FeatureConfig) -> np.ndarray:
-    mel_points = np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2)
-    return mel_to_hz(mel_points)
-
-
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     """Triangular mel filterbank, [(win/2 + 1) x n_mels], each filter peaking at 1."""
-    edges = _mel_edges(cfg)
+    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
     if np.any(np.diff(edges) <= 0):
         raise DegenerateBandError("mel band too narrow: filter edges collapse")
     freqs = (np.arange(cfg.win_length // 2 + 1) * cfg.model_rate / cfg.win_length)[:, None]

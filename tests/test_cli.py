@@ -13,6 +13,7 @@ from sonarprep.cli import (ConfigParseError, OutOfRangeError, UnknownKeyError,
                            load_config, main, parse_rate)
 from sonarprep.datasplit import read_split_rows
 from sonarprep.dsp import write_feature_archive
+from sonarprep import nn
 from sonarprep.nn import load_checkpoint, save_checkpoint
 from synthdata import make_corpus, write_pcm16
 
@@ -188,6 +189,12 @@ class TestFingerprint:
         assert (self.fingerprint(tmp_path, self.BASE)
                 == self.fingerprint(tmp_path, without_rate,
                                     **{"--data-rate": ("data.rate", "8k")}))
+
+    def test_ignores_descriptor_repr(self, tmp_path, monkeypatch):
+        before = self.fingerprint(tmp_path, self.BASE)
+        monkeypatch.setattr(nn.Conv, "__repr__", lambda self: "Conv(changed)")
+        assert repr(nn.DEFAULT_ARCHITECTURE).count("Conv(changed)")
+        assert self.fingerprint(tmp_path, self.BASE) == before
 
     def test_changes_with_a_setting(self, tmp_path):
         assert (self.fingerprint(tmp_path, self.BASE)
@@ -467,6 +474,43 @@ class TestErrorSurface:
             "--out", str(out)], env={"SONARPREP_SEED": "40"})
         assert result.exit_code == 0, result.output
         assert "# seed=3" in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("problem", ["no-header", "bad-seed"])
+    @pytest.mark.parametrize("command", ["split", "featurize"])
+    def test_malformed_split_file(self, pipeline, tmp_path, command, problem):
+        root, runner = pipeline
+        lines = (root / "split.csv").read_text().splitlines()
+        lines = lines[1:] if problem == "no-header" else lines[:-1] + ["# seed=xyz"]
+        bad = tmp_path / "split.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        args = {"split": ["--validate"],
+                "featurize": ["--corpus-root", str(root / "corpus"),
+                              "--out", str(tmp_path / "out")]}[command]
+        result = runner.invoke(main, [
+            command, "--config", str(root / "run.cfg"),
+            "--manifest", str(root / "manifest.csv"), "--split-file", str(bad), *args])
+        assert_clean_failure(result)
+        assert ("header" if problem == "no-header" else "'xyz'") in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,problem", [("--config", "byte-0xff"),
+                                              ("--manifest", "byte-0xff"),
+                                              ("--config", "directory")])
+    def test_unreadable_text_input_names_file(self, pipeline, tmp_path, flag, problem):
+        root, runner = pipeline
+        bad = tmp_path / "bad.txt"
+        if problem == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"data.rate = 8k\n\xff\n")
+        inputs = {"--config": str(root / "run.cfg"), "--manifest": str(root / "manifest.csv")}
+        inputs[flag] = str(bad)
+        result = runner.invoke(main, [
+            "split", *(arg for item in inputs.items() for arg in item),
+            "--out", str(tmp_path / "split.csv")])
+        assert_clean_failure(result)
+        assert str(bad) in result.output
+        assert not (tmp_path / "split.csv").exists()
 
     def test_featurize_refuses_split_without_segments(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -74,6 +74,33 @@ class TestResample:
         y = resample_signal(x, rate, 8000)
         assert np.abs(y[500:-500]).max() < 0.02
 
+    @pytest.mark.parametrize("src,dst,n", [
+        (441, 160, 600), (441, 80, 600), (441, 320, 600),
+        (160, 147, 120),  # fewer outputs than filter phases
+        (1, 4, 300), (3, 5, 300),
+    ])
+    def test_matches_direct_windowed_sinc_sum(self, src, dst, n):
+        # output j sits at input time j * src / dst; it sums the input samples
+        # within 64 zero crossings of the cutoff, weighted by a Kaiser-windowed
+        # sinc (beta 8.555) normalized to unit DC gain
+        x = np.random.default_rng(7).standard_normal(n)
+        scale = min(1.0, dst / src)
+        half_t = 64 / scale
+        half = math.ceil(half_t)
+        expected = []
+        for j in range(round(n * dst / src)):
+            anchor, phase = divmod(j * src, dst)
+            taps = np.arange(anchor - half, anchor + half + 1)
+            t = phase / dst - (taps - anchor)
+            u = np.clip(t / half_t, -1.0, 1.0)
+            kaiser = np.where(np.abs(t) <= half_t,
+                              np.i0(8.555 * np.sqrt(1.0 - u ** 2)) / np.i0(8.555), 0.0)
+            h = scale * np.sinc(scale * t) * kaiser
+            inside = (taps >= 0) & (taps < n)
+            expected.append(x[taps[inside]] @ h[inside] / h.sum())
+        np.testing.assert_allclose(resample_signal(x, src, dst), expected,
+                                   rtol=0, atol=1e-12)
+
     def test_invalid_rates(self):
         w = Waveform(samples=np.ones(10), rate=8000)
         with pytest.raises(InvalidRateError):

@@ -2,7 +2,7 @@
 perfbench/layers.py); a rename or a removal there would leave a span that
 never fires, so every spanned name must stay a function of its module.
 Its ``nn.gflop`` metric reads the fields of the layer descriptors, so those
-must stay too."""
+must stay too, and so must the Waveform fields its resample metrics read."""
 
 import ast
 import importlib
@@ -10,7 +10,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from sonarprep.nn import DEFAULT_ARCHITECTURE
+from sonarprep.wavio import Waveform
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -34,10 +38,25 @@ def test_spanned_names_are_module_functions():
     assert not missing, missing
 
 
-def test_forward_flops_reads_layer_fields(monkeypatch):
-    """``nn.gflop`` counts FLOPs from the layer descriptors' fields."""
+@pytest.fixture
+def layers(monkeypatch):
+    """perfbench/layers.py, loaded from its file."""
     monkeypatch.syspath_prepend(str(LAYERS.parent))  # layers.py imports tracer
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_forward_flops_reads_layer_fields(layers):
+    """``nn.gflop`` counts FLOPs from the layer descriptors' fields."""
     assert layers.forward_flops(DEFAULT_ARCHITECTURE, 4, (1, 1, 501, 64)) == 82_962_688
+
+
+def test_resample_probe_reads_waveform_fields(layers):
+    """The ``dsp.resample`` metrics read the rate, samples and source ID of
+    its Waveform argument and take the target rate second."""
+    probe = layers.Probes().resample
+    assert probe((Waveform(np.ones(441), 22050, "r"), 8000), {}, None) == {
+        "converted": 1, "audio_s": 0.02, "key": ("r", 22050, 8000)}
+    assert probe((Waveform(np.ones(441), 22050, "r"), 22050), {}, None) == {"converted": 0}
