@@ -28,7 +28,8 @@ MISSING_CLASS = "MissingClassInSplit"
 
 
 class TooFewRecordingsError(SonarprepError):
-    """A class has fewer than three recordings, one per split is impossible."""
+    """The manifest has no recordings, or a class has fewer than three, so
+    one per split is impossible."""
 
 
 class EmptyTrainingSetError(SonarprepError):
@@ -55,6 +56,8 @@ class SplitSpec:
             raise ValueError("each split ratio must lie strictly between 0 and 1")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"split ratios must sum to 1, got {sum(self.ratios)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -126,6 +129,8 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
     missing = [e.recording_id for e in manifest.entries if e.recording_id not in counts]
     if missing:
         raise ValueError(f"no segment count for recordings: {missing[:5]}")
+    if not manifest.entries:
+        raise TooFewRecordingsError("manifest has no recordings")
     by_class: dict[str, list[str]] = {label: [] for label in manifest.classes}
     for e in manifest.entries:
         by_class[e.class_label].append(e.recording_id)

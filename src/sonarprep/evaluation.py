@@ -64,7 +64,7 @@ def predict(model: ModelState, features: np.ndarray,
     preds = []
     for start in range(0, features.shape[0], batch_size):
         chunk = features[start:start + batch_size]
-        logits, _ = forward(model, chunk[:, None, :, :])
+        logits = forward(model, chunk[:, None, :, :])
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

@@ -3,9 +3,9 @@
 Everything is plain numpy: convolution (stride 1, zero padding), ReLU,
 max pooling, global average pooling, and dense layers, plus softmax
 cross-entropy against soft targets and an Adam optimizer. forward
-returns the logits with a cache of what backward reads, and backward
-takes that cache, so a model holds only its parameters and any number
-of passes can run on it at once.
+returns the logits and fills a list it is given with what backward
+reads; inference passes no list and keeps nothing. A model holds only
+its parameters, so any number of passes can run on it at once.
 
 Use float64 models when checking gradients numerically and float32 for
 actual training runs.
@@ -179,6 +179,7 @@ def aggregate_input_channels(weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int):
+    """Returns the im2col matrix ``[B*H*W, C*k*k]`` and the output."""
     batch, _, height, width = x.shape
     out_ch, in_ch, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -190,20 +191,14 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int):
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w,
                                                        in_ch * k * k)
     y = cols @ w.reshape(out_ch, -1).T + b
-    y = y.reshape(batch, out_h, out_w, out_ch).transpose(0, 3, 1, 2)
-    return y, xp
+    return cols, y.reshape(batch, out_h, out_w, out_ch).transpose(0, 3, 1, 2)
 
 
-def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, pad: int,
+def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray, pad: int,
                    input_grad: bool):
-    """Weight, bias and input gradients; the input gradient is None unless
-    ``input_grad`` asks for it."""
-    batch = xp.shape[0]
+    """Weight, bias and input gradients from the forward pass's im2col
+    matrix; the input gradient is None unless ``input_grad`` asks for it."""
     out_ch, in_ch, k, _ = w.shape
-    out_h, out_w = dy.shape[2], dy.shape[3]
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w,
-                                                       in_ch * k * k)
     dy_flat = dy.transpose(0, 2, 3, 1).reshape(-1, out_ch)
     dw = (dy_flat.T @ cols).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
@@ -212,8 +207,8 @@ def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, pad: int,
     # grad wrt input: full correlation of dy with channel-swapped flipped kernels
     w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-    dxp, _ = _conv_forward(dyp, w_flip, np.zeros(in_ch, dtype=dy.dtype), pad=0)
-    dx = dxp[:, :, pad:xp.shape[2] - pad, pad:xp.shape[3] - pad]
+    dxp = _conv_forward(dyp, w_flip, np.zeros(in_ch, dtype=dy.dtype), pad=0)[1]
+    dx = dxp[:, :, pad:dxp.shape[2] - pad, pad:dxp.shape[3] - pad]
     return dw, db, dx
 
 
@@ -246,47 +241,48 @@ def _maxpool_backward(dy: np.ndarray, cache, size: int):
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def forward(model: ModelState, batch: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run the network; returns the logits and the cache backward reads.
+def forward(model: ModelState, batch: np.ndarray,
+            cache: list | None = None) -> np.ndarray:
+    """Run the network and return the logits.
 
-    ``cache[i]`` is what layer ``i`` saved: a convolution its padded input
-    and its output, a ReLU its input, a max pool its argmax indices and
-    input shape, global pooling its input shape, a dense layer its input.
+    A caller that will call :func:`backward` passes an empty ``cache``
+    list, and ``cache[i]`` receives what layer ``i`` saved: a convolution
+    its im2col matrix and its output, a ReLU its input, a max pool its
+    argmax indices and input shape, global pooling its input shape, a
+    dense layer its input. Without a list nothing is kept.
     """
     x = np.asarray(batch).astype(model.dtype, copy=False)
     if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
         raise ShapeMismatchError(
             f"expected [batch, {model.arch.in_channels}, H, W], got {x.shape}"
         )
-    cache: list = []
     for i, layer in enumerate(model.arch.layers):
         if isinstance(layer, Conv):
             name = _param_name(i, layer)
-            y, xp = _conv_forward(x, model.params[f"{name}.weight"],
+            saved = _conv_forward(x, model.params[f"{name}.weight"],
                                   model.params[f"{name}.bias"], layer.pad)
-            cache.append((xp, y))
-            x = y
+            x = saved[1]
         elif isinstance(layer, Relu):
-            cache.append(x)
-            x = np.maximum(x, 0)
+            saved, x = x, np.maximum(x, 0)
         elif isinstance(layer, MaxPool):
-            x, pool_cache = _maxpool_forward(x, layer.size)
-            cache.append(pool_cache)
+            x, saved = _maxpool_forward(x, layer.size)
         elif isinstance(layer, GlobalAvgPool):
-            cache.append(x.shape)
-            x = x.mean(axis=(2, 3))
+            saved, x = x.shape, x.mean(axis=(2, 3))
         elif isinstance(layer, Dense):
-            cache.append(x)
+            saved = x
             name = _param_name(i, layer)
             x = x @ model.params[f"{name}.weight"] + model.params[f"{name}.bias"]
-    return x, cache
+        if cache is not None:
+            cache.append(saved)
+        del saved  # else it outlives the next layer
+    return x
 
 
 def backward(model: ModelState, cache: list, grad_logits: np.ndarray,
              stop: int = 0) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Backpropagate logit gradients through ``layers[stop:]``.
 
-    ``cache`` is what :func:`forward` returned with those logits. Returns
+    ``cache`` is the list :func:`forward` filled for those logits. Returns
     the gradients of the parameters of ``layers[stop:]`` and the gradient
     at the output of ``layers[stop - 1]``. For ``stop == 0`` that output is
     the network input, whose gradient nobody reads: it is not computed
@@ -420,7 +416,8 @@ def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[0] != 1:
         raise ShapeMismatchError(f"expected a single input [1, C, H, W], got {x.shape}")
-    logits, cache = forward(model, x)
+    cache: list = []
+    logits = forward(model, x, cache)
     predicted = int(np.argmax(logits[0]))
     seed_grad = np.zeros_like(logits)
     seed_grad[0, predicted] = 1.0

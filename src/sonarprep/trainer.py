@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("patience cannot exceed max_epochs")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct and non-negative, got {self.seeds}")
 
 
 @dataclass
@@ -82,7 +84,7 @@ def validation_pass(model: ModelState, features: np.ndarray, labels: np.ndarray,
     for start in range(0, n, batch_size):
         chunk = features[start:start + batch_size]
         chunk_labels = labels[start:start + batch_size]
-        logits, _ = forward(model, chunk[:, None, :, :])
+        logits = forward(model, chunk[:, None, :, :])
         loss, _ = cross_entropy_soft(logits, one_hot(chunk_labels, logits.shape[1],
                                                      dtype=logits.dtype))
         total_loss += loss * chunk.shape[0]
@@ -124,10 +126,10 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
             inputs = train_x[idx]
             targets = one_hot(train_y[idx], model.n_classes, dtype=model.dtype)
             inputs, targets = _augment_batch(inputs, targets, cfg, rng)
-            logits, cache = forward(model, inputs[:, None, :, :])
+            cache = []
+            logits = forward(model, inputs[:, None, :, :], cache)
             loss, grad_logits = cross_entropy_soft(logits, targets)
             grads, _ = backward(model, cache, grad_logits)
-            del cache  # else the next forward pass runs with two caches alive
             adam_step(model.params, grads, optimizer)
             epoch_loss += loss * len(idx)
         val_loss, val_acc = validation_pass(model, val_x, val_y)

@@ -50,7 +50,7 @@ class MissingFieldError(ManifestError):
 
 
 class NonPositiveDurationError(ManifestError):
-    """A manifest row declares a duration <= 0."""
+    """A manifest row declares a duration that is not a positive finite number."""
 
 
 _PCM = 1
@@ -195,7 +195,7 @@ class Manifest:
         for e in self.entries:
             if not e.recording_id or not e.class_label or not e.file_path:
                 raise MissingFieldError(f"entry {e!r} has an empty field")
-            if e.duration_seconds <= 0:
+            if not 0 < e.duration_seconds < np.inf:
                 raise NonPositiveDurationError(
                     f"recording {e.recording_id!r} has duration {e.duration_seconds}"
                 )

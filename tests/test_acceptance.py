@@ -127,10 +127,11 @@ def fd_worst_error(arch, n_classes, x_shape, seed, picks_per_tensor=6):
     y[np.arange(x_shape[0]), rng.integers(0, n_classes, x_shape[0])] = 1.0
 
     def loss():
-        logits, _ = forward(model, x)
+        logits = forward(model, x)
         return cross_entropy_soft(logits, y)[0]
 
-    logits, cache = forward(model, x)
+    cache = []
+    logits = forward(model, x, cache)
     _, grad_logits = cross_entropy_soft(logits, y)
     grads, _ = backward(model, cache, grad_logits)
     worst = 0.0
@@ -184,8 +185,8 @@ def test_criterion_06_channel_aggregation_equivalence():
                 m1.params[name] = m3.params[name].copy()
             x1 = rng.normal(size=(2, 1, 9, 8)).astype(np.float32)
             x3 = np.repeat(x1, 3, axis=1)
-            logits1, _ = forward(m1, x1)
-            logits3, _ = forward(m3, x3)
+            logits1 = forward(m1, x1)
+            logits3 = forward(m3, x3)
             delta = np.abs(logits1 - logits3).max()
             worst = max(worst, float(delta))
         assert worst < 1e-5, worst

@@ -475,6 +475,40 @@ class TestErrorSurface:
         assert result.exit_code == 0, result.output
         assert "# seed=3" in out.read_text().splitlines()
 
+    @pytest.mark.parametrize("line,flag,env,origin", [
+        ("split.seed = -1", None, {}, "line 1"),
+        ("train.seeds = 2,-1", None, {}, "line 1"),
+        ("train.seeds = 0,0", None, {}, "line 1"),
+        (None, "-2", {}, "--seed"),
+        (None, None, {"SONARPREP_SEED": "-3"}, "SONARPREP_SEED"),
+    ], ids=["negative-split-seed", "negative-train-seed", "repeated-train-seed",
+            "negative-seed-flag", "negative-env-seed"])
+    def test_bad_seed_names_origin(self, pipeline, tmp_path, line, flag, env, origin):
+        root, runner = pipeline
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"{line or ''}\n")
+        result = runner.invoke(main, [
+            "split", "--config", str(cfg), "--manifest", str(root / "manifest.csv"),
+            *(["--seed", flag] if flag else []), "--out", str(tmp_path / "split.csv")],
+            env=env)
+        assert_clean_failure(result)
+        assert origin in result.output and "non-negative" in result.output
+        assert not (tmp_path / "split.csv").exists()
+
+    @pytest.mark.parametrize("duration,message", [
+        (None, "no recordings"), ("nan", "'r1' has duration nan"),
+        ("inf", "'r1' has duration inf")], ids=["empty", "nan", "inf"])
+    def test_split_refuses_manifest(self, pipeline, tmp_path, duration, message):
+        _, runner = pipeline
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("recording_id,class_label,file_path,duration_seconds\n"
+                            + (f"r1,alpha,alpha/r1.wav,{duration}\n" if duration else ""))
+        result = runner.invoke(main, ["split", "--manifest", str(manifest),
+                                      "--out", str(tmp_path / "split.csv")])
+        assert_clean_failure(result)
+        assert message in result.output
+        assert not (tmp_path / "split.csv").exists()
+
     @pytest.mark.parametrize("problem", ["no-header", "bad-seed"])
     @pytest.mark.parametrize("command", ["split", "featurize"])
     def test_malformed_split_file(self, pipeline, tmp_path, command, problem):

@@ -97,6 +97,10 @@ class TestStratifiedSplit:
         with pytest.raises(TooFewRecordingsError):
             stratified_split(m, segment_counts(m, 5.0), SplitSpec())
 
+    def test_empty_manifest_rejected(self):
+        with pytest.raises(TooFewRecordingsError, match="no recordings"):
+            stratified_split(Manifest([]), {}, SplitSpec())
+
     def test_every_class_in_every_split(self):
         for seed in range(20):
             m = toy_manifest({"a": 4, "b": 5, "c": 17})
@@ -114,6 +118,10 @@ class TestStratifiedSplit:
             SplitSpec(ratios=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             SplitSpec(ratios=(1.0, 0.0, 0.0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SplitSpec(seed=-1)
 
 
 class TestSplitFile:

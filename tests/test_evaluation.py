@@ -229,7 +229,8 @@ class TestCamAggregation:
         labels = rng.integers(0, 3, 12)
         sums, want_counts = {}, {}
         for sample, label in zip(x, labels):
-            logits, cache = forward(m, sample[None, None])
+            cache = []
+            logits = forward(m, sample[None, None], cache)
             predicted = int(np.argmax(logits[0]))
             seed_grad = np.zeros_like(logits)
             seed_grad[0, predicted] = 1.0
@@ -252,9 +253,9 @@ class TestCamAggregation:
         calls = []
         original = sonarprep.nn.forward
 
-        def counting(model, batch):
+        def counting(model, batch, cache=None):
             calls.append(batch.shape[0])
-            return original(model, batch)
+            return original(model, batch, cache)
 
         monkeypatch.setattr(sonarprep.nn, "forward", counting)
         monkeypatch.setattr(sonarprep.evaluation, "forward", counting)

@@ -1,6 +1,7 @@
 """Network layers checked against finite differences and hand-worked values."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +30,11 @@ def fd_check(arch: Architecture, n_classes: int, x_shape, seed: int,
     y[np.arange(x_shape[0]), rng.integers(0, n_classes, x_shape[0])] = 1.0
 
     def loss():
-        logits, _ = forward(model, x)
+        logits = forward(model, x)
         return cross_entropy_soft(logits, y)[0]
 
-    logits, cache = forward(model, x)
+    cache = []
+    logits = forward(model, x, cache)
     _, grad_logits = cross_entropy_soft(logits, y)
     grads, _ = backward(model, cache, grad_logits)
     worst = 0.0
@@ -64,15 +66,51 @@ class TestForward:
         m.params["dense4.bias"] = np.array([0.1, 0.2])
         x = np.array([[[[1, 2, 0, 1], [0, 1, 3, 1],
                         [2, 1, 0, 0], [1, 0, 1, 2]]]], dtype=np.float64)
-        logits, _ = forward(m, x)
+        logits = forward(m, x)
         np.testing.assert_allclose(logits, [[4.225, -8.05]], rtol=0, atol=1e-12)
 
     def test_padding_preserves_spatial_size(self):
         arch = Architecture((Conv(4, 3), Relu(), GlobalAvgPool(), Dense()))
         m = init_model(arch, 3, seed=1, dtype=np.float64)
-        logits, cache = forward(m, np.zeros((2, 1, 7, 9)))
+        cache = []
+        logits = forward(m, np.zeros((2, 1, 7, 9)), cache)
         assert logits.shape == (2, 3)
         assert cache[0][1].shape == (2, 4, 7, 9)  # the conv output
+
+    def test_without_a_list_returns_only_the_logits(self):
+        m = init_model(DEFAULT_ARCHITECTURE, 3, seed=1, dtype=np.float64)
+        logits = forward(m, np.zeros((2, 1, 8, 6)))
+        assert isinstance(logits, np.ndarray)
+        assert logits.shape == (2, 3)
+
+    def test_conv_cache_holds_its_im2col_matrix(self):
+        m = init_model(DEFAULT_ARCHITECTURE, 3, seed=1, dtype=np.float64)
+        x = np.random.default_rng(0).normal(size=(2, 1, 8, 6))
+        cache = []
+        forward(m, x, cache)
+        cols, y = cache[0]
+        assert cols.shape == (2 * 8 * 6, 1 * 3 * 3)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for b, h, w in [(0, 0, 0), (1, 7, 5), (1, 3, 2)]:
+            np.testing.assert_array_equal(cols[(b * 8 + h) * 6 + w],
+                                          xp[b, :, h:h + 3, w:w + 3].ravel())
+        assert y.shape == (2, 16, 8, 6)
+        assert cache[3][0].shape == (2 * 4 * 3, 16 * 3 * 3)  # after the 2x2 pool
+
+    def test_inference_keeps_no_cache(self):
+        m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
+        x = np.random.default_rng(0).normal(size=(8, 1, 126, 32)).astype(np.float32)
+        forward(m, x)
+
+        def peak(*cache):
+            tracemalloc.start()
+            try:
+                forward(m, x, *cache)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < 0.8 * peak([])
 
     def test_odd_input_cropped_by_pooling(self):
         arch = Architecture((Conv(2, 3), Relu(), MaxPool(2), GlobalAvgPool(),
@@ -143,7 +181,8 @@ class TestGradients:
     def test_input_gradient_not_needed_for_training_but_cam_path_works(self):
         m = init_model(DEFAULT_ARCHITECTURE, 3, seed=5, dtype=np.float64)
         x = np.random.default_rng(0).normal(size=(1, 1, 10, 8))
-        _, cache = forward(m, x)
+        cache = []
+        forward(m, x, cache)
         grads, input_grad = backward(m, cache, np.array([[1.0, 0.0, 0.0]]))
         assert input_grad is None
         assert set(grads) == set(m.params)
@@ -151,7 +190,8 @@ class TestGradients:
     def test_stop_gives_the_full_pass_gradients_of_the_layers_it_runs(self):
         m = init_model(DEFAULT_ARCHITECTURE, 3, seed=5, dtype=np.float64)
         rng = np.random.default_rng(0)
-        _, cache = forward(m, rng.normal(size=(2, 1, 10, 8)))
+        cache = []
+        forward(m, rng.normal(size=(2, 1, 10, 8)), cache)
         seed_grad = rng.normal(size=(2, 3))
         full, _ = backward(m, cache, seed_grad)
         for k in range(1, len(DEFAULT_ARCHITECTURE.layers)):
@@ -167,10 +207,11 @@ class TestGradients:
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(2, 2, 1, 10, 8))
         seed_grad = rng.normal(size=(2, 3))
-        _, cache_a = forward(m, a)
-        forward(m, b)
+        cache_a, cache_b, alone = [], [], []
+        forward(m, a, cache_a)
+        forward(m, b, cache_b)
         got, _ = backward(m, cache_a, seed_grad)
-        _, alone = forward(m, a)
+        forward(m, a, alone)
         want, _ = backward(m, alone, seed_grad)
         assert set(got) == set(want)
         for name in want:
@@ -277,7 +318,7 @@ class TestChannelAggregation:
         m1.params["dense3.bias"] = m3.params["dense3.bias"].copy()
         x1 = rng.normal(size=(2, 1, 6, 6))
         x3 = np.repeat(x1, 3, axis=1)
-        np.testing.assert_allclose(forward(m1, x1)[0], forward(m3, x3)[0],
+        np.testing.assert_allclose(forward(m1, x1), forward(m3, x3),
                                    rtol=0, atol=1e-12)
 
     def test_wrong_channel_count_rejected(self):
@@ -290,7 +331,7 @@ class TestGradCam:
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0, dtype=np.float64)
         x = np.random.default_rng(1).normal(size=(1, 1, 12, 10))
         cam, predicted = grad_cam(m, x)
-        assert predicted == int(np.argmax(forward(m, x)[0][0]))
+        assert predicted == int(np.argmax(forward(m, x)[0]))
         assert cam.shape == (6, 5)  # after the 2x2 pool, conv output is 6x5
         assert cam.min() >= 0.0 and cam.max() <= 1.0
 
@@ -333,12 +374,12 @@ class TestCheckpoint:
     def test_apply_restores_forward_pass(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=3)
         x = np.random.default_rng(0).normal(size=(2, 1, 10, 8)).astype(np.float32)
-        want, _ = forward(m, x)
+        want = forward(m, x)
         path = tmp_path / "m.spnn"
         save_checkpoint(path, m.params)
         fresh = init_model(DEFAULT_ARCHITECTURE, 4, seed=99)
         fresh = apply_checkpoint(fresh, load_checkpoint(path))
-        np.testing.assert_allclose(forward(fresh, x)[0], want, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(forward(fresh, x), want, rtol=0, atol=1e-6)
 
     def test_three_channel_first_conv_aggregated_on_load(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)

@@ -40,6 +40,13 @@ def tiny_data(n_train=10, n_val=4, n_test=4, n_classes=2, shape=(8, 6), seed=0):
     return FeatureSets(make(n_train), make(n_val), make(n_test), n_classes)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("seeds", [(0, -1), (1, 1)])
+    def test_seeds_must_be_distinct_and_non_negative(self, seeds):
+        with pytest.raises(ValueError, match="distinct and non-negative"):
+            tiny_config(seeds=seeds)
+
+
 class TestOneHot:
     def test_rows_are_indicators(self):
         out = one_hot(np.array([2, 0, 1]), 3)

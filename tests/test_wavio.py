@@ -180,6 +180,11 @@ class TestManifest:
         with pytest.raises(NonPositiveDurationError):
             Manifest([ManifestEntry("x", "a", "a/x.wav", 0.0)])
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(NonPositiveDurationError, match="'x'"):
+            Manifest([ManifestEntry("x", "a", "a/x.wav", duration)])
+
     def test_wrong_header_rejected(self):
         with pytest.raises(MissingFieldError):
             load_manifest("id,label,path,duration\nx,a,a/x.wav,1.0\n")
