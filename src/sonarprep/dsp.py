@@ -3,16 +3,19 @@
 The feature path mirrors the usual audio-tagging front end: a centered
 STFT with a Hann window, a power spectrum, a triangular mel filterbank
 with peak-normalized filters, and decibel compression with a fixed
-floor. Resampling is polyphase: one array holds a Kaiser-windowed sinc
-filter per phase, cut off below the lower Nyquist so downsampling stays
-alias-free, and each phase filters its outputs with one strided matmul.
+floor. Resampling is polyphase: one array, designed once per rate ratio,
+holds a Kaiser-windowed sinc filter per phase, cut off below the lower
+Nyquist so downsampling stays alias-free, and each phase filters its
+outputs with one strided matmul.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,6 +87,23 @@ DEFAULT_FEATURE_CONFIG = FeatureConfig(model_rate=32000)
 # resampling
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _phase_bank(up: int, down: int) -> np.ndarray:
+    """Read-only ``[up x (2 * half + 1)]`` bank of unit-gain Kaiser-sinc
+    phases for up/down. Kept per ratio: a corpus repeats a few ratios, and
+    designing a bank costs more than filtering a short recording with it."""
+    scale = min(1.0, up / down)  # cutoff relative to the input Nyquist
+    half_t = FILTER_ZERO_CROSSINGS / scale
+    half = int(np.ceil(half_t))
+    t = np.arange(up)[:, None] / up - np.arange(-half, half + 1)
+    u = t / half_t
+    window = np.i0(KAISER_BETA * np.sqrt(np.maximum(1.0 - u ** 2, 0.0))) / np.i0(KAISER_BETA)
+    bank = scale * np.sinc(scale * t) * np.where(np.abs(u) <= 1.0, window, 0.0)
+    bank /= bank.sum(axis=1, keepdims=True)
+    bank.flags.writeable = False
+    return bank
+
+
 def resample_signal(x: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
     """Rate-convert a 1-d signal; output length is round(n * target/source).
 
@@ -95,14 +115,8 @@ def resample_signal(x: np.ndarray, source_rate: int, target_rate: int) -> np.nda
     x = np.asarray(x, dtype=np.float64)
     up, down = Fraction(int(target_rate), int(source_rate)).as_integer_ratio()
     n_out = (2 * x.size * up + down) // (2 * down)
-    scale = min(1.0, up / down)  # cutoff relative to the input Nyquist
-    half_t = FILTER_ZERO_CROSSINGS / scale
-    half = int(np.ceil(half_t))
-    t = np.arange(up)[:, None] / up - np.arange(-half, half + 1)
-    u = t / half_t
-    window = np.i0(KAISER_BETA * np.sqrt(np.maximum(1.0 - u ** 2, 0.0))) / np.i0(KAISER_BETA)
-    bank = scale * np.sinc(scale * t) * np.where(np.abs(u) <= 1.0, window, 0.0)
-    bank /= bank.sum(axis=1, keepdims=True)
+    bank = _phase_bank(up, down)
+    half = bank.shape[1] // 2
     windows = sliding_window_view(np.pad(x, (half, half + 2)), 2 * half + 1)
     out = np.empty(n_out)
     for r in range(min(up, n_out)):
@@ -273,18 +287,21 @@ ARCHIVE_MAGIC = b"SPRF1"
 
 def write_feature_archive(path, values: np.ndarray, labels) -> None:
     """Write a [n x frames x mels] array and its n labels to the
-    little-endian binary archive format, one item at a time."""
+    little-endian binary archive format, one item at a time, through
+    ``path.tmp``, renamed onto ``path`` once complete."""
     if values.ndim != 3 or len(labels) != values.shape[0]:
         raise ArchiveFormatError(
             f"need [n x frames x mels] values and n labels, got {values.shape} "
             f"and {len(labels)} labels")
     _, n_frames, n_mels = values.shape
-    with open(path, "wb") as f:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(ARCHIVE_MAGIC)
         f.write(struct.pack("<I", len(labels)))
         for item, label in zip(values, labels):
             f.write(struct.pack("<III", n_frames, n_mels, int(label)))
             f.write(item.astype("<f4").tobytes())
+    os.replace(tmp, path)
 
 
 def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:

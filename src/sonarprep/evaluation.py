@@ -59,8 +59,11 @@ def metrics_from_predictions(y_true, y_pred, n_classes: int) -> Metrics:
 
 
 def predict(model: ModelState, features: np.ndarray,
-            batch_size: int = 256) -> np.ndarray:
-    """Argmax class per sample; ties resolve to the lowest class index."""
+            batch_size: int = 32) -> np.ndarray:
+    """Argmax class per sample; ties resolve to the lowest class index.
+
+    Memory peaks with one batch's activations, whatever the sample count.
+    """
     preds = []
     for start in range(0, features.shape[0], batch_size):
         chunk = features[start:start + batch_size]

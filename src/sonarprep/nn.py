@@ -7,12 +7,18 @@ returns the logits and fills a list it is given with what backward
 reads; inference passes no list and keeps nothing. A model holds only
 its parameters, so any number of passes can run on it at once.
 
+Layouts: the input batch is [B, C, H, W]; every activation, cache entry
+and returned spatial gradient is channels-last, [B, H, W, C], so the
+im2col gather copies contiguous runs and a conv's matmul yields its
+output. Conv weights stay [out, in, k, k], as checkpoints store them.
+
 Use float64 models when checking gradients numerically and float32 for
 actual training runs.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -179,19 +185,22 @@ def aggregate_input_channels(weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int):
-    """Returns the im2col matrix ``[B*H*W, C*k*k]`` and the output."""
-    batch, _, height, width = x.shape
-    out_ch, in_ch, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    """Channels-last convolution of ``x`` [B, H, W, C]. Returns the im2col
+    matrix ``[B*H'*W', k*k*C]``, each row in ``(k, k, C)`` order, and the
+    output [B, H', W', out]."""
+    batch, height, width, in_ch = x.shape
+    out_ch, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     out_h = height + 2 * pad - k + 1
     out_w = width + 2 * pad - k + 1
     if out_h < 1 or out_w < 1:
         raise ShapeMismatchError(f"input {height}x{width} smaller than kernel {k}")
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w,
-                                                       in_ch * k * k)
-    y = cols @ w.reshape(out_ch, -1).T + b
-    return cols, y.reshape(batch, out_h, out_w, out_ch).transpose(0, 3, 1, 2)
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch * out_h * out_w,
+                                                       k * k * in_ch)
+    y = cols @ w.transpose(2, 3, 1, 0).reshape(k * k * in_ch, out_ch)
+    y += b
+    return cols, y.reshape(batch, out_h, out_w, out_ch)
 
 
 def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray, pad: int,
@@ -199,41 +208,51 @@ def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray, pad: int,
     """Weight, bias and input gradients from the forward pass's im2col
     matrix; the input gradient is None unless ``input_grad`` asks for it."""
     out_ch, in_ch, k, _ = w.shape
-    dy_flat = dy.transpose(0, 2, 3, 1).reshape(-1, out_ch)
-    dw = (dy_flat.T @ cols).reshape(w.shape)
-    db = dy.sum(axis=(0, 2, 3))
+    batch, out_h, out_w, _ = dy.shape
+    dy_flat = dy.reshape(-1, out_ch)
+    dw = (cols.T @ dy_flat).reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
+    db = dy_flat.sum(axis=0)
     if not input_grad:
         return dw, db, None
-    # grad wrt input: full correlation of dy with channel-swapped flipped kernels
-    w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-    dxp = _conv_forward(dyp, w_flip, np.zeros(in_ch, dtype=dy.dtype), pad=0)[1]
-    dx = dxp[:, :, pad:dxp.shape[2] - pad, pad:dxp.shape[3] - pad]
-    return dw, db, dx
+    # col2im: column block (di, dj) of the im2col gradient adds onto the
+    # padded input shifted by (di, dj)
+    wm = w.transpose(2, 3, 1, 0).reshape(k * k * in_ch, out_ch)
+    dcols = (dy_flat @ wm.T).reshape(batch, out_h, out_w, k, k, in_ch)
+    dxp = np.zeros((batch, out_h + k - 1, out_w + k - 1, in_ch), dtype=dy.dtype)
+    for di in range(k):
+        for dj in range(k):
+            dxp[:, di:di + out_h, dj:dj + out_w] += dcols[:, :, :, di, dj]
+    return dw, db, dxp[:, pad:dxp.shape[1] - pad, pad:dxp.shape[2] - pad]
+
+
+def _pool_slice(x: np.ndarray, j: int, size: int, out_h: int, out_w: int):
+    """Element ``j`` (row-major) of every ``size`` x ``size`` pooling window."""
+    di, dj = divmod(j, size)
+    return x[:, di:di + out_h * size:size, dj:dj + out_w * size:size]
 
 
 def _maxpool_forward(x: np.ndarray, size: int):
-    batch, ch, height, width = x.shape
+    """Max over each window of ``x`` [B, H, W, C], cropping the remainder.
+    Saves the row-major position of the first maximum in each window."""
+    _, height, width, _ = x.shape
     out_h, out_w = height // size, width // size
     if out_h == 0 or out_w == 0:
         raise ShapeMismatchError(f"input {height}x{width} too small for pool {size}")
-    cropped = x[:, :, :out_h * size, :out_w * size]
-    patches = cropped.reshape(batch, ch, out_h, size, out_w, size)
-    patches = patches.transpose(0, 1, 2, 4, 3, 5).reshape(batch, ch, out_h, out_w, -1)
-    idx = patches.argmax(axis=-1)
-    y = np.take_along_axis(patches, idx[..., None], axis=-1)[..., 0]
+    y = _pool_slice(x, 0, size, out_h, out_w).copy()
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(size * size - 1))
+    for j in range(1, size * size):
+        v = _pool_slice(x, j, size, out_h, out_w)
+        np.putmask(idx, v > y, j)  # strict: ties keep the earlier position
+        np.maximum(y, v, out=y)
     return y, (idx, x.shape)
 
 
 def _maxpool_backward(dy: np.ndarray, cache, size: int):
     idx, x_shape = cache
-    batch, ch, out_h, out_w = dy.shape
-    flat = np.zeros((batch, ch, out_h, out_w, size * size), dtype=dy.dtype)
-    np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
-    grad = flat.reshape(batch, ch, out_h, out_w, size, size)
-    grad = grad.transpose(0, 1, 2, 4, 3, 5).reshape(batch, ch, out_h * size, out_w * size)
+    _, out_h, out_w, _ = dy.shape
     dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx[:, :, :out_h * size, :out_w * size] = grad
+    for j in range(size * size):
+        _pool_slice(dx, j, size, out_h, out_w)[...] = np.where(idx == j, dy, 0)
     return dx
 
 
@@ -245,17 +264,20 @@ def forward(model: ModelState, batch: np.ndarray,
             cache: list | None = None) -> np.ndarray:
     """Run the network and return the logits.
 
-    A caller that will call :func:`backward` passes an empty ``cache``
-    list, and ``cache[i]`` receives what layer ``i`` saved: a convolution
-    its im2col matrix and its output, a ReLU its input, a max pool its
-    argmax indices and input shape, global pooling its input shape, a
-    dense layer its input. Without a list nothing is kept.
+    ``batch`` is laid out [B, C, H, W]; inside the network every
+    activation is channels-last, [B, H, W, C]. A caller that will call
+    :func:`backward` passes an empty ``cache`` list, and ``cache[i]``
+    receives what layer ``i`` saved: a convolution its im2col matrix and
+    its output, a ReLU its input, a max pool the position of each window's
+    maximum and its input shape, global pooling its input shape, a dense
+    layer its input. Without a list nothing is kept.
     """
     x = np.asarray(batch).astype(model.dtype, copy=False)
     if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
         raise ShapeMismatchError(
             f"expected [batch, {model.arch.in_channels}, H, W], got {x.shape}"
         )
+    x = x.transpose(0, 2, 3, 1)
     for i, layer in enumerate(model.arch.layers):
         if isinstance(layer, Conv):
             name = _param_name(i, layer)
@@ -267,7 +289,7 @@ def forward(model: ModelState, batch: np.ndarray,
         elif isinstance(layer, MaxPool):
             x, saved = _maxpool_forward(x, layer.size)
         elif isinstance(layer, GlobalAvgPool):
-            saved, x = x.shape, x.mean(axis=(2, 3))
+            saved, x = x.shape, x.mean(axis=(1, 2))
         elif isinstance(layer, Dense):
             saved = x
             name = _param_name(i, layer)
@@ -286,7 +308,8 @@ def backward(model: ModelState, cache: list, grad_logits: np.ndarray,
     the gradients of the parameters of ``layers[stop:]`` and the gradient
     at the output of ``layers[stop - 1]``. For ``stop == 0`` that output is
     the network input, whose gradient nobody reads: it is not computed
-    and None is returned in its place.
+    and None is returned in its place. Spatial gradients are
+    channels-last, [B, H, W, C], like the activations in ``cache``.
     """
     g = np.asarray(grad_logits).astype(model.dtype, copy=False)
     grads: dict[str, np.ndarray] = {}
@@ -305,8 +328,8 @@ def backward(model: ModelState, cache: list, grad_logits: np.ndarray,
             g = _maxpool_backward(g, saved, layer.size)
         elif isinstance(layer, GlobalAvgPool):
             x_shape = saved
-            area = x_shape[2] * x_shape[3]
-            g = np.broadcast_to(g[:, :, None, None] / area, x_shape).copy()
+            area = x_shape[1] * x_shape[2]
+            g = np.broadcast_to(g[:, None, None, :] / area, x_shape).copy()
         elif isinstance(layer, Dense):
             name = _param_name(i, layer)
             grads[f"{name}.weight"] = saved.T @ g
@@ -406,9 +429,10 @@ def cam_from_activations(activations: np.ndarray, grads: np.ndarray) -> np.ndarr
 def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Class activation map for one input against its own predicted class.
 
-    Backpropagates only down to the output of the last convolution.
-    Returns the map and the predicted class; ties resolve to the lowest
-    class index.
+    ``x`` is [1, C, H, W]. Backpropagates only down to the output of the
+    last convolution, whose channels-last activation and gradient are
+    handed to :func:`cam_from_activations` as [C, H, W]. Returns the map
+    and the predicted class; ties resolve to the lowest class index.
     """
     convs = [i for i, layer in enumerate(model.arch.layers) if isinstance(layer, Conv)]
     if not convs:
@@ -422,11 +446,11 @@ def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     seed_grad = np.zeros_like(logits)
     seed_grad[0, predicted] = 1.0
     _, grad = backward(model, cache, seed_grad, stop=convs[-1] + 1)
-    activations = cache[convs[-1]][1]
-    # The conv output is laid out channels-last; the sums of
-    # cam_from_activations round differently in another memory order.
-    return cam_from_activations(np.ascontiguousarray(activations[0]),
-                                np.ascontiguousarray(grad[0])), predicted
+    # C-contiguous [C, H, W] copies: the sums of cam_from_activations
+    # round differently in another memory order.
+    activations = np.ascontiguousarray(cache[convs[-1]][1][0].transpose(2, 0, 1))
+    grad = np.ascontiguousarray(grad[0].transpose(2, 0, 1))
+    return cam_from_activations(activations, grad), predicted
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +461,10 @@ CHECKPOINT_MAGIC = b"SPNN1"
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
-    """Write named tensors as float32 in a little-endian binary format."""
-    with open(path, "wb") as f:
+    """Write named tensors as float32 in a little-endian binary format,
+    through ``path.tmp``, renamed onto ``path`` once complete."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(params)))
         for name, tensor in params.items():
@@ -448,6 +474,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
             f.write(struct.pack("<I", tensor.ndim))
             f.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
             f.write(np.asarray(tensor).astype("<f4").tobytes())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

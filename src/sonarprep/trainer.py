@@ -76,7 +76,7 @@ def one_hot(labels: np.ndarray, n_classes: int, dtype=np.float32) -> np.ndarray:
 
 
 def validation_pass(model: ModelState, features: np.ndarray, labels: np.ndarray,
-                    batch_size: int = 256) -> tuple[float, float]:
+                    batch_size: int = 32) -> tuple[float, float]:
     """Unaugmented loss and accuracy over a held-out set."""
     total_loss = 0.0
     correct = 0
@@ -130,6 +130,7 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
             logits = forward(model, inputs[:, None, :, :], cache)
             loss, grad_logits = cross_entropy_soft(logits, targets)
             grads, _ = backward(model, cache, grad_logits)
+            del cache  # else the last batch's cache lives through validation
             adam_step(model.params, grads, optimizer)
             epoch_loss += loss * len(idx)
         val_loss, val_acc = validation_pass(model, val_x, val_y)

@@ -21,6 +21,7 @@ from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, LOG_FLOOR, ArchiveFormatError
                            mel_filterbank, mel_to_hz, read_feature_archive,
                            resample, resample_signal, scale_config, segment,
                            stft_power, write_feature_archive)
+from sonarprep.dsp import _phase_bank
 
 
 class TestResample:
@@ -100,6 +101,15 @@ class TestResample:
             expected.append(x[taps[inside]] @ h[inside] / h.sum())
         np.testing.assert_allclose(resample_signal(x, src, dst), expected,
                                    rtol=0, atol=1e-12)
+
+    def test_filter_bank_is_designed_once_per_ratio_and_read_only(self):
+        x = np.random.default_rng(3).standard_normal(500)
+        first = resample_signal(x, 44100, 16000)
+        bank = _phase_bank(160, 441)
+        assert _phase_bank(160, 441) is bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 0.0
+        np.testing.assert_array_equal(resample_signal(x, 44100, 16000), first)
 
     def test_invalid_rates(self):
         w = Waveform(samples=np.ones(10), rate=8000)
@@ -367,6 +377,12 @@ class TestArchive:
         path.write_bytes(blob)
         with pytest.raises(ArchiveFormatError, match=f"x.sprf: .*{problem}"):
             read_feature_archive(path)
+
+    def test_failed_write_leaves_no_archive(self, tmp_path):
+        path = tmp_path / "x.sprf"
+        with pytest.raises(struct.error):  # the second label does not fit
+            write_feature_archive(path, np.zeros((2, 3, 2)), [0, -1])
+        assert not path.exists()
 
     def test_writer_needs_one_label_per_item(self, tmp_path):
         with pytest.raises(ArchiveFormatError):

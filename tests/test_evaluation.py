@@ -1,6 +1,7 @@
 """Metrics, multi-run aggregation, activation-map reports, and table rendering."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import sonarprep.evaluation
 import sonarprep.nn
 from sonarprep.dsp import read_feature_archive
-from sonarprep.nn import (Architecture, Conv, Dense, GlobalAvgPool, Relu, backward,
-                          cam_from_activations, forward, init_model)
+from sonarprep.nn import (DEFAULT_ARCHITECTURE, Architecture, Conv, Dense,
+                          GlobalAvgPool, Relu, backward, cam_from_activations,
+                          forward, init_model)
 from sonarprep.evaluation import (EmptyTestSetError, Metrics,
                                   aggregate_cams, aggregate_runs,
                                   confusion_matrix, evaluate, format_mean_std,
@@ -102,6 +104,22 @@ class TestPredict:
         x = np.random.default_rng(2).normal(size=(9, 8, 6))
         np.testing.assert_array_equal(predict(m, x, batch_size=4),
                                       predict(m, x, batch_size=256))
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
+        x = np.random.default_rng(0).normal(size=(96, 40, 16)).astype(np.float32)
+        predict(m, x[:32])
+
+        def peak(features):
+            tracemalloc.start()
+            try:
+                predict(m, features)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(x[:32]), peak(x)  # one and three default batches
+        assert three <= 1.1 * one
 
     def test_evaluate_bundles_metrics(self):
         m = zero_logit_model()
@@ -235,8 +253,9 @@ class TestCamAggregation:
             seed_grad = np.zeros_like(logits)
             seed_grad[0, predicted] = 1.0
             _, conv_grad = backward(m, cache, seed_grad, stop=1)  # down to conv0's output
-            cam = cam_from_activations(np.ascontiguousarray(cache[0][1][0]),
-                                       np.ascontiguousarray(conv_grad[0]))
+            cam = cam_from_activations(  # channels-last -> [C, H, W]
+                np.ascontiguousarray(cache[0][1][0].transpose(2, 0, 1)),
+                np.ascontiguousarray(conv_grad[0].transpose(2, 0, 1)))
             key = (int(label), predicted == label)
             sums[key] = sums.get(key, 0.0) + cam
             want_counts[key] = want_counts.get(key, 0) + 1

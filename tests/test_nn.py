@@ -16,6 +16,8 @@ from sonarprep.nn import (DEFAULT_ARCHITECTURE, AdamState, Architecture,
                           cam_from_activations, cross_entropy_soft, forward,
                           grad_cam, init_model, load_checkpoint,
                           save_checkpoint)
+from sonarprep.nn import (_conv_backward, _conv_forward, _maxpool_backward,
+                          _maxpool_forward)
 
 EPS = 1e-6
 
@@ -75,7 +77,7 @@ class TestForward:
         cache = []
         logits = forward(m, np.zeros((2, 1, 7, 9)), cache)
         assert logits.shape == (2, 3)
-        assert cache[0][1].shape == (2, 4, 7, 9)  # the conv output
+        assert cache[0][1].shape == (2, 7, 9, 4)  # the conv output, channels-last
 
     def test_without_a_list_returns_only_the_logits(self):
         m = init_model(DEFAULT_ARCHITECTURE, 3, seed=1, dtype=np.float64)
@@ -92,10 +94,16 @@ class TestForward:
         assert cols.shape == (2 * 8 * 6, 1 * 3 * 3)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         for b, h, w in [(0, 0, 0), (1, 7, 5), (1, 3, 2)]:
-            np.testing.assert_array_equal(cols[(b * 8 + h) * 6 + w],
-                                          xp[b, :, h:h + 3, w:w + 3].ravel())
-        assert y.shape == (2, 16, 8, 6)
-        assert cache[3][0].shape == (2 * 4 * 3, 16 * 3 * 3)  # after the 2x2 pool
+            np.testing.assert_array_equal(
+                cols[(b * 8 + h) * 6 + w],
+                xp[b, :, h:h + 3, w:w + 3].transpose(1, 2, 0).ravel())
+        assert y.shape == (2, 8, 6, 16)
+        cols3 = cache[3][0]
+        assert cols3.shape == (2 * 4 * 3, 3 * 3 * 16)  # after the 2x2 pool
+        pooled = np.maximum(y, 0).reshape(2, 4, 2, 3, 2, 16).max(axis=(2, 4))
+        pp = np.pad(pooled, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        np.testing.assert_array_equal(cols3[(1 * 4 + 2) * 3 + 1],  # (k, k, C) order
+                                      pp[1, 2:5, 1:4, :].ravel())
 
     def test_inference_keeps_no_cache(self):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
@@ -216,6 +224,78 @@ class TestGradients:
         assert set(got) == set(want)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
+
+
+def loop_conv(x, w, b, pad, dy):
+    """Direct convolution of channels-last ``x`` and its gradients for the
+    output gradient ``dy``, one output element at a time."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    y = np.zeros(dy.shape)
+    dw = np.zeros(w.shape)
+    dxp = np.zeros(xp.shape)
+    for n, i, j, o in np.ndindex(*dy.shape):
+        window = xp[n, i:i + k, j:j + k, :]  # [k, k, C]
+        kernel = w[o].transpose(1, 2, 0)
+        y[n, i, j, o] = b[o] + (window * kernel).sum()
+        dw[o] += dy[n, i, j, o] * window.transpose(2, 0, 1)
+        dxp[n, i:i + k, j:j + k, :] += dy[n, i, j, o] * kernel
+    return y, dw, dxp[:, pad:xp.shape[1] - pad, pad:xp.shape[2] - pad]
+
+
+def loop_maxpool(x, size, dy):
+    """Window maxima of channels-last ``x`` and the gradient that sends
+    ``dy`` to the first maximum of each window in row-major order."""
+    y = np.zeros(dy.shape)
+    dx = np.zeros(x.shape)
+    for n, i, j, c in np.ndindex(*dy.shape):
+        window = x[n, i * size:(i + 1) * size, j * size:(j + 1) * size, c]
+        di, dj = divmod(int(np.argmax(window)), size)
+        y[n, i, j, c] = window[di, dj]
+        dx[n, i * size + di, j * size + dj, c] = dy[n, i, j, c]
+    return y, dx
+
+
+class TestKernels:
+    @pytest.mark.parametrize("in_ch", [1, 3])
+    @pytest.mark.parametrize("kernel,pad", [(2, 0), (3, 1)])
+    def test_conv_matches_loops(self, in_ch, kernel, pad):
+        rng = np.random.default_rng(kernel * 10 + in_ch)
+        x = rng.normal(size=(2, 5, 4, in_ch))
+        w = rng.normal(size=(2, in_ch, kernel, kernel))
+        b = rng.normal(size=2)
+        cols, y = _conv_forward(x, w, b, pad)
+        dy = rng.normal(size=y.shape)
+        want_y, want_dw, want_dx = loop_conv(x, w, b, pad, dy)
+        dw, db, dx = _conv_backward(dy, cols, w, pad, input_grad=True)
+        np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(db, dy.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
+        assert dx.shape == x.shape
+        np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("size,shape", [(2, (2, 7, 5, 3)), (3, (2, 8, 7, 2))])
+    def test_maxpool_matches_loops_on_cropped_input(self, size, shape):
+        rng = np.random.default_rng(size)
+        x = rng.normal(size=shape)
+        y, saved = _maxpool_forward(x, size)
+        dy = rng.normal(size=y.shape)
+        want_y, want_dx = loop_maxpool(x, size, dy)
+        np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_maxpool_backward(dy, saved, size), want_dx,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_tied_maxima_send_the_gradient_to_the_first(self, size):
+        x = np.zeros((1, size, size, 1))
+        x[0, :, :, 0] = 1.0
+        x[0, 0, 0, 0] = -1.0  # the first maximum is the window's second element
+        y, saved = _maxpool_forward(x, size)
+        dx = _maxpool_backward(np.full(y.shape, 2.0), saved, size)
+        want = np.zeros(x.shape)
+        want[0, 0, 1, 0] = 2.0
+        np.testing.assert_array_equal(y, 1.0)
+        np.testing.assert_array_equal(dx, want)
 
 
 class TestLoss:
@@ -393,6 +473,15 @@ class TestCheckpoint:
         np.testing.assert_allclose(
             loaded.params["conv0.weight"],
             donor["conv0.weight"].sum(axis=1, keepdims=True), rtol=1e-6)
+
+    def test_failed_write_leaves_no_checkpoint(self, tmp_path):
+        m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
+        tensors = dict(m.params)
+        tensors[7] = np.zeros(2)  # a name that cannot be encoded, after the others
+        path = tmp_path / "m.spnn"
+        with pytest.raises(AttributeError):
+            save_checkpoint(path, tensors)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.spnn"
