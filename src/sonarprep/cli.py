@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SonarprepError
+from .files import write_json, write_text
 from .wavio import Manifest, ManifestEntry, load_manifest, parse_wav, write_manifest
 from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, read_feature_archive,
                   segment_length, write_feature_archive)
@@ -172,7 +173,7 @@ _CONFIG_KEYS = {
 def _read_text(path) -> str:
     """Text of a config, manifest or split file, or an error naming the file."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise SonarprepError(f"{path}: not a text file ({exc})") from exc
 
@@ -310,7 +311,7 @@ def _write_run_record(out_dir: Path, command: str, details: dict) -> None:
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }
-    (out_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "run.json", record)
 
 
 def _read_wav(corpus_root: Path, entry: ManifestEntry):
@@ -318,12 +319,20 @@ def _read_wav(corpus_root: Path, entry: ManifestEntry):
                      source_id=entry.recording_id)
 
 
-def _load_classes(features_dir: Path) -> list[str]:
+def _load_classes(features_dir: Path, rates: tuple[int, int] | None = None) -> list[str]:
+    """Class names from ``classes.json``; given ``(data rate, model rate)``,
+    refuse features made at other rates."""
     path = features_dir / "classes.json"
     try:
-        return json.loads(path.read_text())["classes"]
-    except (ValueError, KeyError, TypeError) as exc:
+        record = json.loads(path.read_text())
+        made = (record.get("data_rate"), record.get("model_rate"))
+        classes = record["classes"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
+    if rates and made != rates:
+        raise SonarprepError(f"{features_dir}: features made at data/model rate {made[0]}/"
+                             f"{made[1]} Hz, the config sets {rates[0]}/{rates[1]} Hz")
+    return classes
 
 
 def _load_split(features_dir: Path, name: str,
@@ -368,8 +377,7 @@ def ingest(corpus_root: Path, out: Path):
                 duration_seconds=w.duration_seconds,
             ))
     manifest = Manifest(entries)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(write_manifest(manifest))
+    write_text(out, write_manifest(manifest))
     click.echo(f"wrote {len(entries)} recordings across "
                f"{len(manifest.classes)} classes to {out}")
 
@@ -406,9 +414,7 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
         return
     counts = segment_counts(manifest, cfg.segment_seconds)
     sf = stratified_split(manifest, counts, cfg.split)
-    out_path = _require(out or cfg.split_file, "--out")
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text(write_split_file(sf))
+    write_text(_require(out or cfg.split_file, "--out"), write_split_file(sf))
     for name in ("train", "val", "test"):
         recs = sum(c[0] for c in sf.class_counts[name].values())
         segs = sum(c[1] for c in sf.class_counts[name].values())
@@ -444,16 +450,15 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
     data, stats = build_feature_sets(manifest, lambda entry: _read_wav(corpus, entry),
                                      assignment, cfg.data_rate, cfg.train.feature,
                                      cfg.segment_seconds, jobs=cfg.jobs)
-    out.mkdir(parents=True, exist_ok=True)
     for name in SPLIT_NAMES:
         x, y = getattr(data, name)
         write_feature_archive(out / f"{name}.sprf", x, y)
         click.echo(f"{name}.sprf: {len(y)} segments")
-    (out / "norm_stats.json").write_text(json.dumps(
-        {"global_min": stats.global_min, "global_max": stats.global_max},
-        indent=2, sort_keys=True) + "\n")
-    (out / "classes.json").write_text(json.dumps(
-        {"classes": list(manifest.classes)}, indent=2, sort_keys=True) + "\n")
+    write_json(out / "norm_stats.json",
+               {"global_min": stats.global_min, "global_max": stats.global_max})
+    write_json(out / "classes.json", {"classes": list(manifest.classes),
+                                      "data_rate": cfg.data_rate,
+                                      "model_rate": cfg.train.feature.model_rate})
     _write_run_record(out, "featurize", _settings_record(cfg))
 
 
@@ -466,17 +471,16 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
 def train(config_path, features_dir, out_dir):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
-    classes = _load_classes(features_dir)
+    classes = _load_classes(features_dir, (cfg.data_rate, cfg.train.feature.model_rate))
     data = FeatureSets(*(_load_split(features_dir, name, len(classes))
                          for name in SPLIT_NAMES),
                        n_classes=len(classes))
     out = _require(out_dir or cfg.output_dir, "--out")
-    out.mkdir(parents=True, exist_ok=True)
     results = run_seeds(cfg.train, data)
     summary = {"seeds": [], "classes": classes}
     for result in results:
         save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params)
-        (out / f"history_seed{result.seed}.csv").write_text(history_csv(result.history))
+        write_text(out / f"history_seed{result.seed}.csv", history_csv(result.history))
         summary["seeds"].append({
             "seed": result.seed,
             "best_epoch": result.history.best_epoch,
@@ -488,9 +492,9 @@ def train(config_path, features_dir, out_dir):
     aggregate = aggregate_runs([r.metrics for r in results])
     summary["mean_accuracy"] = aggregate.mean_accuracy
     summary["std_accuracy"] = aggregate.std_accuracy
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    (out / "confusion_mean.csv").write_text(
-        render_confusion_csv(aggregate.mean_confusion, classes))
+    write_json(out / "summary.json", summary)
+    write_text(out / "confusion_mean.csv",
+               render_confusion_csv(aggregate.mean_confusion, classes))
     _write_run_record(out, "train", _settings_record(cfg))
     click.echo(f"mean test accuracy "
                f"{aggregate.mean_accuracy:.4f} +/- {aggregate.std_accuracy:.4f}")
@@ -515,17 +519,16 @@ def eval_cmd(model_path, features_dir, out_dir):
     features, labels = _load_split(features_dir, "test", len(classes))
     model = _restore_model(model_path, len(classes))
     metrics = evaluate(model, features, labels)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(json.dumps({
+    write_json(out_dir / "metrics.json", {
         "accuracy": metrics.accuracy,
         "per_class_recall": {c: metrics.per_class_recall[i]
                              for i, c in enumerate(classes)},
         "n_test": int(labels.size),
-    }, indent=2, sort_keys=True) + "\n")
-    (out_dir / "confusion_counts.csv").write_text(
-        render_confusion_csv(metrics.confusion, classes))
-    (out_dir / "confusion_rownorm.csv").write_text(
-        render_confusion_rownorm_csv(metrics.confusion, classes))
+    })
+    write_text(out_dir / "confusion_counts.csv",
+               render_confusion_csv(metrics.confusion, classes))
+    write_text(out_dir / "confusion_rownorm.csv",
+               render_confusion_rownorm_csv(metrics.confusion, classes))
     _write_run_record(out_dir, "eval", _inputs_record(model_path, features_dir))
     click.echo(f"accuracy {metrics.accuracy:.4f} on {labels.size} segments")
 
@@ -544,7 +547,6 @@ def gradcam(model_path, features_dir, out_dir):
     features, labels = _load_split(features_dir, "test", len(classes))
     model = _restore_model(model_path, len(classes))
     maps, counts = aggregate_cams(model, features, labels)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_cam_report(out_dir, maps, counts, classes)
     _write_run_record(out_dir, "gradcam", _inputs_record(model_path, features_dir))
     click.echo(f"aggregated maps over {labels.size} segments "
@@ -571,13 +573,12 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
         raise click.ClickException("sweep needs --data-rates and --model-rates "
                                    "(or sweep.* config keys)")
     out = _require(out_dir or cfg.output_dir, "--out")
-    out.mkdir(parents=True, exist_ok=True)
     raw = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train, manifest,
                     lambda entry: _read_wav(corpus, entry),
                     split_spec=cfg.split, seconds=cfg.segment_seconds,
                     jobs=cfg.jobs)
-    (out / "sweep_raw.json").write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
-    (out / "sweep_table.csv").write_text(render_sweep_table(raw["cells"]))
+    write_json(out / "sweep_raw.json", raw)
+    write_text(out / "sweep_table.csv", render_sweep_table(raw["cells"]))
     _write_run_record(out, "sweep", _settings_record(cfg))
     for cell in raw["cells"]:
         click.echo(f"data {cell['data_rate']} Hz / model {cell['model_rate']} Hz: "
@@ -603,9 +604,8 @@ def report(raw_path, out_dir):
             files[f"{stem}_rownorm.csv"] = render_confusion_rownorm_csv(conf, classes)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise SonarprepError(f"{raw_path}: not a sweep record ({exc!r})") from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out_dir / name).write_text(text)
+        write_text(out_dir / name, text)
     click.echo(f"rendered {len(raw['cells'])} sweep cells to {out_dir}")
 
 

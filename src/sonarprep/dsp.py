@@ -11,7 +11,6 @@ outputs with one strided matmul.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -21,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SonarprepError
+from .files import atomic_open
 from .wavio import Waveform
 
 LOG_FLOOR = 1e-10            # power floor before dB conversion (-100 dB)
@@ -286,22 +286,18 @@ ARCHIVE_MAGIC = b"SPRF1"
 
 
 def write_feature_archive(path, values: np.ndarray, labels) -> None:
-    """Write a [n x frames x mels] array and its n labels to the
-    little-endian binary archive format, one item at a time, through
-    ``path.tmp``, renamed onto ``path`` once complete."""
+    """Write a [n x frames x mels] array and its n labels, one item at a
+    time and atomically, to the little-endian binary archive format."""
     if values.ndim != 3 or len(labels) != values.shape[0]:
         raise ArchiveFormatError(
             f"need [n x frames x mels] values and n labels, got {values.shape} "
             f"and {len(labels)} labels")
     _, n_frames, n_mels = values.shape
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(ARCHIVE_MAGIC)
-        f.write(struct.pack("<I", len(labels)))
+    with atomic_open(path) as f:
+        f.write(ARCHIVE_MAGIC + struct.pack("<I", len(labels)))
         for item, label in zip(values, labels):
             f.write(struct.pack("<III", n_frames, n_mels, int(label)))
             f.write(item.astype("<f4").tobytes())
-    os.replace(tmp, path)
 
 
 def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:

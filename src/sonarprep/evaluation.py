@@ -7,13 +7,13 @@ standard deviation, formatted as percentages to one decimal place.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SonarprepError
 from .dsp import write_feature_archive
+from .files import write_json
 from .nn import ModelState, forward, grad_cam
 
 
@@ -186,5 +186,4 @@ def write_cam_report(out_dir, maps: np.ndarray, counts: np.ndarray, classes) -> 
     } for item, count in enumerate(counts.ravel())]
     write_feature_archive(out_dir / "cams.sprf", maps.reshape(-1, height, width),
                           np.repeat(np.arange(n_classes), 2))
-    payload = {"map_shape": [height, width], "buckets": sidecar}
-    (out_dir / "cams.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "cams.json", {"map_shape": [height, width], "buckets": sidecar})

@@ -18,7 +18,6 @@ actual training runs.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SonarprepError, ShapeMismatchError
+from .files import atomic_open
 
 
 class ShapeComposeError(SonarprepError):
@@ -374,12 +374,9 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float = 5e-5,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray], lr: float = 5e-5) -> "AdamState":
         return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()},
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                   v={k: np.zeros_like(p) for k, p in params.items()}, lr=lr)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -461,20 +458,14 @@ CHECKPOINT_MAGIC = b"SPNN1"
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
-    """Write named tensors as float32 in a little-endian binary format,
-    through ``path.tmp``, renamed onto ``path`` once complete."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(params)))
+    """Atomically write named tensors as float32 in a little-endian binary format."""
+    with atomic_open(path) as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<I", len(params)))
         for name, tensor in params.items():
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", tensor.ndim))
-            f.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            f.write(struct.pack(f"<I{len(encoded)}sI{tensor.ndim}I", len(encoded), encoded,
+                                tensor.ndim, *tensor.shape))
             f.write(np.asarray(tensor).astype("<f4").tobytes())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -1,8 +1,8 @@
 """WAV ingestion and dataset manifests.
 
 Parses RIFF/WAVE containers (16-bit PCM and 32-bit IEEE float, mono or
-stereo) into mono float waveforms, writes them back out, and handles the
-CSV manifest that maps recordings to class labels and file paths.
+stereo) into mono float waveforms, and handles the CSV manifest that maps
+recordings to class labels and file paths.
 """
 
 from __future__ import annotations
@@ -151,25 +151,6 @@ def _decode_samples(raw: bytes, fmt: tuple) -> np.ndarray:
     if channels == 2:
         arr = arr.reshape(-1, 2).mean(axis=1)
     return arr
-
-
-def write_wav(w: Waveform, encoding: str = "pcm16") -> bytes:
-    """Serialize a mono waveform as RIFF/WAVE ('pcm16' or 'float32')."""
-    if encoding == "pcm16":
-        fmt_tag, bits = _PCM, 16
-        q = np.clip(np.rint(w.samples * PCM16_SCALE), -32768, 32767)
-        payload = q.astype("<i2").tobytes()
-    elif encoding == "float32":
-        fmt_tag, bits = _IEEE_FLOAT, 32
-        payload = w.samples.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    frame_bytes = bits // 8
-    fmt_body = struct.pack("<HHIIHH", fmt_tag, 1, w.rate, w.rate * frame_bytes,
-                           frame_bytes, bits)
-    chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
-    chunks += b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", len(chunks)) + chunks
 
 
 MANIFEST_FIELDS = ("recording_id", "class_label", "file_path", "duration_seconds")

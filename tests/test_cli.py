@@ -279,7 +279,8 @@ class TestPipelineCommands:
         stats = json.loads((feats / "norm_stats.json").read_text())
         assert stats["global_min"] < stats["global_max"]
         classes = json.loads((feats / "classes.json").read_text())
-        assert classes["classes"] == ["alpha", "bravo"]
+        assert classes == {"classes": ["alpha", "bravo"], "data_rate": 8000,
+                           "model_rate": 8000}
 
     def test_featurize_is_deterministic_across_jobs(self, pipeline, tmp_path):
         root, runner = pipeline
@@ -618,6 +619,35 @@ class TestErrorSurface:
             "--features", str(feats), "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
         assert "classes.json" in result.output
+
+    def test_train_refuses_features_made_at_other_rates(self, pipeline, tmp_path):
+        root, runner = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("data.rate = 8k\n", ""))
+        feats = tmp_path / "feats"
+        result = runner.invoke(main, [
+            "featurize", "--config", str(cfg), "--data-rate", "2k",
+            "--manifest", str(root / "manifest.csv"),
+            "--split-file", str(root / "split.csv"),
+            "--corpus-root", str(root / "corpus"), "--out", str(feats)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--features",
+                                      str(feats), "--out", str(tmp_path / "runs")])
+        assert_clean_failure(result)
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert str(feats) in error and "2000" in error and "32000" in error
+        assert not (tmp_path / "runs").exists()
+
+    def test_train_refuses_classes_file_without_rates(self, pipeline, tmp_path):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        (feats / "classes.json").write_text('{"classes": ["alpha", "bravo"]}')
+        result = runner.invoke(main, ["train", "--config", str(root / "run.cfg"),
+                                      "--features", str(feats),
+                                      "--out", str(tmp_path / "runs")])
+        assert_clean_failure(result)
+        assert str(feats) in result.output
 
     def test_checkpoint_with_trailing_bytes(self, pipeline, tmp_path):
         root, runner = pipeline

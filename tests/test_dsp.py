@@ -383,6 +383,12 @@ class TestArchive:
         with pytest.raises(struct.error):  # the second label does not fit
             write_feature_archive(path, np.zeros((2, 3, 2)), [0, -1])
         assert not path.exists()
+        write_feature_archive(path, np.ones((1, 3, 2)), [1])
+        before = path.read_bytes()
+        with pytest.raises(struct.error):  # a failed rewrite keeps the earlier file
+            write_feature_archive(path, np.zeros((2, 3, 2)), [0, -1])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.sprf"]
 
     def test_writer_needs_one_label_per_item(self, tmp_path):
         with pytest.raises(ArchiveFormatError):

@@ -482,6 +482,12 @@ class TestCheckpoint:
         with pytest.raises(AttributeError):
             save_checkpoint(path, tensors)
         assert not path.exists()
+        save_checkpoint(path, m.params)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):  # a failed rewrite keeps the earlier file
+            save_checkpoint(path, tensors)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.spnn"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.spnn"

@@ -204,12 +204,12 @@ class TestHistoryCsv:
         assert lines[2] == "2,0.25,0.75,0.625"
 
 
-def synthetic_manifest_and_loader(n_per_class=4, seconds=10.0, rate=8000):
+def synthetic_manifest_and_loader(n_per_class=4, seconds=10.0, rate=8000,
+                                  tones=(("hum", 400.0), ("whine", 1800.0))):
     """Tone-per-class corpus served from memory."""
-    classes = {"hum": 400.0, "whine": 1800.0}
     entries, waves = [], {}
     rng = np.random.default_rng(0)
-    for cls, freq in classes.items():
+    for cls, freq in tones:
         for i in range(n_per_class):
             rid = f"{cls}{i}"
             entries.append(ManifestEntry(rid, cls, f"{cls}/{rid}.wav", seconds))
@@ -273,3 +273,20 @@ class TestSweep:
         assert cell["n_frames"] == 1 + (5 * 8000) // TINY_FEAT.hop_length
         assert len(cell["accuracies"]) == 1
         assert result["classes"] == ["hum", "whine"]
+
+    def test_table_measures_the_data_rate(self):
+        """Tones at 1.3 and 1.7 kHz survive an 8 kHz data rate but not a
+        2 kHz one, whose anti-alias filter stops above 1 kHz: that row of
+        the table must sit at chance while the 8 kHz row separates."""
+        manifest, loader = synthetic_manifest_and_loader(
+            n_per_class=8, seconds=4.0, tones=(("high", 1700.0), ("low", 1300.0)))
+        cfg = tiny_config(lr=1e-2, max_epochs=60, patience=60, use_mixup=False)
+        from sonarprep.datasplit import SplitSpec
+        result = sweep((2000, 8000), (8000,), cfg, manifest, loader,
+                       split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0),
+                       seconds=1.0)
+        cells = {c["data_rate"]: c for c in result["cells"]}
+        for cell in cells.values():  # 2 test recordings per class, 4 segments each
+            assert np.sum(cell["mean_confusion"], axis=1).tolist() == [8, 8]
+        assert cells[2000]["mean_accuracy"] <= 0.75
+        assert cells[8000]["mean_accuracy"] >= 0.95
