@@ -14,7 +14,7 @@ import numpy as np
 from .errors import SonarprepError
 from .dsp import write_feature_archive
 from .files import write_json
-from .nn import ModelState, forward, grad_cam
+from .nn import ModelState, grad_cam, infer
 
 
 class EmptyTestSetError(SonarprepError):
@@ -58,18 +58,9 @@ def metrics_from_predictions(y_true, y_pred, n_classes: int) -> Metrics:
     return Metrics(accuracy=accuracy, per_class_recall=recall, confusion=cm)
 
 
-def predict(model: ModelState, features: np.ndarray,
-            batch_size: int = 32) -> np.ndarray:
-    """Argmax class per sample; ties resolve to the lowest class index.
-
-    Memory peaks with one batch's activations, whatever the sample count.
-    """
-    preds = []
-    for start in range(0, features.shape[0], batch_size):
-        chunk = features[start:start + batch_size]
-        logits = forward(model, chunk[:, None, :, :])
-        preds.append(np.argmax(logits, axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
+def predict(model: ModelState, features: np.ndarray) -> np.ndarray:
+    """Argmax class per sample; ties resolve to the lowest class index."""
+    return np.argmax(infer(model, features), axis=1)
 
 
 def evaluate(model: ModelState, features: np.ndarray, labels: np.ndarray) -> Metrics:

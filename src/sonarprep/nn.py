@@ -4,8 +4,10 @@ Everything is plain numpy: convolution (stride 1, zero padding), ReLU,
 max pooling, global average pooling, and dense layers, plus softmax
 cross-entropy against soft targets and an Adam optimizer. forward
 returns the logits and fills a list it is given with what backward
-reads; inference passes no list and keeps nothing. A model holds only
-its parameters, so any number of passes can run on it at once.
+reads; inference passes no list and keeps nothing. infer and gradients
+run a whole batch through them in chunks of at most CHUNK_CELLS input
+cells, so a pass's memory is bounded whatever the sample count. A model
+holds only its parameters, so any number of passes can run on it at once.
 
 Layouts: the input batch is [B, C, H, W]; every activation, cache entry
 and returned spatial gradient is channels-last, [B, H, W, C], so the
@@ -357,6 +359,49 @@ def cross_entropy_soft(logits: np.ndarray, targets: np.ndarray):
     loss = float(-(y * log_probs).sum() / batch)
     grad = (np.exp(log_probs) - y) / batch
     return loss, grad
+
+
+#: Input cells (frames x mels) one pass handles: a pass over features
+#: [N, H, W] runs in chunks of max(1, CHUNK_CELLS // (H * W)) samples, so its
+#: peak memory does not grow with N. Cells, not samples, because the im2col
+#: matrices grow with H * W.
+CHUNK_CELLS = 1 << 17
+
+
+def _chunks(features: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each chunk of a pass over ``features`` [N, H, W]."""
+    n, height, width = features.shape
+    step = max(1, CHUNK_CELLS // (height * width))
+    return [(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def infer(model: ModelState, features: np.ndarray) -> np.ndarray:
+    """Logits [N, classes] of ``features`` [N, H, W]; keeps no cache."""
+    logits = np.empty((features.shape[0], model.n_classes), dtype=model.dtype)
+    for start, stop in _chunks(features):
+        logits[start:stop] = forward(model, features[start:stop, None])
+    return logits
+
+
+def gradients(model: ModelState, inputs: np.ndarray, targets: np.ndarray):
+    """Mean soft-target cross-entropy of ``inputs`` [N, H, W] and its
+    parameter gradients, as (loss, grads).
+
+    Each chunk's loss gradient is scaled by its share of the batch and the
+    chunks' parameter gradients are summed in order; a batch that fits in
+    one chunk is computed exactly as one unchunked pass.
+    """
+    loss, grads = 0.0, {}
+    for start, stop in _chunks(inputs):
+        share = (stop - start) / inputs.shape[0]
+        cache: list = []
+        logits = forward(model, inputs[start:stop, None], cache)
+        chunk_loss, grad_logits = cross_entropy_soft(logits, targets[start:stop])
+        grad_logits *= share
+        chunk_grads, _ = backward(model, cache, grad_logits)
+        loss += chunk_loss * share
+        grads = {k: grads[k] + g for k, g in chunk_grads.items()} if grads else chunk_grads
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,16 @@ from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, sp
 from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
                         normalize, segment_counts, stratified_split)
 from .nn import (AdamState, Architecture, DEFAULT_ARCHITECTURE, ModelState,
-                 adam_step, backward, cross_entropy_soft, forward, init_model)
+                 adam_step, cross_entropy_soft, gradients, infer, init_model)
 from .evaluation import Metrics, aggregate_runs, evaluate
 
 
 class EmptyDatasetError(SonarprepError):
     """A training or validation split has no samples."""
+
+
+class DivergedError(SonarprepError):
+    """An epoch's training or validation loss is not finite."""
 
 
 @dataclass(frozen=True)
@@ -75,21 +79,13 @@ def one_hot(labels: np.ndarray, n_classes: int, dtype=np.float32) -> np.ndarray:
     return out
 
 
-def validation_pass(model: ModelState, features: np.ndarray, labels: np.ndarray,
-                    batch_size: int = 32) -> tuple[float, float]:
+def validation_pass(model: ModelState, features: np.ndarray,
+                    labels: np.ndarray) -> tuple[float, float]:
     """Unaugmented loss and accuracy over a held-out set."""
-    total_loss = 0.0
-    correct = 0
-    n = features.shape[0]
-    for start in range(0, n, batch_size):
-        chunk = features[start:start + batch_size]
-        chunk_labels = labels[start:start + batch_size]
-        logits = forward(model, chunk[:, None, :, :])
-        loss, _ = cross_entropy_soft(logits, one_hot(chunk_labels, logits.shape[1],
-                                                     dtype=logits.dtype))
-        total_loss += loss * chunk.shape[0]
-        correct += int((np.argmax(logits, axis=1) == chunk_labels).sum())
-    return total_loss / n, correct / n
+    logits = infer(model, features)
+    loss, _ = cross_entropy_soft(logits, one_hot(labels, model.n_classes,
+                                                 dtype=logits.dtype))
+    return loss, float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def _augment_batch(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
@@ -101,6 +97,9 @@ def _augment_batch(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     return masked, targets
 
 
+# a diverging run overflows; the epoch's non-finite loss then raises
+# DivergedError, so numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
           seed: int = 0) -> tuple[ModelState, RunHistory]:
     """Fit the model; returns it restored to the best-validation epoch."""
@@ -126,15 +125,16 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
             inputs = train_x[idx]
             targets = one_hot(train_y[idx], model.n_classes, dtype=model.dtype)
             inputs, targets = _augment_batch(inputs, targets, cfg, rng)
-            cache = []
-            logits = forward(model, inputs[:, None, :, :], cache)
-            loss, grad_logits = cross_entropy_soft(logits, targets)
-            grads, _ = backward(model, cache, grad_logits)
-            del cache  # else the last batch's cache lives through validation
+            loss, grads = gradients(model, inputs, targets)
             adam_step(model.params, grads, optimizer)
             epoch_loss += loss * len(idx)
+        train_loss = epoch_loss / n
         val_loss, val_acc = validation_pass(model, val_x, val_y)
-        history.train_loss.append(epoch_loss / n)
+        if not np.isfinite([train_loss, val_loss]).all():
+            raise DivergedError(f"seed {seed}: training diverged in epoch {epoch} "
+                                f"(train loss {train_loss}, val loss {val_loss}); "
+                                f"try a lower train.lr")
+        history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         history.val_acc.append(val_acc)
         if val_loss < best_loss:  # strict: ties keep the earlier epoch

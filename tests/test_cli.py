@@ -649,6 +649,16 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert str(feats) in result.output
 
+    def test_diverged_training_fails_without_a_checkpoint(self, pipeline, tmp_path):
+        root, runner = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("train.lr = 0.002", "train.lr = 1e30"))
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--features",
+                                      str(root / "feats"), "--out", str(tmp_path / "runs")])
+        assert_clean_failure(result)
+        assert result.output.startswith("Error: seed 0: training diverged in epoch 1 ")
+        assert not (tmp_path / "runs").exists()
+
     def test_checkpoint_with_trailing_bytes(self, pipeline, tmp_path):
         root, runner = pipeline
         model = tmp_path / "model.spnn"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sonarprep.evaluation
 import sonarprep.nn
 from sonarprep.dsp import read_feature_archive
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, Architecture, Conv, Dense,
@@ -97,18 +96,20 @@ class TestPredict:
         x = np.random.default_rng(0).normal(size=(4, 8, 6))
         np.testing.assert_array_equal(predict(m, x), 1)
 
-    def test_batching_matches_single_shot(self):
+    def test_batching_matches_single_shot(self, monkeypatch):
         m = zero_logit_model()
         m.params["dense3.weight"][:] = np.random.default_rng(1).normal(
             size=m.params["dense3.weight"].shape)
         x = np.random.default_rng(2).normal(size=(9, 8, 6))
-        np.testing.assert_array_equal(predict(m, x, batch_size=4),
-                                      predict(m, x, batch_size=256))
+        whole = predict(m, x)
+        monkeypatch.setattr(sonarprep.nn, "CHUNK_CELLS", 4 * 8 * 6)
+        np.testing.assert_array_equal(predict(m, x), whole)
 
     def test_memory_does_not_grow_with_the_sample_count(self):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
-        x = np.random.default_rng(0).normal(size=(96, 40, 16)).astype(np.float32)
-        predict(m, x[:32])
+        chunk = sonarprep.nn.CHUNK_CELLS // (40 * 16)
+        x = np.random.default_rng(0).normal(size=(3 * chunk, 40, 16)).astype(np.float32)
+        predict(m, x[:chunk])
 
         def peak(features):
             tracemalloc.start()
@@ -118,7 +119,7 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
 
-        one, three = peak(x[:32]), peak(x)  # one and three default batches
+        one, three = peak(x[:chunk]), peak(x)  # one and three chunks
         assert three <= 1.1 * one
 
     def test_evaluate_bundles_metrics(self):
@@ -277,7 +278,6 @@ class TestCamAggregation:
             return original(model, batch, cache)
 
         monkeypatch.setattr(sonarprep.nn, "forward", counting)
-        monkeypatch.setattr(sonarprep.evaluation, "forward", counting)
         m = zero_logit_model(n_classes=2)
         x = np.random.default_rng(0).normal(size=(5, 8, 6))
         aggregate_cams(m, x, np.array([0, 1, 0, 1, 1]))

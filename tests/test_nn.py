@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sonarprep.nn
 from sonarprep.errors import ShapeMismatchError
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, AdamState, Architecture,
                           CheckpointFormatError, Conv, Dense, GlobalAvgPool,
@@ -14,8 +15,8 @@ from sonarprep.nn import (DEFAULT_ARCHITECTURE, AdamState, Architecture,
                           WrongChannelCountError, adam_step,
                           aggregate_input_channels, apply_checkpoint, backward,
                           cam_from_activations, cross_entropy_soft, forward,
-                          grad_cam, init_model, load_checkpoint,
-                          save_checkpoint)
+                          grad_cam, gradients, infer, init_model,
+                          load_checkpoint, save_checkpoint)
 from sonarprep.nn import (_conv_backward, _conv_forward, _maxpool_backward,
                           _maxpool_forward)
 
@@ -224,6 +225,60 @@ class TestGradients:
         assert set(got) == set(want)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
+
+
+class TestChunkedPasses:
+    """A batch of 7 samples of 8 x 6 cells runs as chunks of 3, 3 and 1
+    under a budget of 3 * 48 cells, and as one chunk under the real one."""
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(11)
+        model = init_model(DEFAULT_ARCHITECTURE, 3, seed=6, dtype=np.float64)
+        x = rng.normal(size=(7, 8, 6))
+        y = rng.dirichlet(np.ones(3), size=7)
+        return model, x, y
+
+    def test_gradients_equal_one_unchunked_pass(self, batch, monkeypatch):
+        model, x, y = batch
+        cache = []
+        want_loss, grad_logits = cross_entropy_soft(forward(model, x[:, None], cache), y)
+        want, _ = backward(model, cache, grad_logits)
+        chunks = []
+        monkeypatch.setattr(sonarprep.nn, "CHUNK_CELLS", 3 * 8 * 6)
+        monkeypatch.setattr(sonarprep.nn, "forward", lambda m, b, *cache:
+                            chunks.append(len(b)) or forward(m, b, *cache))
+        loss, got = gradients(model, x, y)
+        assert chunks == [3, 3, 1]
+        assert loss == pytest.approx(want_loss, rel=1e-10, abs=0)
+        assert set(got) == set(want)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=0)
+
+    def test_one_chunk_is_the_unchunked_pass_exactly(self, batch):
+        model, x, y = batch
+        cache = []
+        want_loss, grad_logits = cross_entropy_soft(forward(model, x[:, None], cache), y)
+        want, _ = backward(model, cache, grad_logits)
+        loss, got = gradients(model, x, y)
+        assert loss == want_loss
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_infer_does_not_depend_on_the_budget(self, batch, monkeypatch):
+        model, x, _ = batch
+        whole = infer(model, x)
+        np.testing.assert_array_equal(whole, forward(model, x[:, None]))
+        monkeypatch.setattr(sonarprep.nn, "CHUNK_CELLS", 3 * 8 * 6)
+        chunked = infer(model, x)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(chunked.argmax(axis=1), whole.argmax(axis=1))
+
+    def test_a_sample_above_the_budget_runs_alone(self, batch, monkeypatch):
+        model, x, _ = batch
+        monkeypatch.setattr(sonarprep.nn, "CHUNK_CELLS", 10)
+        assert infer(model, x).shape == (7, 3)
+        assert infer(model, x[:0]).shape == (0, 3)
 
 
 def loop_conv(x, w, b, pad, dy):

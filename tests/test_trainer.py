@@ -60,7 +60,7 @@ class TestEarlyStopping:
         seen = iter(losses)
         snapshots = []
 
-        def fake_validation(model, features, labels, batch_size=256):
+        def fake_validation(model, features, labels):
             snapshots.append({k: v.copy() for k, v in model.params.items()})
             return next(seen), 0.5
 
@@ -147,9 +147,9 @@ class TestTrainLoop:
         data = tiny_data()
         seen_val = []
 
-        def spy_validation(model, features, labels, batch_size=256):
+        def spy_validation(model, features, labels):
             seen_val.append(features)
-            return validation_pass(model, features, labels, batch_size)
+            return validation_pass(model, features, labels)
 
         monkeypatch.setattr(trainer_mod, "validation_pass", spy_validation)
         model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
