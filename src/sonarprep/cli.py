@@ -447,9 +447,9 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
         )
     assignment = dict(rows)
     out = _require(out_dir or cfg.output_dir, "--out")
-    data, stats = build_feature_sets(manifest, lambda entry: _read_wav(corpus, entry),
-                                     assignment, cfg.data_rate, cfg.train.feature,
-                                     cfg.segment_seconds, jobs=cfg.jobs)
+    [(data, stats)] = build_feature_sets(manifest, lambda entry: _read_wav(corpus, entry),
+                                         assignment, cfg.data_rate, [cfg.train.feature],
+                                         cfg.segment_seconds, jobs=cfg.jobs)
     for name in SPLIT_NAMES:
         x, y = getattr(data, name)
         write_feature_archive(out / f"{name}.sprf", x, y)

@@ -12,15 +12,15 @@ import io
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, Waveform
-from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, effective_config,
-                  features_for_segment, frame_count, mel_filterbank, resample,
-                  scale_config, segment, segment_length)
+from .dsp import (DegenerateBandError, FeatureConfig, DEFAULT_FEATURE_CONFIG,
+                  effective_config, features_for_segment, frame_count,
+                  mel_filterbank, resample, scale_config, segment, segment_length)
 from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, spec_augment
 from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
                         normalize, segment_counts, stratified_split)
@@ -196,20 +196,25 @@ def history_csv(history: RunHistory) -> str:
 def build_feature_sets(manifest: Manifest,
                        load_waveform: Callable[[ManifestEntry], Waveform],
                        assignment: dict[str, str], data_rate: int,
-                       feature_cfg: FeatureConfig, seconds: float,
-                       jobs: int = 1) -> tuple[FeatureSets, NormStats]:
-    """Resample, segment, featurize, and normalize a corpus into split arrays.
+                       feature_cfgs: Sequence[FeatureConfig], seconds: float,
+                       jobs: int = 1) -> list[tuple[FeatureSets, NormStats]]:
+    """Resample, segment, featurize, and normalize a corpus into split
+    arrays, once for each feature config, in the order given.
 
-    Recordings are featurized on ``jobs`` threads; the arrays do not
-    depend on ``jobs``. Normalization stats come from the training split
-    alone, and each split must produce at least one segment.
+    Each recording is read, resampled to ``data_rate`` and segmented once,
+    and every config's log-mel is computed from those segments, so a sweep
+    resamples once per data rate. Every config's filterbank is built before
+    any audio is read. Recordings are featurized on ``jobs`` threads; the
+    arrays do not depend on ``jobs``. Each config's normalization stats come
+    from its training split alone, and each split must produce at least one
+    segment. A float64 spectrogram is dropped once its float32 row is filled.
     """
-    fb = mel_filterbank(effective_config(feature_cfg, data_rate))
+    banks = [mel_filterbank(effective_config(cfg, data_rate)) for cfg in feature_cfgs]
 
-    def featurize_recording(entry: ManifestEntry) -> list[np.ndarray]:
-        w = resample(load_waveform(entry), data_rate)
-        return [features_for_segment(samples, feature_cfg, fb)
-                for samples in segment(w, seconds)]
+    def featurize_recording(entry: ManifestEntry) -> list[list[np.ndarray]]:
+        segments = segment(resample(load_waveform(entry), data_rate), seconds)
+        return [[features_for_segment(samples, cfg, fb) for samples in segments]
+                for cfg, fb in zip(feature_cfgs, banks)]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -217,22 +222,27 @@ def build_feature_sets(manifest: Manifest,
     else:
         per_recording = [featurize_recording(e) for e in manifest.entries]
     label_index = manifest.label_indices()
-    buckets = {name: ([], []) for name in SPLIT_NAMES}
-    for entry, spectrograms in zip(manifest.entries, per_recording):
-        values, labels = buckets[assignment[entry.recording_id]]
-        values.extend(spectrograms)
-        labels.extend([label_index[entry.class_label]] * len(spectrograms))
-    for name, (values, _) in buckets.items():
-        if not values:
-            raise EmptyDatasetError(f"{name} split produced no segments")
-    stats = compute_norm_stats(buckets["train"][0])
-    sets = {}
-    for name, (values, labels) in buckets.items():
-        x = np.empty((len(values),) + values[0].shape, dtype=np.float32)
-        for i, spectrogram in enumerate(values):
-            x[i] = normalize(spectrogram, stats)
-        sets[name] = (x, np.array(labels, dtype=np.int64))
-    return FeatureSets(**sets, n_classes=len(manifest.classes)), stats
+    results = []
+    for k in range(len(feature_cfgs)):
+        buckets = {name: ([], []) for name in SPLIT_NAMES}
+        for entry, spectrograms in zip(manifest.entries, per_recording):
+            values, labels = buckets[assignment[entry.recording_id]]
+            values.extend(spectrograms[k])
+            labels.extend([label_index[entry.class_label]] * len(spectrograms[k]))
+            spectrograms[k] = None  # the buckets hold the only references
+        for name, (values, _) in buckets.items():
+            if not values:
+                raise EmptyDatasetError(f"{name} split produced no segments")
+        stats = compute_norm_stats(buckets["train"][0])
+        sets = {}
+        for name, (values, labels) in buckets.items():
+            x = np.empty((len(values),) + values[0].shape, dtype=np.float32)
+            for i, spectrogram in enumerate(values):
+                x[i] = normalize(spectrogram, stats)
+                values[i] = None
+            sets[name] = (x, np.array(labels, dtype=np.int64))
+        results.append((FeatureSets(**sets, n_classes=len(manifest.classes)), stats))
+    return results
 
 
 def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
@@ -241,9 +251,11 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
           jobs: int = 1) -> dict:
     """Full grid over data and model sampling rates.
 
-    The recording-level split is drawn once and reused for every cell;
-    each cell rescales the feature config and the time-mask budget, then
-    runs the usual multi-seed training. ``jobs`` threads featurize each cell.
+    The recording-level split is drawn once and reused for every cell.
+    Every cell's feature config and filterbank is built before any audio is
+    read. The corpus is then featurized once per data rate, on ``jobs``
+    threads, with every model rate's rescaled config; each cell also
+    rescales the time-mask budget and runs the usual multi-seed training.
     Returns the ``sweep_raw.json`` record: the class labels and one cell
     record per (data rate, model rate), sorted by data rate, then model rate.
     """
@@ -251,15 +263,25 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
     counts = segment_counts(manifest, seconds)
     split = stratified_split(manifest, counts, split_spec)
     features = {rm: scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))}
+    data_rates = sorted(set(data_rates))
+    for data_rate in data_rates:
+        for model_rate, cell_feature in features.items():
+            try:
+                mel_filterbank(effective_config(cell_feature, data_rate))
+            except DegenerateBandError as exc:
+                raise DegenerateBandError(f"data rate {data_rate}, model rate "
+                                          f"{model_rate}: {exc}") from exc
     cells = []
-    for data_rate in sorted(set(data_rates)):
+    for data_rate in data_rates:
+        feature_sets = build_feature_sets(manifest, load_waveform, split.assignment,
+                                          data_rate, list(features.values()),
+                                          seconds, jobs=jobs)
         for model_rate, cell_feature in features.items():
             cell_augment = replace(cfg.augment, data_rate=data_rate,
                                    model_rate=model_rate)
             cell_cfg = replace(cfg, feature=cell_feature, augment=cell_augment)
-            data, _ = build_feature_sets(manifest, load_waveform, split.assignment,
-                                         data_rate, cell_feature, seconds, jobs=jobs)
-            results = run_seeds(cell_cfg, data)
+            # popped, so each cell's arrays are freed once it has trained
+            results = run_seeds(cell_cfg, feature_sets.pop(0)[0])
             aggregate = aggregate_runs([r.metrics for r in results])
             cells.append({
                 "data_rate": data_rate,

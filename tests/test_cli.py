@@ -13,7 +13,7 @@ from sonarprep.cli import (ConfigParseError, OutOfRangeError, UnknownKeyError,
                            load_config, main, parse_rate)
 from sonarprep.datasplit import read_split_rows
 from sonarprep.dsp import write_feature_archive
-from sonarprep import nn
+from sonarprep import cli, nn
 from sonarprep.nn import load_checkpoint, save_checkpoint
 from synthdata import make_corpus, write_pcm16
 
@@ -465,6 +465,22 @@ class TestErrorSurface:
             "--data-rates", "8k", "--model-rates", "8100", "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
         assert "model rate 8100" in result.output
+
+    def test_sweep_cell_without_filterbank_reads_no_audio(self, pipeline, tmp_path,
+                                                          monkeypatch):
+        root, runner = pipeline
+        reads = []
+        monkeypatch.setattr(cli, "_read_wav", lambda *args: reads.append(args))
+        cfg = tmp_path / "mels.cfg"  # 64 mels have no support on the 32 kHz bin grid
+        cfg.write_text(SMOKE_CONFIG.replace("feature.n_mels = 24", "feature.n_mels = 64"))
+        result = runner.invoke(main, [
+            "sweep", "--config", str(cfg), "--manifest", str(root / "manifest.csv"),
+            "--corpus-root", str(root / "corpus"), "--data-rates", "4k,32k",
+            "--model-rates", "8k", "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "data rate 32000, model rate 8000" in result.output
+        assert reads == []
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_beats_environment(self, pipeline, tmp_path):
         root, runner = pipeline

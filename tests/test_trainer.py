@@ -5,7 +5,8 @@ import pytest
 
 import sonarprep.trainer as trainer_mod
 from sonarprep.augment import AugmentConfig
-from sonarprep.dsp import FeatureConfig
+from sonarprep.datasplit import SplitSpec
+from sonarprep.dsp import DegenerateBandError, FeatureConfig, scale_config
 from sonarprep.nn import Architecture, Conv, Dense, GlobalAvgPool, MaxPool, Relu, init_model
 from sonarprep.trainer import (EmptyDatasetError, FeatureSets, TrainConfig,
                                build_feature_sets, history_csv, one_hot,
@@ -224,12 +225,33 @@ SYNTHETIC_ASSIGNMENT = {f"{cls}{i}": split for cls in ("hum", "whine")
                         for i, split in enumerate(("train", "train", "val", "test"))}
 
 
+def counting(loader):
+    """The loader, recording the ID of every recording it is asked for."""
+    calls = []
+
+    def load(entry):
+        calls.append(entry.recording_id)
+        return loader(entry)
+
+    return load, calls
+
+
+def assert_same_feature_sets(built, expected):
+    (data, stats), (want, want_stats) = built, expected
+    assert stats == want_stats
+    assert data.n_classes == want.n_classes
+    for (x, y), (want_x, want_y) in zip(data[:3], want[:3]):
+        assert (x.dtype, x.shape, x.tobytes()) == (want_x.dtype, want_x.shape,
+                                                   want_x.tobytes())
+        assert (y.dtype, y.tobytes()) == (want_y.dtype, want_y.tobytes())
+
+
 class TestBuildFeatureSets:
     def test_shapes_counts_and_train_based_scaling(self):
         manifest, loader = synthetic_manifest_and_loader()
-        data, stats = build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
-                                         data_rate=8000, feature_cfg=TINY_FEAT,
-                                         seconds=5.0)
+        [(data, stats)] = build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
+                                             data_rate=8000, feature_cfgs=[TINY_FEAT],
+                                             seconds=5.0)
         assert stats.global_min < stats.global_max
         # 10 s recordings -> 2 segments each
         assert data.train[0].shape[0] == 8
@@ -248,14 +270,32 @@ class TestBuildFeatureSets:
 
     def test_threads_do_not_change_output(self):
         manifest, loader = synthetic_manifest_and_loader()
-        runs = [build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
-                                   data_rate=8000, feature_cfg=TINY_FEAT,
-                                   seconds=5.0, jobs=jobs) for jobs in (1, 3)]
-        (serial, serial_stats), (threaded, threaded_stats) = runs
-        assert serial_stats == threaded_stats
-        for a, b in zip(serial[:3], threaded[:3]):
-            np.testing.assert_array_equal(a[0], b[0])
-            np.testing.assert_array_equal(a[1], b[1])
+        serial, threaded = [build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
+                                               data_rate=8000, feature_cfgs=[TINY_FEAT],
+                                               seconds=5.0, jobs=jobs)[0]
+                            for jobs in (1, 3)]
+        assert_same_feature_sets(threaded, serial)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_configs_built_together_match_single_builds(self, jobs):
+        """One read and resample per recording serves every config, and
+        each config's arrays and stats are those of a build on its own."""
+        manifest, loader = synthetic_manifest_and_loader()
+        configs = [TINY_FEAT, scale_config(TINY_FEAT, 16000)]
+        load, calls = counting(loader)
+
+        def build(cfgs):
+            return build_feature_sets(manifest, load, SYNTHETIC_ASSIGNMENT,
+                                      data_rate=4000, feature_cfgs=cfgs,
+                                      seconds=5.0, jobs=jobs)
+
+        together = build(configs)
+        assert len(calls) == len(manifest.entries)
+        assert len(together) == len(configs)
+        assert together[0][0].train[0].shape != together[1][0].train[0].shape
+        for cfg, built in zip(configs, together):
+            [alone] = build([cfg])
+            assert_same_feature_sets(built, alone)
 
 
 class TestSweep:
@@ -263,7 +303,6 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         cfg = tiny_config(max_epochs=2, patience=2, seeds=(0,),
                           feature=TINY_FEAT)
-        from sonarprep.datasplit import SplitSpec
         result = sweep((8000,), (8000,), cfg, manifest, loader,
                        split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
                        seconds=5.0)
@@ -274,6 +313,31 @@ class TestSweep:
         assert len(cell["accuracies"]) == 1
         assert result["classes"] == ["hum", "whine"]
 
+    def test_reads_each_recording_once_per_data_rate(self):
+        manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
+        load, calls = counting(loader)
+        data_rates, model_rates = (4000, 8000), (8000, 16000)
+        result = sweep(data_rates, model_rates,
+                       tiny_config(max_epochs=1, patience=1, seeds=(0,)),
+                       manifest, load,
+                       split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
+                       seconds=5.0)
+        assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [
+            (4000, 8000), (4000, 16000), (8000, 8000), (8000, 16000)]
+        assert len(calls) == len(manifest.entries) * len(data_rates)
+
+    def test_unbuildable_filterbank_fails_before_any_audio_is_read(self):
+        """64 mels fit the 4 kHz bin grid of a 256-sample window but not the
+        32 kHz one; the sweep must refuse before featurizing the 4 kHz row."""
+        manifest, loader = synthetic_manifest_and_loader()
+        load, calls = counting(loader)
+        feature = FeatureConfig(8000, win_length=256, hop_length=80, n_mels=64,
+                                f_min=50, f_max=3500)
+        with pytest.raises(DegenerateBandError, match="data rate 32000, model rate 8000"):
+            sweep((4000, 32000), (8000,), tiny_config(feature=feature), manifest, load,
+                  split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0), seconds=5.0)
+        assert calls == []
+
     def test_table_measures_the_data_rate(self):
         """Tones at 1.3 and 1.7 kHz survive an 8 kHz data rate but not a
         2 kHz one, whose anti-alias filter stops above 1 kHz: that row of
@@ -281,7 +345,6 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(
             n_per_class=8, seconds=4.0, tones=(("high", 1700.0), ("low", 1300.0)))
         cfg = tiny_config(lr=1e-2, max_epochs=60, patience=60, use_mixup=False)
-        from sonarprep.datasplit import SplitSpec
         result = sweep((2000, 8000), (8000,), cfg, manifest, loader,
                        split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0),
                        seconds=1.0)
