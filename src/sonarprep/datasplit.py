@@ -8,6 +8,8 @@ a seeded shuffle decides which recordings fill each quota.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -203,11 +205,14 @@ def validate_split(rows, manifest: Manifest) -> SplitReport:
 
 
 def write_split_file(sf: SplitFile) -> str:
-    """Serialize as CSV rows plus a seed footer comment."""
-    lines = ["recording_id,split"]
-    lines += [f"{rec_id},{split}" for rec_id, split in sorted(sf.assignment.items())]
-    lines.append(f"# seed={sf.seed}")
-    return "\n".join(lines) + "\n"
+    """Serialize as CSV rows plus a seed footer comment; an ID holding a
+    comma or a quote is quoted, as in the manifest."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("recording_id", "split"))
+    writer.writerows(sorted(sf.assignment.items()))
+    out.write(f"# seed={sf.seed}\n")
+    return out.getvalue()
 
 
 def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
@@ -234,7 +239,7 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
                     raise SplitFormatError(f"split file line {lineno}: seed "
                                            f"{body[5:]!r} is not an integer") from None
             continue
-        parts = line.split(",")
+        parts = next(csv.reader([line]))
         if len(parts) != 2:
             raise SplitFormatError(f"split file line {lineno}: expected 'recording_id,split'")
         rows.append((parts[0], parts[1]))

@@ -4,7 +4,9 @@ Everything is plain numpy: convolution (stride 1, zero padding), ReLU,
 max pooling, global average pooling, and dense layers, plus softmax
 cross-entropy against soft targets and an Adam optimizer. forward
 returns the logits and fills a list it is given with what backward
-reads; inference passes no list and keeps nothing. infer and gradients
+reads; a max pool's slot holds the row-major position of each window's
+first maximum and the pool's input shape. Inference passes no list,
+keeps nothing and records no pool positions. infer and gradients
 run a whole batch through them in chunks of at most CHUNK_CELLS input
 cells, so a pass's memory is bounded whatever the sample count. A model
 holds only its parameters, so any number of passes can run on it at once.
@@ -216,45 +218,80 @@ def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray, pad: int,
     db = dy_flat.sum(axis=0)
     if not input_grad:
         return dw, db, None
-    # col2im: column block (di, dj) of the im2col gradient adds onto the
-    # padded input shifted by (di, dj)
-    wm = w.transpose(2, 3, 1, 0).reshape(k * k * in_ch, out_ch)
-    dcols = (dy_flat @ wm.T).reshape(batch, out_h, out_w, k, k, in_ch)
+    # col2im one kernel tap at a time: the im2col gradient's column block
+    # (di, dj), a contiguous [N, C] product, adds onto the padded input
+    # shifted by (di, dj)
     dxp = np.zeros((batch, out_h + k - 1, out_w + k - 1, in_ch), dtype=dy.dtype)
     for di in range(k):
         for dj in range(k):
-            dxp[:, di:di + out_h, dj:dj + out_w] += dcols[:, :, :, di, dj]
+            block = dy_flat @ w[:, :, di, dj]
+            dxp[:, di:di + out_h, dj:dj + out_w] += block.reshape(batch, out_h, out_w, in_ch)
     return dw, db, dxp[:, pad:dxp.shape[1] - pad, pad:dxp.shape[2] - pad]
 
 
-def _pool_slice(x: np.ndarray, j: int, size: int, out_h: int, out_w: int):
-    """Element ``j`` (row-major) of every ``size`` x ``size`` pooling window."""
-    di, dj = divmod(j, size)
-    return x[:, di:di + out_h * size:size, dj:dj + out_w * size:size]
-
-
-def _maxpool_forward(x: np.ndarray, size: int):
+def _maxpool_forward(x: np.ndarray, size: int, positions: bool = True):
     """Max over each window of ``x`` [B, H, W, C], cropping the remainder.
-    Saves the row-major position of the first maximum in each window."""
-    _, height, width, _ = x.shape
+
+    Returns the maxima and, if ``positions`` asks for them, ``(idx,
+    x.shape)`` with ``idx`` the row-major position ``di * size + dj`` of
+    the first maximum in each window; else None. A column pass takes each
+    window row's maximum and its first column, then a row pass over those
+    row maxima takes the first row that holds the window's maximum: the
+    earliest row, then the earliest column in it.
+    """
+    batch, height, width, channels = x.shape
     out_h, out_w = height // size, width // size
     if out_h == 0 or out_w == 0:
         raise ShapeMismatchError(f"input {height}x{width} too small for pool {size}")
-    y = _pool_slice(x, 0, size, out_h, out_w).copy()
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(size * size - 1))
-    for j in range(1, size * size):
-        v = _pool_slice(x, j, size, out_h, out_w)
-        np.putmask(idx, v > y, j)  # strict: ties keep the earlier position
+    rows, cols = out_h * size, out_w * size
+    # Comparisons are strict, so ties keep the earlier position. Each later
+    # candidate position exceeds every earlier one, so a running maximum of
+    # (v > best) * candidate records the first maximum without a masked write.
+    position = np.min_scalar_type(size * size - 1).type
+    # column pass, on [B, rows, out_w, C] views that step over columns
+    row_max = x[:, :rows, 0:cols:size].copy()
+    col_idx = np.zeros(row_max.shape, dtype=position) if positions else None
+    for dj in range(1, size):
+        v = x[:, :rows, dj:cols:size]
+        if positions:
+            np.maximum(col_idx, (v > row_max) * position(dj), out=col_idx)
+        np.maximum(row_max, v, out=row_max)
+    # row pass, on contiguous [B, out_h, out_w * C] runs
+    row_max = row_max.reshape(batch, out_h, size, out_w * channels)
+    y = row_max[:, :, 0].copy()
+    if positions:
+        col_idx = col_idx.reshape(row_max.shape)
+        idx = col_idx[:, :, 0].copy()
+    for di in range(1, size):
+        v = row_max[:, :, di]
+        if positions:
+            candidate = col_idx[:, :, di] + position(di * size)
+            np.maximum(idx, (v > y) * candidate, out=idx)
         np.maximum(y, v, out=y)
-    return y, (idx, x.shape)
+    shape = (batch, out_h, out_w, channels)
+    return y.reshape(shape), ((idx.reshape(shape), x.shape) if positions else None)
 
 
 def _maxpool_backward(dy: np.ndarray, cache, size: int):
+    """Scatter ``dy`` onto the saved position of each window's maximum."""
     idx, x_shape = cache
-    _, out_h, out_w, _ = dy.shape
+    batch, out_h, out_w, channels = dy.shape
+    height, width = x_shape[1:3]
+    # flat index into dx, in np.intp (the positions' small dtype would
+    # overflow): the saved position's offset in its window, plus the
+    # window's top row, plus its column and channel
+    row_len = width * channels
+    window = np.arange(size, dtype=np.intp)
+    offsets = (window[:, None] * row_len + window * channels).ravel()
+    b, i = np.divmod(np.arange(batch * out_h, dtype=np.intp), out_h)
+    top = (b * height + i * size) * row_len
+    left = (np.arange(out_w, dtype=np.intp)[:, None] * (size * channels)
+            + np.arange(channels, dtype=np.intp)).ravel()
+    flat = np.take(offsets, idx.reshape(batch * out_h, out_w * channels))
+    flat += top[:, None]
+    flat += left
     dx = np.zeros(x_shape, dtype=dy.dtype)
-    for j in range(size * size):
-        _pool_slice(dx, j, size, out_h, out_w)[...] = np.where(idx == j, dy, 0)
+    dx.reshape(-1)[flat.reshape(-1)] = dy.reshape(-1)
     return dx
 
 
@@ -263,16 +300,19 @@ def _maxpool_backward(dy: np.ndarray, cache, size: int):
 # ---------------------------------------------------------------------------
 
 def forward(model: ModelState, batch: np.ndarray,
-            cache: list | None = None) -> np.ndarray:
+            cache: list | None = None, keep_from: int = 0) -> np.ndarray:
     """Run the network and return the logits.
 
     ``batch`` is laid out [B, C, H, W]; inside the network every
     activation is channels-last, [B, H, W, C]. A caller that will call
     :func:`backward` passes an empty ``cache`` list, and ``cache[i]``
     receives what layer ``i`` saved: a convolution its im2col matrix and
-    its output, a ReLU its input, a max pool the position of each window's
-    maximum and its input shape, global pooling its input shape, a dense
-    layer its input. Without a list nothing is kept.
+    its output, a ReLU its input, a max pool ``(idx, input shape)`` with
+    ``idx`` the row-major position of each window's first maximum, global
+    pooling its input shape, a dense layer its input. Layers below
+    ``keep_from`` save None, as a backward pass that stops above them
+    reads nothing of theirs. Without a list nothing is kept, and max
+    pooling records no positions.
     """
     x = np.asarray(batch).astype(model.dtype, copy=False)
     if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
@@ -281,6 +321,7 @@ def forward(model: ModelState, batch: np.ndarray,
         )
     x = x.transpose(0, 2, 3, 1)
     for i, layer in enumerate(model.arch.layers):
+        keep = cache is not None and i >= keep_from
         if isinstance(layer, Conv):
             name = _param_name(i, layer)
             saved = _conv_forward(x, model.params[f"{name}.weight"],
@@ -289,7 +330,7 @@ def forward(model: ModelState, batch: np.ndarray,
         elif isinstance(layer, Relu):
             saved, x = x, np.maximum(x, 0)
         elif isinstance(layer, MaxPool):
-            x, saved = _maxpool_forward(x, layer.size)
+            x, saved = _maxpool_forward(x, layer.size, positions=keep)
         elif isinstance(layer, GlobalAvgPool):
             saved, x = x.shape, x.mean(axis=(1, 2))
         elif isinstance(layer, Dense):
@@ -297,7 +338,7 @@ def forward(model: ModelState, batch: np.ndarray,
             name = _param_name(i, layer)
             x = x @ model.params[f"{name}.weight"] + model.params[f"{name}.bias"]
         if cache is not None:
-            cache.append(saved)
+            cache.append(saved if keep else None)
         del saved  # else it outlives the next layer
     return x
 
@@ -483,7 +524,7 @@ def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     if x.ndim != 4 or x.shape[0] != 1:
         raise ShapeMismatchError(f"expected a single input [1, C, H, W], got {x.shape}")
     cache: list = []
-    logits = forward(model, x, cache)
+    logits = forward(model, x, cache, keep_from=convs[-1])
     predicted = int(np.argmax(logits[0]))
     seed_grad = np.zeros_like(logits)
     seed_grad[0, predicted] = 1.0

@@ -409,6 +409,36 @@ class TestPipelineCommands:
             (out / "sweep_table.csv").read_bytes()
 
 
+def test_recording_ids_with_commas_survive_the_split_file(tmp_path):
+    corpus = make_corpus(tmp_path / "corpus", recordings_per_class=4, seconds=15.0,
+                         rate=8000, seed=1,
+                         classes={"a": (300.0, 1200.0), "b": (700.0, 2500.0)})
+    (corpus / "a" / "a00.wav").rename(corpus / "a" / "a0,x.wav")
+    (corpus / "b" / "b01.wav").rename(corpus / "b" / 'b1 "q".wav')
+    (tmp_path / "run.cfg").write_text(SMOKE_CONFIG)
+    runner = CliRunner()
+    common = ["--config", str(tmp_path / "run.cfg"),
+              "--manifest", str(tmp_path / "manifest.csv")]
+    split_file = str(tmp_path / "split.csv")
+    steps = [
+        ["ingest", "--corpus-root", str(corpus), "--out", str(tmp_path / "manifest.csv")],
+        ["split", *common, "--out", split_file],
+        ["split", *common, "--validate", "--split-file", split_file],
+        ["featurize", *common, "--split-file", split_file, "--corpus-root", str(corpus),
+         "--out", str(tmp_path / "feats")],
+    ]
+    outputs = []
+    for args in steps:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, f"{args[0]} failed: {result.output}"
+        outputs.append(result.output)
+    assert "split OK" in outputs[2]
+    rows, _ = read_split_rows((tmp_path / "split.csv").read_text())
+    assert {"a0,x", 'b1 "q"'} <= {rec_id for rec_id, _ in rows}
+    assert len(rows) == 8
+    assert (tmp_path / "feats" / "train.sprf").is_file()
+
+
 class TestErrorSurface:
     @pytest.mark.parametrize("ratios", ["abc", "0.5,0.5,0.5"])
     def test_split_bad_ratios(self, pipeline, tmp_path, ratios):

@@ -134,6 +134,25 @@ class TestSplitFile:
         assert seed == 77
         assert dict(rows) == sf.assignment
 
+    def test_plain_ids_are_written_unquoted(self):
+        m = toy_manifest({"a": 5, "b": 5})
+        sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=77))
+        lines = ["recording_id,split"]
+        lines += [f"{rec_id},{split}" for rec_id, split in sorted(sf.assignment.items())]
+        assert write_split_file(sf) == "\n".join(lines + ["# seed=77"]) + "\n"
+
+    def test_ids_with_commas_and_quotes_round_trip(self):
+        m = Manifest([ManifestEntry(rid, cls, f"{cls}/{rid}.wav", 25.0)
+                      for cls in ("a", "b")
+                      for rid in (f"{cls}0,x", f'{cls}1 "q"', f"{cls}2", f"{cls}3")])
+        sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=5))
+        text = write_split_file(sf)
+        assert '"a0,x",' in text and '"a1 ""q""",' in text
+        rows, seed = read_split_rows(text)
+        assert seed == 5
+        assert dict(rows) == sf.assignment
+        assert validate_split(rows, m).passed
+
     def test_row_reader_preserves_duplicates(self):
         text = "recording_id,split\nx,train\nx,val\n"
         rows, seed = read_split_rows(text)

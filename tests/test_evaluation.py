@@ -273,9 +273,9 @@ class TestCamAggregation:
         calls = []
         original = sonarprep.nn.forward
 
-        def counting(model, batch, cache=None):
+        def counting(model, batch, *args, **kwargs):
             calls.append(batch.shape[0])
-            return original(model, batch, cache)
+            return original(model, batch, *args, **kwargs)
 
         monkeypatch.setattr(sonarprep.nn, "forward", counting)
         m = zero_logit_model(n_classes=2)

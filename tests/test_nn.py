@@ -121,6 +121,23 @@ class TestForward:
 
         assert peak() < 0.8 * peak([])
 
+    def test_inference_records_no_pool_positions(self, monkeypatch):
+        asked = []
+        real_pool = sonarprep.nn._maxpool_forward
+
+        def spy(x, size, positions=True):
+            asked.append(positions)
+            return real_pool(x, size, positions)
+
+        monkeypatch.setattr(sonarprep.nn, "_maxpool_forward", spy)
+        m = init_model(DEFAULT_ARCHITECTURE, 3, seed=1)
+        x = np.zeros((2, 1, 8, 6))
+        forward(m, x)
+        cache = []
+        forward(m, x, cache)
+        assert asked == [False, True]
+        assert cache[2][0].shape == (2, 4, 3, 16)
+
     def test_odd_input_cropped_by_pooling(self):
         arch = Architecture((Conv(2, 3), Relu(), MaxPool(2), GlobalAvgPool(),
                              Dense()))
@@ -353,6 +370,101 @@ class TestKernels:
         np.testing.assert_array_equal(dx, want)
 
 
+def slice_loop_maxpool_forward(x, size):
+    """The slice-per-window-element pooling the blocked kernels replaced:
+    maxima and the row-major position of each window's first maximum."""
+    out_h, out_w = x.shape[1] // size, x.shape[2] // size
+
+    def element(j):
+        di, dj = divmod(j, size)
+        return x[:, di:di + out_h * size:size, dj:dj + out_w * size:size]
+
+    y = element(0).copy()
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(size * size - 1))
+    for j in range(1, size * size):
+        v = element(j)
+        np.putmask(idx, v > y, j)
+        np.maximum(y, v, out=y)
+    return y, idx
+
+
+def slice_loop_maxpool_backward(dy, idx, x_shape, size):
+    _, out_h, out_w, _ = dy.shape
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for j in range(size * size):
+        di, dj = divmod(j, size)
+        dx[:, di:di + out_h * size:size, dj:dj + out_w * size:size] = \
+            np.where(idx == j, dy, 0)
+    return dx
+
+
+def dcols_col2im(dy, w, pad):
+    """Input gradient through the full [N, k*k*C] im2col gradient and its
+    strided adds, as the blockwise col2im computed it before."""
+    out_ch, in_ch, k, _ = w.shape
+    batch, out_h, out_w, _ = dy.shape
+    wm = w.transpose(2, 3, 1, 0).reshape(k * k * in_ch, out_ch)
+    dcols = (dy.reshape(-1, out_ch) @ wm.T).reshape(batch, out_h, out_w, k, k, in_ch)
+    dxp = np.zeros((batch, out_h + k - 1, out_w + k - 1, in_ch), dtype=dy.dtype)
+    for di in range(k):
+        for dj in range(k):
+            dxp[:, di:di + out_h, dj:dj + out_w] += dcols[:, :, :, di, dj]
+    return dxp[:, pad:dxp.shape[1] - pad, pad:dxp.shape[2] - pad]
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestKernelsMatchSliceLoops:
+    """The blocked kernels give the bytes of the loops they replaced."""
+
+    def check_pool(self, x, size, dy_seed):
+        y, (idx, x_shape) = _maxpool_forward(x, size)
+        want_y, want_idx = slice_loop_maxpool_forward(x, size)
+        assert_same_bytes(y, want_y)
+        assert_same_bytes(idx, want_idx)
+        assert x_shape == x.shape
+        y_only, nothing = _maxpool_forward(x, size, positions=False)
+        assert nothing is None
+        assert_same_bytes(y_only, want_y)
+        dy = np.random.default_rng(dy_seed).normal(size=y.shape).astype(x.dtype)
+        assert_same_bytes(_maxpool_backward(dy, (idx, x_shape), size),
+                          slice_loop_maxpool_backward(dy, want_idx, x.shape, size))
+
+    @pytest.mark.parametrize("size,shape", [(2, (2, 7, 5, 3)), (2, (3, 9, 11, 16)),
+                                            (3, (2, 8, 7, 2)), (3, (2, 11, 13, 16))])
+    def test_pool_on_cropped_odd_shapes(self, size, shape):
+        self.check_pool(np.random.default_rng(size).normal(size=shape), size, 1)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_pool_on_tied_float32_after_relu(self, size):
+        # A realistic activation: flat indices past 2**16, windows full of
+        # tied zeros and of tied quantized values.
+        rng = np.random.default_rng(7)
+        x = np.maximum(rng.integers(-3, 3, size=(16, 126, 32, 16)), 0).astype(np.float32)
+        self.check_pool(x, size, 2)
+
+    def test_col2im_matches_the_dcols_path(self):
+        rng = np.random.default_rng(3)
+        for shape, (out_ch, k, pad) in [((2, 7, 5, 3), (4, 3, 1)), ((2, 6, 6, 2), (3, 2, 0)),
+                                        ((4, 63, 16, 16), (32, 3, 1))]:
+            x = rng.normal(size=shape).astype(np.float32)
+            w = rng.normal(size=(out_ch, shape[3], k, k)).astype(np.float32)
+            cols, y = _conv_forward(x, w, np.zeros(out_ch, np.float32), pad)
+            dy = rng.normal(size=y.shape).astype(np.float32)
+            _, _, dx = _conv_backward(dy, cols, w, pad, input_grad=True)
+            assert_same_bytes(dx, dcols_col2im(dy, w, pad))
+
+    def test_logits_do_not_depend_on_the_cache(self):
+        arch = Architecture((Conv(8, 3), Relu(), MaxPool(2), Conv(8, 3), Relu(),
+                             MaxPool(3), GlobalAvgPool(), Dense()))
+        m = init_model(arch, 3, seed=4)
+        x = np.random.default_rng(4).random(size=(4, 1, 41, 29)).astype(np.float32)
+        assert_same_bytes(forward(m, x), forward(m, x, []))
+
+
 class TestLoss:
     def test_value_against_manual_softmax(self):
         logits = np.array([[2.0, 0.5, -1.0]])
@@ -488,6 +600,35 @@ class TestGradCam:
         acts = np.ones((1, 2, 2))
         grads = np.full((1, 2, 2), -1.0)
         np.testing.assert_array_equal(cam_from_activations(acts, grads), 0.0)
+
+    def test_keeps_only_what_its_backward_reads(self, monkeypatch):
+        arch = Architecture((Conv(4, 3), Relu(), MaxPool(2), Conv(4, 3), Relu(),
+                             MaxPool(2), GlobalAvgPool(), Dense()))
+        m = init_model(arch, 3, seed=2)
+        x = np.random.default_rng(2).normal(size=(1, 1, 20, 16)).astype(np.float32)
+        cache = []
+        logits = forward(m, x, cache)
+        predicted = int(np.argmax(logits[0]))
+        seed_grad = np.zeros_like(logits)
+        seed_grad[0, predicted] = 1.0
+        _, grad = backward(m, cache, seed_grad, stop=4)
+        want = cam_from_activations(
+            np.ascontiguousarray(cache[3][1][0].transpose(2, 0, 1)),
+            np.ascontiguousarray(grad[0].transpose(2, 0, 1)))
+        kept = []
+        real_forward = sonarprep.nn.forward
+
+        def spy(model, batch, cache=None, keep_from=0):
+            logits = real_forward(model, batch, cache, keep_from)
+            kept.append(list(cache))
+            return logits
+
+        monkeypatch.setattr(sonarprep.nn, "forward", spy)
+        cam, got_predicted = grad_cam(m, x)
+        assert got_predicted == predicted
+        assert cam.tobytes() == want.tobytes()
+        assert kept[0][:3] == [None] * 3
+        assert all(saved is not None for saved in kept[0][3:])
 
     def test_no_conv_architecture_rejected(self):
         arch = Architecture((GlobalAvgPool(), Dense()))
