@@ -5,6 +5,7 @@ Configuration lives in a flat text file of ``section.key = value``
 lines; every key has a sensible default, the ``SONARPREP_SEED``
 environment variable overrides configured seeds, and each settings
 flag is a config key given on the command line, which overrides both.
+Paths are not config keys: every command takes them as flags only.
 All outputs are deterministic for fixed inputs and seeds.
 """
 
@@ -109,10 +110,6 @@ class RunConfig:
     augmentation configs, ``split`` the split spec.
     """
 
-    corpus_root: Path | None = None
-    manifest: Path | None = None
-    split_file: Path | None = None
-    output_dir: Path | None = None
     data_rate: int = 32000
     segment_seconds: float = 5.0
     jobs: int = 1
@@ -127,22 +124,18 @@ class RunConfig:
 
     def fingerprint(self) -> str:
         """Hash of canonical JSON of the effective value of every config key
-        but the paths and ``data.jobs``, which change no output bytes."""
+        but ``data.jobs``, which changes no output bytes."""
         objects = {"run": self, "train": self.train, "feature": self.train.feature,
                    "augment": self.train.augment, "split": self.split}
         values = {key: getattr(objects[target], name)
                   for key, (target, name, _) in _CONFIG_KEYS.items()
-                  if not key.startswith("paths.") and key != "data.jobs"}
+                  if key != "data.jobs"}
         return hashlib.sha256(json.dumps(values, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 # key -> (object the value is staged for, field name, caster); each object is
 # built once after every key is read, so keys may come in any order
 _CONFIG_KEYS = {
-    "paths.corpus_root": ("run", "corpus_root", Path),
-    "paths.manifest": ("run", "manifest", Path),
-    "paths.split_file": ("run", "split_file", Path),
-    "paths.output_dir": ("run", "output_dir", Path),
     "data.rate": ("run", "data_rate", parse_rate),
     "data.segment_seconds": ("run", "segment_seconds", _positive(_finite)),
     "data.jobs": ("run", "jobs", _positive(int)),
@@ -274,14 +267,6 @@ def _guarded(fn):
     return wrapper
 
 
-def _require(value, name: str):
-    if value is None:
-        raise click.ClickException(
-            f"{name} must be given via flag or config file"
-        )
-    return value
-
-
 def _settings_record(cfg: RunConfig) -> dict:
     return {"config_hash": cfg.fingerprint(),
             "seeds": {"split": cfg.split.seed, "train": list(cfg.train.seeds)}}
@@ -384,26 +369,31 @@ def ingest(corpus_root: Path, out: Path):
 
 @main.command("split")
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path))
-@click.option("--manifest", "manifest_path", type=click.Path(exists=True, path_type=Path))
+@click.option("--manifest", "manifest_path", required=True,
+              type=click.Path(exists=True, path_type=Path))
 @click.option("--ratios", type=str, default=None, help="train,val,test e.g. 0.7,0.1,0.2")
 @click.option("--seed", type=str, default=None)
 @click.option("--segment-seconds", type=str, default=None)
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path))
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
+              help="Split file to write; needed unless --validate.")
 @click.option("--validate", "do_validate", is_flag=True,
               help="Check an existing split file instead of writing one.")
 @click.option("--split-file", type=click.Path(exists=True, path_type=Path),
-              help="Split file to validate.")
+              help="Split file to validate; needed with --validate.")
 @_guarded
 def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
               do_validate, split_file):
     """Write (or validate) a leakage-free recording-level split."""
+    if do_validate and split_file is None:
+        raise click.UsageError("Missing option '--split-file' (needed with --validate).")
+    if not do_validate and out is None:
+        raise click.UsageError("Missing option '--out' (needed unless --validate).")
     cfg = load_config(config_path, flags={
         "--ratios": ("split.ratios", ratios), "--seed": ("split.seed", seed),
         "--segment-seconds": ("data.segment_seconds", segment_seconds)})
-    manifest = load_manifest(_read_text(_require(manifest_path or cfg.manifest, "--manifest")))
+    manifest = load_manifest(_read_text(manifest_path))
     if do_validate:
-        rows, _ = read_split_rows(_read_text(_require(split_file or cfg.split_file,
-                                                      "--split-file")))
+        rows, _ = read_split_rows(_read_text(split_file))
         report = validate_split(rows, manifest)
         for code, detail in report.failures:
             click.echo(f"FAIL {code}: {detail}")
@@ -414,7 +404,7 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
         return
     counts = segment_counts(manifest, cfg.segment_seconds)
     sf = stratified_split(manifest, counts, cfg.split)
-    write_text(_require(out or cfg.split_file, "--out"), write_split_file(sf))
+    write_text(out, write_split_file(sf))
     for name in ("train", "val", "test"):
         recs = sum(c[0] for c in sf.class_counts[name].values())
         segs = sum(c[1] for c in sf.class_counts[name].values())
@@ -423,22 +413,21 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path))
-@click.option("--manifest", "manifest_path", type=click.Path(exists=True, path_type=Path))
-@click.option("--split-file", type=click.Path(exists=True, path_type=Path))
-@click.option("--corpus-root", type=click.Path(exists=True, file_okay=False, path_type=Path))
+@click.option("--manifest", "manifest_path", required=True,
+              type=click.Path(exists=True, path_type=Path))
+@click.option("--split-file", required=True, type=click.Path(exists=True, path_type=Path))
+@click.option("--corpus-root", required=True,
+              type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--data-rate", type=str, default=None, help="Target rate, e.g. 8k.")
 @click.option("--jobs", type=str, default=None, help="Parallel featurization workers.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path))
+@click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
 @_guarded
-def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
-              jobs, out_dir):
+def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jobs, out):
     """Resample, segment, and write normalized log-mel archives per split."""
     cfg = load_config(config_path, flags={"--data-rate": ("data.rate", data_rate),
                                           "--jobs": ("data.jobs", jobs)})
-    manifest = load_manifest(_read_text(_require(manifest_path or cfg.manifest, "--manifest")))
-    corpus = Path(_require(corpus_root or cfg.corpus_root, "--corpus-root"))
-    rows, _ = read_split_rows(_read_text(_require(split_file or cfg.split_file,
-                                                  "--split-file")))
+    manifest = load_manifest(_read_text(manifest_path))
+    rows, _ = read_split_rows(_read_text(split_file))
     report = validate_split(rows, manifest)
     if not report.passed:
         raise click.ClickException(
@@ -446,8 +435,7 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
             + "; ".join(f"{code}: {detail}" for code, detail in report.failures[:3])
         )
     assignment = dict(rows)
-    out = _require(out_dir or cfg.output_dir, "--out")
-    [(data, stats)] = build_feature_sets(manifest, lambda entry: _read_wav(corpus, entry),
+    [(data, stats)] = build_feature_sets(manifest, lambda entry: _read_wav(corpus_root, entry),
                                          assignment, cfg.data_rate, [cfg.train.feature],
                                          cfg.segment_seconds, jobs=cfg.jobs)
     for name in SPLIT_NAMES:
@@ -466,16 +454,15 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate,
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path))
 @click.option("--features", "features_dir", required=True,
               type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path))
+@click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
 @_guarded
-def train(config_path, features_dir, out_dir):
+def train(config_path, features_dir, out):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
     classes = _load_classes(features_dir, (cfg.data_rate, cfg.train.feature.model_rate))
     data = FeatureSets(*(_load_split(features_dir, name, len(classes))
                          for name in SPLIT_NAMES),
                        n_classes=len(classes))
-    out = _require(out_dir or cfg.output_dir, "--out")
     results = run_seeds(cfg.train, data)
     summary = {"seeds": [], "classes": classes}
     for result in results:
@@ -555,26 +542,25 @@ def gradcam(model_path, features_dir, out_dir):
 
 @main.command("sweep")
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path))
-@click.option("--manifest", "manifest_path", type=click.Path(exists=True, path_type=Path))
-@click.option("--corpus-root", type=click.Path(exists=True, file_okay=False, path_type=Path))
+@click.option("--manifest", "manifest_path", required=True,
+              type=click.Path(exists=True, path_type=Path))
+@click.option("--corpus-root", required=True,
+              type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--data-rates", type=str, default=None, help="e.g. 2k,4k,8k")
 @click.option("--model-rates", type=str, default=None, help="e.g. 8k,16k,32k")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path))
+@click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
 @_guarded
-def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates,
-              out_dir):
+def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, out):
     """Train the full grid of data-rate x model-rate combinations."""
     cfg = load_config(config_path, flags={
         "--data-rates": ("sweep.data_rates", data_rates),
         "--model-rates": ("sweep.model_rates", model_rates)})
-    manifest = load_manifest(_read_text(_require(manifest_path or cfg.manifest, "--manifest")))
-    corpus = Path(_require(corpus_root or cfg.corpus_root, "--corpus-root"))
+    manifest = load_manifest(_read_text(manifest_path))
     if not cfg.sweep_data_rates or not cfg.sweep_model_rates:
         raise click.ClickException("sweep needs --data-rates and --model-rates "
                                    "(or sweep.* config keys)")
-    out = _require(out_dir or cfg.output_dir, "--out")
     raw = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train, manifest,
-                    lambda entry: _read_wav(corpus, entry),
+                    lambda entry: _read_wav(corpus_root, entry),
                     split_spec=cfg.split, seconds=cfg.segment_seconds,
                     jobs=cfg.jobs)
     write_json(out / "sweep_raw.json", raw)

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -205,12 +206,17 @@ def validate_split(rows, manifest: Manifest) -> SplitReport:
 
 
 def write_split_file(sf: SplitFile) -> str:
-    """Serialize as CSV rows plus a seed footer comment; an ID holding a
-    comma or a quote is quoted, as in the manifest."""
+    """Serialize as CSV rows plus a seed footer comment. An ID is quoted
+    when it holds a comma, a quote or a line break, as in the manifest, and
+    when it starts with ``#`` or with or ends in white space, so every ID
+    reads back verbatim."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("recording_id", "split"))
-    writer.writerows(sorted(sf.assignment.items()))
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(("recording_id", "split"))
+    for rec_id, split_name in sorted(sf.assignment.items()):
+        needs_quotes = rec_id.startswith("#") or rec_id != rec_id.strip()
+        (quoted if needs_quotes else plain).writerow((rec_id, split_name))
     out.write(f"# seed={sf.seed}\n")
     return out.getvalue()
 
@@ -219,19 +225,22 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
     """Parse split-file text into raw rows and the recorded seed.
 
     Rows are returned verbatim (duplicates included) so a validator can
-    inspect exactly what the file says.
+    inspect exactly what the file says. A line that starts with ``#`` is a
+    comment; a quoted field may span lines.
     """
     rows: list[tuple[str, str]] = []
     seed = None
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "recording_id,split":
+    lines = io.StringIO(text, newline="")
+    if lines.readline().strip() != "recording_id,split":
         raise SplitFormatError("split file must start with header 'recording_id,split'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
+    lineno = 1
+    for line in lines:
+        lineno += 1
+        stripped = line.strip()
+        if not stripped:
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
+        if stripped.startswith("#"):
+            body = stripped.lstrip("#").strip()
             if body.startswith("seed="):
                 try:
                     seed = int(body[5:])
@@ -239,10 +248,12 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
                     raise SplitFormatError(f"split file line {lineno}: seed "
                                            f"{body[5:]!r} is not an integer") from None
             continue
-        parts = next(csv.reader([line]))
+        record = csv.reader(chain([line], lines))  # pulls more lines only inside quotes
+        parts = next(record)
         if len(parts) != 2:
             raise SplitFormatError(f"split file line {lineno}: expected 'recording_id,split'")
         rows.append((parts[0], parts[1]))
+        lineno += record.line_num - 1
     return rows, seed
 
 

@@ -222,12 +222,24 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
-    """Triangular mel filterbank, [(win/2 + 1) x n_mels], each filter peaking at 1."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
+def mel_filterbank(cfg: FeatureConfig, rate: int) -> np.ndarray:
+    """Triangular mel filterbank for samples at ``rate``, [(win/2 + 1) x n_mels],
+    each filter peaking at 1.
+
+    Window and hop stay in samples as designed for the model; the mel band
+    is read against the bin frequencies at ``rate``, with f_max clamped to
+    its Nyquist.
+    """
+    if int(rate) <= 0:
+        raise InvalidRateError(f"data rate {rate} must be positive")
+    f_max = min(cfg.f_max, rate / 2)
+    if not cfg.f_min < f_max:
+        raise DegenerateBandError(
+            f"data rate {rate} leaves no usable band above f_min={cfg.f_min}")
+    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(f_max), cfg.n_mels + 2))
     if np.any(np.diff(edges) <= 0):
         raise DegenerateBandError("mel band too narrow: filter edges collapse")
-    freqs = (np.arange(cfg.win_length // 2 + 1) * cfg.model_rate / cfg.win_length)[:, None]
+    freqs = (np.arange(cfg.win_length // 2 + 1) * int(rate) / cfg.win_length)[:, None]
     lower, center, upper = edges[:-2], edges[1:-1], edges[2:]
     rising = (freqs - lower) / (center - lower)
     falling = (upper - freqs) / (upper - center)
@@ -249,31 +261,13 @@ def log_mel(power: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(power @ fb, LOG_FLOOR))
 
 
-def effective_config(cfg: FeatureConfig, data_rate: int) -> FeatureConfig:
-    """Config actually applied to data at ``data_rate``.
-
-    Window and hop stay in samples as designed for the model; the mel
-    band is re-read against the data's bin frequencies with f_max
-    clamped to the data Nyquist.
-    """
-    if int(data_rate) <= 0:
-        raise InvalidRateError(f"data rate {data_rate} must be positive")
-    f_max = min(cfg.f_max, data_rate / 2)
-    try:
-        return replace(cfg, model_rate=int(data_rate), f_max=f_max)
-    except ValueError as exc:
-        raise DegenerateBandError(
-            f"data rate {data_rate} leaves no usable band above f_min={cfg.f_min}"
-        ) from exc
-
-
 def features_for_segment(samples: np.ndarray, cfg: FeatureConfig,
                          fb: np.ndarray) -> np.ndarray:
     """One segment's samples -> [n_frames x n_mels] log-mel matrix using the
     model's window and hop.
 
     ``fb`` is the filterbank for the samples' rate, built once per run with
-    ``mel_filterbank(effective_config(cfg, rate))``.
+    ``mel_filterbank(cfg, rate)``.
     """
     return log_mel(stft_power(samples, cfg), fb)
 

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, Waveform
 from .dsp import (DegenerateBandError, FeatureConfig, DEFAULT_FEATURE_CONFIG,
-                  effective_config, features_for_segment, frame_count,
-                  mel_filterbank, resample, scale_config, segment, segment_length)
+                  features_for_segment, frame_count, mel_filterbank, resample,
+                  scale_config, segment, segment_length)
 from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, spec_augment
 from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
                         normalize, segment_counts, stratified_split)
@@ -209,7 +209,7 @@ def build_feature_sets(manifest: Manifest,
     from its training split alone, and each split must produce at least one
     segment. A float64 spectrogram is dropped once its float32 row is filled.
     """
-    banks = [mel_filterbank(effective_config(cfg, data_rate)) for cfg in feature_cfgs]
+    banks = [mel_filterbank(cfg, data_rate) for cfg in feature_cfgs]
 
     def featurize_recording(entry: ManifestEntry) -> list[list[np.ndarray]]:
         segments = segment(resample(load_waveform(entry), data_rate), seconds)
@@ -267,7 +267,7 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
     for data_rate in data_rates:
         for model_rate, cell_feature in features.items():
             try:
-                mel_filterbank(effective_config(cell_feature, data_rate))
+                mel_filterbank(cell_feature, data_rate)
             except DegenerateBandError as exc:
                 raise DegenerateBandError(f"data rate {data_rate}, model rate "
                                           f"{model_rate}: {exc}") from exc

@@ -22,9 +22,8 @@ from sonarprep.cli import main
 from sonarprep.datasplit import (SplitSpec, read_split_rows, segment_counts,
                                  stratified_split, validate_split,
                                  write_split_file)
-from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig, effective_config,
-                           features_for_segment, frame_count, mel_filterbank,
-                           scale_config, stft_power)
+from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig, features_for_segment,
+                           frame_count, mel_filterbank, scale_config, stft_power)
 from sonarprep.evaluation import aggregate_runs, confusion_matrix, metrics_from_predictions
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, Architecture, Conv, Dense,
                           GlobalAvgPool, MaxPool, Relu, aggregate_input_channels,
@@ -58,7 +57,7 @@ def test_criterion_01_frame_counts():
 
         x16 = np.random.default_rng(1).normal(size=5 * 16000)
         features = features_for_segment(
-            x16, cfg, mel_filterbank(effective_config(cfg, 16000)))
+            x16, cfg, mel_filterbank(cfg, 16000))
         assert features.shape[0] == 251
         assert frame_count(5 * 16000, cfg.hop_length) == 251
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,8 +88,10 @@ class TestLoadConfig:
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.cfg"
-        # augment rates come only from data.rate and feature.model_rate
-        for line in ("trian.lr = 0.1\n", "augment.data_rate = 2k\n"):
+        # augment rates come only from data.rate and feature.model_rate, and
+        # paths only from flags
+        for line in ("trian.lr = 0.1\n", "augment.data_rate = 2k\n",
+                     "paths.manifest = m.csv\n"):
             p.write_text(line)
             with pytest.raises(UnknownKeyError):
                 load_config(p, env={})
@@ -165,6 +168,13 @@ class TestLoadConfig:
             load_config(p, env={})
 
 
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = [line.partition("=")[0].strip() for line in block.splitlines() if line.strip()]
+    assert sorted(keys) == sorted(cli._CONFIG_KEYS)
+
+
 class TestFingerprint:
     BASE = "data.rate = 8k\nfeature.model_rate = 8k\nfeature.f_max = 3500\n"
 
@@ -178,8 +188,7 @@ class TestFingerprint:
         assert (self.fingerprint(tmp_path, self.BASE)
                 == self.fingerprint(tmp_path, reordered))
 
-    @pytest.mark.parametrize("line", ["feature.n_mels = 64", "paths.output_dir = elsewhere",
-                                      "data.jobs = 4"])
+    @pytest.mark.parametrize("line", ["feature.n_mels = 64", "data.jobs = 4"])
     def test_ignores_defaults_paths_and_jobs(self, tmp_path, line):
         assert (self.fingerprint(tmp_path, self.BASE)
                 == self.fingerprint(tmp_path, self.BASE + line + "\n"))
@@ -359,10 +368,34 @@ class TestPipelineCommands:
         assert second["sha256"]["model"] != first["sha256"]["model"]
         assert second["sha256"]["test_features"] == first["sha256"]["test_features"]
 
-    def test_missing_required_flag_is_usage_error(self, pipeline):
-        _, runner = pipeline
-        result = runner.invoke(main, ["eval"])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize("command, missing", [
+        ("eval", "--model"),
+        ("split", "--manifest"), ("split", "--out"), ("split --validate", "--split-file"),
+        ("featurize", "--manifest"), ("featurize", "--split-file"),
+        ("featurize", "--corpus-root"), ("featurize", "--out"),
+        ("train", "--out"),
+        ("sweep", "--manifest"), ("sweep", "--corpus-root"), ("sweep", "--out"),
+    ])
+    def test_missing_required_flag_is_usage_error(self, pipeline, tmp_path, command,
+                                                  missing):
+        root, runner = pipeline
+        paths = {"--manifest": root / "manifest.csv", "--split-file": root / "split.csv",
+                 "--corpus-root": root / "corpus", "--features": root / "feats",
+                 "--model": root / "runs" / "model_seed0.spnn", "--out": tmp_path / "out"}
+        needs = {"eval": ("--model", "--features", "--out"),
+                 "split": ("--manifest", "--out"),
+                 "split --validate": ("--manifest", "--split-file"),
+                 "featurize": ("--manifest", "--split-file", "--corpus-root", "--out"),
+                 "train": ("--features", "--out"),
+                 "sweep": ("--manifest", "--corpus-root", "--out")}
+        args = command.split() + ["--config", str(root / "run.cfg")] * (command != "eval")
+        for flag in needs[command]:
+            if flag != missing:
+                args += [flag, str(paths[flag])]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.output and f"'{missing}'" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_report_renders_sweep_raw(self, pipeline, tmp_path):
         _, runner = pipeline

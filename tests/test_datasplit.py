@@ -153,6 +153,20 @@ class TestSplitFile:
         assert dict(rows) == sf.assignment
         assert validate_split(rows, m).passed
 
+    def test_ids_with_hash_spaces_and_line_breaks_round_trip(self):
+        # ingest takes IDs from file stems, so any of these can reach a manifest
+        m = Manifest([ManifestEntry(rid, cls, f"{cls}/{i}.wav", 25.0)
+                      for cls in ("a", "b")
+                      for i, rid in enumerate((f"#{cls}0", f" {cls}1", f"{cls}2 ",
+                                               f"{cls}3\n# seed=9", f"{cls}4"))])
+        sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=5))
+        text = write_split_file(sf)
+        assert '"#a0",' in text and '" a1",' in text and '"a2 ",' in text
+        rows, seed = read_split_rows(text)
+        assert seed == 5
+        assert rows == sorted(sf.assignment.items())
+        assert validate_split(rows, m).passed
+
     def test_row_reader_preserves_duplicates(self):
         text = "recording_id,split\nx,train\nx,val\n"
         rows, seed = read_split_rows(text)

@@ -7,6 +7,7 @@ vectorized code never validates itself.
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, LOG_FLOOR, ArchiveFormatError
                            ConfigMismatchError, DegenerateBandError,
                            DimensionMismatchError, FeatureConfig,
                            InvalidRateError, NonPositiveResultError,
-                           effective_config, features_for_segment, frame_count,
+                           features_for_segment, frame_count,
                            hz_to_mel, log_mel,
                            mel_filterbank, mel_to_hz, read_feature_archive,
                            resample, resample_signal, scale_config, segment,
@@ -247,13 +248,13 @@ class TestMel:
         for cfg in (DEFAULT_FEATURE_CONFIG,
                     scale_config(DEFAULT_FEATURE_CONFIG, 16000),
                     scale_config(DEFAULT_FEATURE_CONFIG, 8000)):
-            fb = mel_filterbank(cfg)
+            fb = mel_filterbank(cfg, cfg.model_rate)
             assert fb.shape == (cfg.win_length // 2 + 1, cfg.n_mels)
             np.testing.assert_array_equal(fb.max(axis=0), np.ones(cfg.n_mels))
 
     def test_filter_peak_lands_near_center(self):
         cfg = DEFAULT_FEATURE_CONFIG
-        fb = mel_filterbank(cfg)
+        fb = mel_filterbank(cfg, cfg.model_rate)
         bin_hz = cfg.model_rate / cfg.win_length
         centers = np.array(reference_mel_points(cfg.f_min, cfg.f_max, cfg.n_mels)[1:-1])
         peak_bins = fb.argmax(axis=0)
@@ -262,12 +263,12 @@ class TestMel:
     def test_collapsed_band_rejected(self):
         cfg = FeatureConfig(32000, f_min=1000.0, f_max=1000.5, n_mels=64)
         with pytest.raises(DegenerateBandError):
-            mel_filterbank(cfg)
+            mel_filterbank(cfg, cfg.model_rate)
 
     def test_log_floor_applies_to_silence(self):
         cfg = FeatureConfig(8000, win_length=64, hop_length=16, n_mels=8,
                             f_min=50, f_max=3500)
-        fb = mel_filterbank(cfg)
+        fb = mel_filterbank(cfg, cfg.model_rate)
         power = np.zeros((4, cfg.win_length // 2 + 1))
         lm = log_mel(power, fb)
         np.testing.assert_array_equal(lm, 10 * np.log10(LOG_FLOOR))
@@ -275,36 +276,48 @@ class TestMel:
     def test_dimension_mismatch(self):
         cfg = FeatureConfig(8000, win_length=64, hop_length=16, n_mels=8,
                             f_min=50, f_max=3500)
-        fb = mel_filterbank(cfg)
+        fb = mel_filterbank(cfg, cfg.model_rate)
         with pytest.raises(DimensionMismatchError):
             log_mel(np.zeros((4, 99)), fb)
 
 
 class TestEffectiveConfig:
+    """The model's feature config applied to samples at another rate:
+    ``mel_filterbank(cfg, rate)`` keeps the window and reads the band at
+    ``rate``."""
+
     def test_fmax_clamped_to_data_nyquist(self):
-        eff = effective_config(DEFAULT_FEATURE_CONFIG, 16000)
-        assert eff.f_max == 8000.0
-        assert eff.win_length == DEFAULT_FEATURE_CONFIG.win_length
-        assert eff.hop_length == DEFAULT_FEATURE_CONFIG.hop_length
+        cfg = DEFAULT_FEATURE_CONFIG
+        fb = mel_filterbank(cfg, 16000)
+        assert fb.shape == (cfg.win_length // 2 + 1, cfg.n_mels)
+        np.testing.assert_array_equal(fb, mel_filterbank(replace(cfg, f_max=8000.0), 16000))
 
     def test_fmax_untouched_when_below_nyquist(self):
-        eff = effective_config(DEFAULT_FEATURE_CONFIG, 32000)
-        assert eff.f_max == 14000.0
+        cfg = DEFAULT_FEATURE_CONFIG
+        fb = mel_filterbank(cfg, 32000)
+        freqs = np.arange(cfg.win_length // 2 + 1) * 32000 / cfg.win_length
+        assert not fb[freqs >= 14000.0].any() and fb[freqs > 13000.0].any()
+        assert not np.array_equal(fb, mel_filterbank(replace(cfg, f_max=16000.0), 32000))
 
     def test_band_collapse_rejected(self):
-        with pytest.raises(DegenerateBandError):
-            effective_config(DEFAULT_FEATURE_CONFIG, 64)
+        with pytest.raises(DegenerateBandError,
+                           match="data rate 64 leaves no usable band above f_min=50.0"):
+            mel_filterbank(DEFAULT_FEATURE_CONFIG, 64)
+
+    def test_non_positive_rate_rejected(self):
+        with pytest.raises(InvalidRateError, match="data rate 0 must be positive"):
+            mel_filterbank(DEFAULT_FEATURE_CONFIG, 0)
 
     def test_mismatched_rate_feature_shape(self):
         # 16 kHz audio through the 32 kHz model settings: 251 frames
         x = np.random.default_rng(0).normal(size=5 * 16000)
-        fb = mel_filterbank(effective_config(DEFAULT_FEATURE_CONFIG, 16000))
+        fb = mel_filterbank(DEFAULT_FEATURE_CONFIG, 16000)
         lm = features_for_segment(x, DEFAULT_FEATURE_CONFIG, fb)
         assert lm.shape == (251, 64)
 
     def test_matched_rate_feature_shape(self):
         x = np.random.default_rng(0).normal(size=5 * 32000)
-        fb = mel_filterbank(effective_config(DEFAULT_FEATURE_CONFIG, 32000))
+        fb = mel_filterbank(DEFAULT_FEATURE_CONFIG, 32000)
         lm = features_for_segment(x, DEFAULT_FEATURE_CONFIG, fb)
         assert lm.shape == (501, 64)
 
