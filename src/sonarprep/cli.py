@@ -253,6 +253,14 @@ def load_config(path=None, env: dict | None = None,
 # shared command plumbing
 # ---------------------------------------------------------------------------
 
+def _echo(message: str) -> None:
+    """Print one line to the current standard output. Naming the stream
+    keeps click from caching it: its cache holds every ``sys.stdout`` it
+    sees for good, so a caller that redirects stdout per call would leak
+    every buffer."""
+    click.echo(message, file=click.get_text_stream("stdout"))
+
+
 def _guarded(fn):
     """Convert package errors into exit-code-1 CLI failures."""
     def wrapper(*args, **kwargs):
@@ -363,8 +371,8 @@ def ingest(corpus_root: Path, out: Path):
             ))
     manifest = Manifest(entries)
     write_text(out, write_manifest(manifest))
-    click.echo(f"wrote {len(entries)} recordings across "
-               f"{len(manifest.classes)} classes to {out}")
+    _echo(f"wrote {len(entries)} recordings across "
+          f"{len(manifest.classes)} classes to {out}")
 
 
 @main.command("split")
@@ -396,11 +404,11 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
         rows, _ = read_split_rows(_read_text(split_file))
         report = validate_split(rows, manifest)
         for code, detail in report.failures:
-            click.echo(f"FAIL {code}: {detail}")
+            _echo(f"FAIL {code}: {detail}")
         if not report.passed:
             raise click.ClickException(f"split failed validation "
                                        f"({len(report.failures)} problems)")
-        click.echo("split OK")
+        _echo("split OK")
         return
     counts = segment_counts(manifest, cfg.segment_seconds)
     sf = stratified_split(manifest, counts, cfg.split)
@@ -408,7 +416,7 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
     for name in ("train", "val", "test"):
         recs = sum(c[0] for c in sf.class_counts[name].values())
         segs = sum(c[1] for c in sf.class_counts[name].values())
-        click.echo(f"{name}: {recs} recordings, {segs} segments")
+        _echo(f"{name}: {recs} recordings, {segs} segments")
 
 
 @main.command()
@@ -441,7 +449,7 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     for name in SPLIT_NAMES:
         x, y = getattr(data, name)
         write_feature_archive(out / f"{name}.sprf", x, y)
-        click.echo(f"{name}.sprf: {len(y)} segments")
+        _echo(f"{name}.sprf: {len(y)} segments")
     write_json(out / "norm_stats.json",
                {"global_min": stats.global_min, "global_max": stats.global_max})
     write_json(out / "classes.json", {"classes": list(manifest.classes),
@@ -474,8 +482,8 @@ def train(config_path, features_dir, out):
             "stopped_epoch": result.history.stopped_epoch,
             "test_accuracy": result.metrics.accuracy,
         })
-        click.echo(f"seed {result.seed}: test accuracy {result.metrics.accuracy:.4f} "
-                   f"(best epoch {result.history.best_epoch})")
+        _echo(f"seed {result.seed}: test accuracy {result.metrics.accuracy:.4f} "
+              f"(best epoch {result.history.best_epoch})")
     aggregate = aggregate_runs([r.metrics for r in results])
     summary["mean_accuracy"] = aggregate.mean_accuracy
     summary["std_accuracy"] = aggregate.std_accuracy
@@ -483,8 +491,8 @@ def train(config_path, features_dir, out):
     write_text(out / "confusion_mean.csv",
                render_confusion_csv(aggregate.mean_confusion, classes))
     _write_run_record(out, "train", _settings_record(cfg))
-    click.echo(f"mean test accuracy "
-               f"{aggregate.mean_accuracy:.4f} +/- {aggregate.std_accuracy:.4f}")
+    _echo(f"mean test accuracy "
+          f"{aggregate.mean_accuracy:.4f} +/- {aggregate.std_accuracy:.4f}")
 
 
 def _restore_model(model_path: Path, n_classes: int):
@@ -517,7 +525,7 @@ def eval_cmd(model_path, features_dir, out_dir):
     write_text(out_dir / "confusion_rownorm.csv",
                render_confusion_rownorm_csv(metrics.confusion, classes))
     _write_run_record(out_dir, "eval", _inputs_record(model_path, features_dir))
-    click.echo(f"accuracy {metrics.accuracy:.4f} on {labels.size} segments")
+    _echo(f"accuracy {metrics.accuracy:.4f} on {labels.size} segments")
 
 
 @main.command()
@@ -536,8 +544,8 @@ def gradcam(model_path, features_dir, out_dir):
     maps, counts = aggregate_cams(model, features, labels)
     write_cam_report(out_dir, maps, counts, classes)
     _write_run_record(out_dir, "gradcam", _inputs_record(model_path, features_dir))
-    click.echo(f"aggregated maps over {labels.size} segments "
-               f"({counts[:, 0].sum()} classified correctly)")
+    _echo(f"aggregated maps over {labels.size} segments "
+          f"({counts[:, 0].sum()} classified correctly)")
 
 
 @main.command("sweep")
@@ -567,8 +575,8 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, 
     write_text(out / "sweep_table.csv", render_sweep_table(raw["cells"]))
     _write_run_record(out, "sweep", _settings_record(cfg))
     for cell in raw["cells"]:
-        click.echo(f"data {cell['data_rate']} Hz / model {cell['model_rate']} Hz: "
-                   f"{cell['mean_accuracy']:.4f} +/- {cell['std_accuracy']:.4f}")
+        _echo(f"data {cell['data_rate']} Hz / model {cell['model_rate']} Hz: "
+              f"{cell['mean_accuracy']:.4f} +/- {cell['std_accuracy']:.4f}")
 
 
 @main.command()
@@ -592,7 +600,7 @@ def report(raw_path, out_dir):
         raise SonarprepError(f"{raw_path}: not a sweep record ({exc!r})") from exc
     for name, text in files.items():
         write_text(out_dir / name, text)
-    click.echo(f"rendered {len(raw['cells'])} sweep cells to {out_dir}")
+    _echo(f"rendered {len(raw['cells'])} sweep cells to {out_dir}")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 The feature path mirrors the usual audio-tagging front end: a centered
 STFT with a Hann window, a power spectrum, a triangular mel filterbank
 with peak-normalized filters, and decibel compression with a fixed
-floor. Resampling is polyphase: one array, designed once per rate ratio,
-holds a Kaiser-windowed sinc filter per phase, cut off below the lower
-Nyquist so downsampling stays alias-free, and each phase filters its
-outputs with one strided matmul.
+floor. Resampling is polyphase with a Kaiser-windowed sinc filter per
+phase, cut off below the lower Nyquist so downsampling stays alias-free.
+Once per rate ratio the phases are laid out as a few band matrices, each
+phase's taps at its input offset within a block of outputs, so a signal
+is filtered by a few BLAS matrix products on strided views of its samples.
 """
 
 from __future__ import annotations
@@ -87,11 +88,9 @@ DEFAULT_FEATURE_CONFIG = FeatureConfig(model_rate=32000)
 # resampling
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
 def _phase_bank(up: int, down: int) -> np.ndarray:
-    """Read-only ``[up x (2 * half + 1)]`` bank of unit-gain Kaiser-sinc
-    phases for up/down. Kept per ratio: a corpus repeats a few ratios, and
-    designing a bank costs more than filtering a short recording with it."""
+    """``[up x (2 * half + 1)]`` bank of unit-gain Kaiser-sinc phases for
+    up/down, row ``p`` centred ``p / up`` input samples past its anchor."""
     scale = min(1.0, up / down)  # cutoff relative to the input Nyquist
     half_t = FILTER_ZERO_CROSSINGS / scale
     half = int(np.ceil(half_t))
@@ -100,8 +99,38 @@ def _phase_bank(up: int, down: int) -> np.ndarray:
     window = np.i0(KAISER_BETA * np.sqrt(np.maximum(1.0 - u ** 2, 0.0))) / np.i0(KAISER_BETA)
     bank = scale * np.sinc(scale * t) * np.where(np.abs(u) <= 1.0, window, 0.0)
     bank /= bank.sum(axis=1, keepdims=True)
-    bank.flags.writeable = False
     return bank
+
+
+#: A block's input stride D is widened towards MIN_STRIDE samples for a
+#: small ``down``, keeping at most MAX_BLOCK outputs per block.
+MIN_STRIDE, MAX_BLOCK = 128, 512
+
+
+@lru_cache(maxsize=16)
+def _band_plan(up: int, down: int):
+    """``(half, D, U, groups)``: outputs in blocks of ``U = k * up`` whose
+    inputs start ``D = k * down`` samples apart. Group ``(r0, r1, a0, H)``
+    of block outputs ``r0 <= r < r1`` has a read-only band matrix ``H``
+    [B x (r1 - r0)] holding the bank row of output ``r`` from row
+    ``anchor(r) - a0``; its anchors span under ``taps``, so B < 2 * taps.
+    Kept per ratio: a corpus repeats a few ratios, and designing them costs
+    more than filtering a short recording."""
+    bank = _phase_bank(up, down)
+    taps = bank.shape[1]
+    k = max(1, min(-(-MIN_STRIDE // down), MAX_BLOCK // up))
+    anchors, phases = np.divmod(np.arange(k * up) * down, up)
+    groups, r0 = [], 0
+    while r0 < k * up:
+        a0 = int(anchors[r0])
+        r1 = int(np.searchsorted(anchors, a0 + taps))
+        band = np.zeros((int(anchors[r1 - 1]) - a0 + taps, r1 - r0))
+        rows = anchors[r0:r1, None] - a0 + np.arange(taps)
+        band[rows, np.arange(r1 - r0)[:, None]] = bank[phases[r0:r1]]
+        band.flags.writeable = False
+        groups.append((r0, r1, a0, band))
+        r0 = r1
+    return taps // 2, k * down, k * up, tuple(groups)
 
 
 def resample_signal(x: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
@@ -109,21 +138,28 @@ def resample_signal(x: np.ndarray, source_rate: int, target_rate: int) -> np.nda
 
     With target/source = up/down in lowest terms, output ``j`` is the input
     window at ``j * down // up`` dotted with row ``j * down % up`` of a bank
-    of ``up`` unit-gain Kaiser-sinc phases. Outputs ``r, r + up, ...`` share
-    a phase and their windows start ``down`` samples apart: one matmul each.
+    of ``up`` unit-gain Kaiser-sinc phases. Taken in blocks of ``U``
+    outputs whose inputs lie ``D`` samples apart, a group of outputs is
+    ``out[:, group] = sum_c window_c @ H[chunk c]`` over chunks of at most
+    ``D`` rows of the group's band matrix ``H``: ``window_c``, the padded
+    input as rows ``D`` apart and one chunk wide, is a strided view that
+    BLAS takes as it is.
     """
     x = np.asarray(x, dtype=np.float64)
     up, down = Fraction(int(target_rate), int(source_rate)).as_integer_ratio()
     n_out = (2 * x.size * up + down) // (2 * down)
-    bank = _phase_bank(up, down)
-    half = bank.shape[1] // 2
-    windows = sliding_window_view(np.pad(x, (half, half + 2)), 2 * half + 1)
-    out = np.empty(n_out)
-    for r in range(min(up, n_out)):
-        anchor, phase = divmod(r * down, up)
-        count = (n_out - r + up - 1) // up
-        out[r::up] = windows[anchor::down][:count] @ bank[phase]
-    return out
+    half, stride, block, groups = _band_plan(up, down)
+    n_blocks = -(-n_out // block)
+    _, _, a_last, band_last = groups[-1]
+    xp = np.zeros(n_blocks * stride + a_last + band_last.shape[0])
+    xp[half:half + x.size] = x
+    out = np.zeros((n_blocks, block))
+    for r0, r1, a0, band in groups:
+        for c0 in range(0, band.shape[0], stride):
+            chunk = band[c0:c0 + stride]
+            window = xp[a0 + c0:a0 + c0 + n_blocks * stride].reshape(n_blocks, stride)
+            out[:, r0:r1] += window[:, :chunk.shape[0]] @ chunk
+    return out.ravel()[:n_out]
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

@@ -311,8 +311,9 @@ def forward(model: ModelState, batch: np.ndarray,
     ``idx`` the row-major position of each window's first maximum, global
     pooling its input shape, a dense layer its input. Layers below
     ``keep_from`` save None, as a backward pass that stops above them
-    reads nothing of theirs. Without a list nothing is kept, and max
-    pooling records no positions.
+    reads nothing of theirs, except that layer ``keep_from - 1`` saves its
+    output: the activation whose gradient that pass returns. Without a
+    list nothing is kept, and max pooling records no positions.
     """
     x = np.asarray(batch).astype(model.dtype, copy=False)
     if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
@@ -338,7 +339,7 @@ def forward(model: ModelState, batch: np.ndarray,
             name = _param_name(i, layer)
             x = x @ model.params[f"{name}.weight"] + model.params[f"{name}.bias"]
         if cache is not None:
-            cache.append(saved if keep else None)
+            cache.append(saved if keep else (x if i == keep_from - 1 else None))
         del saved  # else it outlives the next layer
     return x
 
@@ -524,14 +525,14 @@ def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     if x.ndim != 4 or x.shape[0] != 1:
         raise ShapeMismatchError(f"expected a single input [1, C, H, W], got {x.shape}")
     cache: list = []
-    logits = forward(model, x, cache, keep_from=convs[-1])
+    logits = forward(model, x, cache, keep_from=convs[-1] + 1)
     predicted = int(np.argmax(logits[0]))
     seed_grad = np.zeros_like(logits)
     seed_grad[0, predicted] = 1.0
     _, grad = backward(model, cache, seed_grad, stop=convs[-1] + 1)
     # C-contiguous [C, H, W] copies: the sums of cam_from_activations
     # round differently in another memory order.
-    activations = np.ascontiguousarray(cache[convs[-1]][1][0].transpose(2, 0, 1))
+    activations = np.ascontiguousarray(cache[convs[-1]][0].transpose(2, 0, 1))
     grad = np.ascontiguousarray(grad[0].transpose(2, 0, 1))
     return cam_from_activations(activations, grad), predicted
 

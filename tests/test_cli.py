@@ -1,9 +1,13 @@
 """Config parsing and the command-line pipeline, driven through CliRunner."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +268,22 @@ class TestPipelineCommands:
             "--validate", "--split-file", str(root / "split.csv")])
         assert result.exit_code == 0
         assert "split OK" in result.output
+
+    def test_keeps_no_redirected_stdout(self, pipeline):
+        # an in-process caller that redirects stdout per command gets each
+        # buffer back: nothing the command printed through holds on to it
+        root, _ = pipeline
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(args=["split", "--config", str(root / "run.cfg"),
+                            "--manifest", str(root / "manifest.csv"),
+                            "--validate", "--split-file", str(root / "split.csv")],
+                      prog_name="sonarprep", standalone_mode=False)
+        assert buf.getvalue() == "split OK\n"
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
 
     def test_corrupted_split_fails_with_exit_one(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -22,7 +22,7 @@ from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, LOG_FLOOR, ArchiveFormatError
                            mel_filterbank, mel_to_hz, read_feature_archive,
                            resample, resample_signal, scale_config, segment,
                            stft_power, write_feature_archive)
-from sonarprep.dsp import _phase_bank
+from sonarprep.dsp import _band_plan, _phase_bank
 
 
 class TestResample:
@@ -79,7 +79,7 @@ class TestResample:
     @pytest.mark.parametrize("src,dst,n", [
         (441, 160, 600), (441, 80, 600), (441, 320, 600),
         (160, 147, 120),  # fewer outputs than filter phases
-        (1, 4, 300), (3, 5, 300),
+        (1, 4, 300), (3, 5, 300), (4, 1, 600), (441, 20, 3000),
     ])
     def test_matches_direct_windowed_sinc_sum(self, src, dst, n):
         # output j sits at input time j * src / dst; it sums the input samples
@@ -106,11 +106,21 @@ class TestResample:
     def test_filter_bank_is_designed_once_per_ratio_and_read_only(self):
         x = np.random.default_rng(3).standard_normal(500)
         first = resample_signal(x, 44100, 16000)
-        bank = _phase_bank(160, 441)
-        assert _phase_bank(160, 441) is bank
-        with pytest.raises(ValueError):
-            bank[0, 0] = 0.0
-        np.testing.assert_array_equal(resample_signal(x, 44100, 16000), first)
+        plan = _band_plan(160, 441)
+        assert _band_plan(160, 441) is plan
+        for *_, band in plan[3]:
+            with pytest.raises(ValueError):
+                band[0, 0] = 0.0
+        assert resample_signal(x, 44100, 16000).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("up,down", [
+        (160, 441), (80, 441), (320, 441), (147, 160), (4, 1), (5, 3), (1, 4),
+        (20, 441), (16000, 26367),
+    ])
+    def test_cached_band_matrices_stay_small(self, up, down):
+        # under twice the phase bank, or 2 MB where widened blocks need it
+        cached = sum(band.nbytes for *_, band in _band_plan(up, down)[3])
+        assert cached <= max(2 * _phase_bank(up, down).nbytes, 2_000_000)
 
     def test_invalid_rates(self):
         w = Waveform(samples=np.ones(10), rate=8000)

@@ -628,7 +628,9 @@ class TestGradCam:
         assert got_predicted == predicted
         assert cam.tobytes() == want.tobytes()
         assert kept[0][:3] == [None] * 3
-        assert all(saved is not None for saved in kept[0][3:])
+        # the last conv keeps its output alone, not its im2col matrix
+        assert kept[0][3].tobytes() == cache[3][1].tobytes()
+        assert all(saved is not None for saved in kept[0][4:])
 
     def test_no_conv_architecture_rejected(self):
         arch = Architecture((GlobalAvgPool(), Dense()))
