@@ -21,8 +21,6 @@ class AugmentConfig:
     freq_mask_width: int = 8
     n_time_masks: int = 2
     n_freq_masks: int = 2
-    data_rate: int = 32000
-    model_rate: int = 32000
     mixup_alpha: float = 1.0
 
     def __post_init__(self):
@@ -30,8 +28,6 @@ class AugmentConfig:
             raise ValueError("mask widths must be non-negative")
         if self.n_time_masks < 0 or self.n_freq_masks < 0:
             raise ValueError("mask counts must be non-negative")
-        if self.data_rate <= 0 or self.model_rate <= 0:
-            raise ValueError("rates must be positive")
         if self.mixup_alpha <= 0:
             raise ValueError("mixup_alpha must be positive")
 
@@ -48,18 +44,19 @@ class Mask(NamedTuple):
     width: int
 
 
-def scaled_mask_width(cfg: AugmentConfig) -> int:
+def scaled_mask_width(base_width: int, data_rate: int, model_rate: int) -> int:
     """Time-mask width budget scaled by the data/model rate ratio."""
-    return max(0, int(round(cfg.base_time_mask_width * cfg.data_rate / cfg.model_rate)))
+    if data_rate <= 0 or model_rate <= 0:
+        raise ValueError("rates must be positive")
+    return max(0, int(round(base_width * data_rate / model_rate)))
 
 
-def draw_masks(n_frames: int, n_mels: int, cfg: AugmentConfig,
+def draw_masks(n_frames: int, n_mels: int, cfg: AugmentConfig, time_width: int,
                rng: np.random.Generator) -> list[Mask]:
     """Sample mask rectangles; widths are uniform on [0, budget], clipped to fit."""
     masks = []
-    time_budget = scaled_mask_width(cfg)
     for _ in range(cfg.n_time_masks):
-        width = min(int(rng.integers(0, time_budget + 1)), n_frames)
+        width = min(int(rng.integers(0, time_width + 1)), n_frames)
         start = int(rng.integers(0, n_frames - width + 1))
         masks.append(Mask("time", start, width))
     for _ in range(cfg.n_freq_masks):
@@ -82,10 +79,10 @@ def apply_masks(values: np.ndarray, masks: list[Mask]) -> np.ndarray:
     return out
 
 
-def spec_augment(values: np.ndarray, cfg: AugmentConfig,
+def spec_augment(values: np.ndarray, cfg: AugmentConfig, time_width: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Apply time and frequency masks to a [n_frames x n_mels] matrix."""
-    return apply_masks(values, draw_masks(*values.shape, cfg, rng))
+    return apply_masks(values, draw_masks(*values.shape, cfg, time_width, rng))
 
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:

@@ -30,8 +30,9 @@ from .wavio import Manifest, ManifestEntry, load_manifest, parse_wav, write_mani
 from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, read_feature_archive,
                   segment_length, write_feature_archive)
 from .augment import AugmentConfig
-from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, segment_counts,
-                        stratified_split, validate_split, write_split_file)
+from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_two_classes,
+                        segment_counts, stratified_split, validate_split,
+                        write_split_file)
 from .nn import (DEFAULT_ARCHITECTURE, apply_checkpoint, init_model,
                  load_checkpoint, save_checkpoint)
 from .trainer import TrainConfig, FeatureSets, build_feature_sets, history_csv, run_seeds
@@ -243,9 +244,8 @@ def load_config(path=None, env: dict | None = None,
 
     run = build("run", RunConfig)
     feature = build("feature", partial(replace, DEFAULT_FEATURE_CONFIG))
-    augment = build("augment", AugmentConfig, data_rate=run.data_rate,
-                    model_rate=feature.model_rate)
-    train = build("train", TrainConfig, feature=feature, augment=augment)
+    train = build("train", TrainConfig, feature=feature,
+                  augment=build("augment", AugmentConfig))
     return replace(run, train=train, split=build("split", SplitSpec))
 
 
@@ -313,8 +313,9 @@ def _read_wav(corpus_root: Path, entry: ManifestEntry):
 
 
 def _load_classes(features_dir: Path, rates: tuple[int, int] | None = None) -> list[str]:
-    """Class names from ``classes.json``; given ``(data rate, model rate)``,
-    refuse features made at other rates."""
+    """Class names from ``classes.json``: at least two distinct, non-empty
+    names. Given ``(data rate, model rate)``, refuse features made at other
+    rates."""
     path = features_dir / "classes.json"
     try:
         record = json.loads(path.read_text())
@@ -322,6 +323,11 @@ def _load_classes(features_dir: Path, rates: tuple[int, int] | None = None) -> l
         classes = record["classes"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
+    if not (isinstance(classes, list) and all(isinstance(c, str) and c for c in classes)
+            and len(set(classes)) == len(classes)):
+        raise SonarprepError(f"{path}: classes must be a list of distinct, non-empty "
+                             f"names, not {classes!r}")
+    require_two_classes(classes, path)
     if rates and made != rates:
         raise SonarprepError(f"{features_dir}: features made at data/model rate {made[0]}/"
                              f"{made[1]} Hz, the config sets {rates[0]}/{rates[1]} Hz")
@@ -435,6 +441,7 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     cfg = load_config(config_path, flags={"--data-rate": ("data.rate", data_rate),
                                           "--jobs": ("data.jobs", jobs)})
     manifest = load_manifest(_read_text(manifest_path))
+    require_two_classes(manifest.classes, manifest_path)
     rows, _ = read_split_rows(_read_text(split_file))
     report = validate_split(rows, manifest)
     if not report.passed:
@@ -471,7 +478,7 @@ def train(config_path, features_dir, out):
     data = FeatureSets(*(_load_split(features_dir, name, len(classes))
                          for name in SPLIT_NAMES),
                        n_classes=len(classes))
-    results = run_seeds(cfg.train, data)
+    results = run_seeds(cfg.train, data, cfg.data_rate)
     summary = {"seeds": [], "classes": classes}
     for result in results:
         save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params)

@@ -35,6 +35,17 @@ class TooFewRecordingsError(SonarprepError):
     one per split is impossible."""
 
 
+class TooFewClassesError(SonarprepError):
+    """Fewer than two classes, so there is nothing to classify."""
+
+
+def require_two_classes(classes, source) -> None:
+    """Refuse a class list that no classifier can be trained on."""
+    if len(classes) < 2:
+        raise TooFewClassesError(f"{source} has {len(classes)} class(es) {list(classes)}, "
+                                 f"need at least two")
+
+
 class EmptyTrainingSetError(SonarprepError):
     """No training spectrograms were provided for normalization stats."""
 
@@ -134,6 +145,7 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
         raise ValueError(f"no segment count for recordings: {missing[:5]}")
     if not manifest.entries:
         raise TooFewRecordingsError("manifest has no recordings")
+    require_two_classes(manifest.classes, "manifest")
     by_class: dict[str, list[str]] = {label: [] for label in manifest.classes}
     for e in manifest.entries:
         by_class[e.class_label].append(e.recording_id)

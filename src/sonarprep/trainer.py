@@ -89,8 +89,9 @@ def validation_pass(model: ModelState, features: np.ndarray,
 
 
 def _augment_batch(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
-                   rng: np.random.Generator):
-    masked = np.stack([spec_augment(sample, cfg.augment, rng) for sample in inputs])
+                   time_width: int, rng: np.random.Generator):
+    masked = np.stack([spec_augment(sample, cfg.augment, time_width, rng)
+                       for sample in inputs])
     if cfg.use_mixup:
         pairs = make_mix_pairs(masked.shape[0], cfg.augment.mixup_alpha, rng)
         return mixup(masked, targets, pairs)
@@ -101,8 +102,9 @@ def _augment_batch(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
 # DivergedError, so numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
-          seed: int = 0) -> tuple[ModelState, RunHistory]:
-    """Fit the model; returns it restored to the best-validation epoch."""
+          data_rate: int, seed: int = 0) -> tuple[ModelState, RunHistory]:
+    """Fit the model on features made at ``data_rate``; returns it restored
+    to the best-validation epoch."""
     train_x, train_y = train_set
     val_x, val_y = val_set
     if train_x.shape[0] == 0:
@@ -110,6 +112,8 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
     if val_x.shape[0] == 0:
         raise EmptyDatasetError("validation split is empty")
     n = train_x.shape[0]
+    time_width = scaled_mask_width(cfg.augment.base_time_mask_width, data_rate,
+                                   cfg.feature.model_rate)
     optimizer = AdamState.for_params(model.params, lr=cfg.lr)
     history = RunHistory(seed=seed)
     best_loss = np.inf
@@ -124,7 +128,7 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
             idx = order[start:start + cfg.batch_size]
             inputs = train_x[idx]
             targets = one_hot(train_y[idx], model.n_classes, dtype=model.dtype)
-            inputs, targets = _augment_batch(inputs, targets, cfg, rng)
+            inputs, targets = _augment_batch(inputs, targets, cfg, time_width, rng)
             loss, grads = gradients(model, inputs, targets)
             adam_step(model.params, grads, optimizer)
             epoch_loss += loss * len(idx)
@@ -167,12 +171,12 @@ class SeedResult:
     metrics: Metrics
 
 
-def run_seeds(cfg: TrainConfig, data: FeatureSets) -> list[SeedResult]:
+def run_seeds(cfg: TrainConfig, data: FeatureSets, data_rate: int) -> list[SeedResult]:
     """Independent train/evaluate runs, one fresh model per seed."""
     results = []
     for seed in cfg.seeds:
         model = init_model(cfg.arch, data.n_classes, seed, dtype=np.float32)
-        model, history = train(cfg, data.train, data.val, model, seed=seed)
+        model, history = train(cfg, data.train, data.val, model, data_rate, seed=seed)
         metrics = evaluate(model, *data.test)
         results.append(SeedResult(seed=seed, model=model, history=history,
                                   metrics=metrics))
@@ -277,16 +281,15 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
                                           data_rate, list(features.values()),
                                           seconds, jobs=jobs)
         for model_rate, cell_feature in features.items():
-            cell_augment = replace(cfg.augment, data_rate=data_rate,
-                                   model_rate=model_rate)
-            cell_cfg = replace(cfg, feature=cell_feature, augment=cell_augment)
             # popped, so each cell's arrays are freed once it has trained
-            results = run_seeds(cell_cfg, feature_sets.pop(0)[0])
+            results = run_seeds(replace(cfg, feature=cell_feature),
+                                feature_sets.pop(0)[0], data_rate)
             aggregate = aggregate_runs([r.metrics for r in results])
             cells.append({
                 "data_rate": data_rate,
                 "model_rate": model_rate,
-                "mask_width": scaled_mask_width(cell_augment),
+                "mask_width": scaled_mask_width(cfg.augment.base_time_mask_width,
+                                                data_rate, cell_feature.model_rate),
                 "n_frames": frame_count(segment_length(seconds, data_rate),
                                         cell_feature.hop_length),
                 "accuracies": [r.metrics.accuracy for r in results],

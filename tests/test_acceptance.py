@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sonarprep.augment import AugmentConfig, draw_masks, sample_lambda, spec_augment
+from sonarprep.augment import (AugmentConfig, draw_masks, sample_lambda,
+                               scaled_mask_width, spec_augment)
 from sonarprep.cli import main
 from sonarprep.datasplit import (SplitSpec, read_split_rows, segment_counts,
                                  stratified_split, validate_split,
@@ -69,20 +70,18 @@ def test_criterion_02_mask_width_table():
             16000: {2000: 8, 4000: 16, 8000: 32, 16000: 64, 32000: 128, 64000: 256},
             32000: {2000: 4, 4000: 8, 8000: 16, 16000: 32, 32000: 64, 64000: 128},
         }
-        from sonarprep.augment import scaled_mask_width
+        base = AugmentConfig().base_time_mask_width
         checked = 0
         for model_rate, row in expected.items():
             for data_rate, width in row.items():
-                cfg = AugmentConfig(data_rate=data_rate, model_rate=model_rate)
-                assert scaled_mask_width(cfg) == width, (data_rate, model_rate)
+                assert scaled_mask_width(base, data_rate, model_rate) == width, \
+                    (data_rate, model_rate)
                 assert width == round(64 * data_rate / model_rate)
                 checked += 1
         assert checked == 18
         # the two anchor values called out explicitly
-        assert scaled_mask_width(AugmentConfig(data_rate=32000,
-                                               model_rate=32000)) == 64
-        assert scaled_mask_width(AugmentConfig(data_rate=16000,
-                                               model_rate=32000)) == 32
+        assert scaled_mask_width(base, 32000, 32000) == 64
+        assert scaled_mask_width(base, 16000, 32000) == 32
 
 
 def test_criterion_03_config_scaling():
@@ -344,13 +343,15 @@ def ks_statistic(a, b):
 
 def test_criterion_09_augmentation_properties():
     with criterion(9, "mask rectangles, seed determinism, and mixing distribution", 60.0):
-        cfg = AugmentConfig(data_rate=16000, model_rate=32000)  # budget 32
+        cfg = AugmentConfig()
+        budget = scaled_mask_width(cfg.base_time_mask_width, 16000, 32000)
+        assert budget == 32
         n_frames, n_mels = 251, 64
         base = np.random.default_rng(0).normal(size=(n_frames, n_mels)) + 5.0
         for seed in range(100):
-            masks = draw_masks(n_frames, n_mels, cfg,
+            masks = draw_masks(n_frames, n_mels, cfg, budget,
                                np.random.default_rng(seed))
-            out = spec_augment(base, cfg, np.random.default_rng(seed))
+            out = spec_augment(base, cfg, budget, np.random.default_rng(seed))
             masked = np.zeros_like(base, dtype=bool)
             for m in masks:
                 if m.axis == "time":
@@ -359,7 +360,7 @@ def test_criterion_09_augmentation_properties():
                     masked[:, m.start:m.start + m.width] = True
             np.testing.assert_array_equal(out[~masked], base[~masked])
             assert (out[masked] == 0).all()
-            again = spec_augment(base, cfg, np.random.default_rng(seed))
+            again = spec_augment(base, cfg, budget, np.random.default_rng(seed))
             np.testing.assert_array_equal(out, again)
 
         n = 100_000

@@ -17,26 +17,38 @@ class TestMaskWidth:
         (8000, 8000, 64), (16000, 8000, 128), (2000, 8000, 16),
     ])
     def test_width_scales_with_rate_ratio(self, data, model, expect):
-        cfg = AugmentConfig(data_rate=data, model_rate=model)
-        assert scaled_mask_width(cfg) == expect
+        assert scaled_mask_width(AugmentConfig().base_time_mask_width, data, model) == expect
+
+    @pytest.mark.parametrize("data,model", [(0, 8000), (8000, 0), (-8000, 8000)])
+    def test_non_positive_rate_rejected(self, data, model):
+        with pytest.raises(ValueError, match="rates must be positive"):
+            scaled_mask_width(64, data, model)
 
     def test_frequency_width_never_scales(self):
-        cfg = AugmentConfig(data_rate=2000, model_rate=32000)
-        assert cfg.freq_mask_width == 8
+        """A quarter-rate time budget still draws frequency masks up to the
+        full frequency width."""
+        cfg = AugmentConfig()
+        budget = scaled_mask_width(cfg.base_time_mask_width, 8000, 32000)
+        widths = {axis: set() for axis in ("time", "freq")}
+        for seed in range(100):
+            for m in draw_masks(501, 64, cfg, budget, np.random.default_rng(seed)):
+                widths[m.axis].add(m.width)
+        assert max(widths["time"]) == budget == 16
+        assert max(widths["freq"]) == cfg.freq_mask_width == 8
 
 
 class TestMaskGeometry:
     def test_mask_counts_and_axes(self):
         cfg = AugmentConfig()
-        masks = draw_masks(501, 64, cfg, np.random.default_rng(0))
+        masks = draw_masks(501, 64, cfg, 64, np.random.default_rng(0))
         assert sum(1 for m in masks if m.axis == "time") == cfg.n_time_masks
         assert sum(1 for m in masks if m.axis == "freq") == cfg.n_freq_masks
 
     def test_rectangles_stay_in_bounds_across_seeds(self):
         cfg = AugmentConfig()
-        budget = scaled_mask_width(cfg)
+        budget = scaled_mask_width(cfg.base_time_mask_width, 32000, 32000)
         for seed in range(100):
-            masks = draw_masks(501, 64, cfg, np.random.default_rng(seed))
+            masks = draw_masks(501, 64, cfg, budget, np.random.default_rng(seed))
             for m in masks:
                 dim = 501 if m.axis == "time" else 64
                 cap = budget if m.axis == "time" else cfg.freq_mask_width
@@ -44,9 +56,11 @@ class TestMaskGeometry:
                 assert 0 <= m.start <= dim - m.width
 
     def test_width_clipped_when_budget_exceeds_axis(self):
-        cfg = AugmentConfig(data_rate=32000, model_rate=2000)  # budget 1024
+        cfg = AugmentConfig()
+        budget = scaled_mask_width(cfg.base_time_mask_width, 32000, 2000)
+        assert budget == 1024
         for seed in range(50):
-            masks = draw_masks(10, 64, cfg, np.random.default_rng(seed))
+            masks = draw_masks(10, 64, cfg, budget, np.random.default_rng(seed))
             for m in masks:
                 if m.axis == "time":
                     assert m.width <= 10
@@ -62,21 +76,21 @@ class TestMaskGeometry:
 
     def test_same_seed_same_masks(self):
         cfg = AugmentConfig()
-        a = draw_masks(501, 64, cfg, np.random.default_rng(9))
-        b = draw_masks(501, 64, cfg, np.random.default_rng(9))
+        a = draw_masks(501, 64, cfg, 64, np.random.default_rng(9))
+        b = draw_masks(501, 64, cfg, 64, np.random.default_rng(9))
         assert a == b
 
     def test_spec_augment_preserves_container_type(self):
         cfg = AugmentConfig()
         arr = np.ones((40, 16))
-        out = spec_augment(arr, cfg, np.random.default_rng(0))
+        out = spec_augment(arr, cfg, 64, np.random.default_rng(0))
         assert isinstance(out, np.ndarray) and out.shape == arr.shape
 
     def test_zero_masks_config_is_identity(self):
         cfg = AugmentConfig(n_time_masks=0, n_freq_masks=0)
         x = np.random.default_rng(0).normal(size=(20, 8))
         np.testing.assert_array_equal(
-            spec_augment(x, cfg, np.random.default_rng(1)), x)
+            spec_augment(x, cfg, 64, np.random.default_rng(1)), x)
 
 
 def johnk_beta(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from sonarprep.cli import (ConfigParseError, OutOfRangeError, UnknownKeyError,
                            load_config, main, parse_rate)
 from sonarprep.datasplit import read_split_rows
 from sonarprep.dsp import write_feature_archive
-from sonarprep import cli, nn
+from sonarprep import cli, nn, trainer
 from sonarprep.nn import load_checkpoint, save_checkpoint
 from synthdata import make_corpus, write_pcm16
 
@@ -77,8 +77,8 @@ class TestLoadConfig:
         assert cfg.data_rate == 8000
         assert cfg.train.feature.model_rate == 8000
         assert cfg.train.feature.n_mels == 24
-        assert cfg.train.augment.data_rate == 8000
-        assert cfg.train.augment.model_rate == 8000
+        assert not hasattr(cfg.train.augment, "data_rate")
+        assert not hasattr(cfg.train.augment, "model_rate")
         assert cfg.train.batch_size == 8
         assert cfg.split.seed == 7
         assert cfg.train.seeds == (0,)
@@ -145,7 +145,6 @@ class TestLoadConfig:
         assert cfg.split.seed == 3
         assert cfg.train.seeds == (40, 41, 42)
         assert cfg.data_rate == 8000
-        assert cfg.train.augment.data_rate == 8000
         assert cfg.jobs == 1
 
     @pytest.mark.parametrize("line", [
@@ -416,6 +415,31 @@ class TestPipelineCommands:
         assert result.exit_code == 2, result.output
         assert "Usage:" in result.output and f"'{missing}'" in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_train_masks_with_the_width_of_its_rates(self, pipeline, tmp_path,
+                                                     monkeypatch):
+        """``train`` scales the time-mask width by data.rate / feature.model_rate."""
+        root, runner = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("data.rate = 8k\n", "data.rate = 4k\n"))
+        feats = tmp_path / "feats"
+        result = runner.invoke(main, [
+            "featurize", "--config", str(cfg), "--manifest", str(root / "manifest.csv"),
+            "--split-file", str(root / "split.csv"),
+            "--corpus-root", str(root / "corpus"), "--out", str(feats)])
+        assert result.exit_code == 0, result.output
+        widths = set()
+        spec_augment = trainer.spec_augment
+
+        def spying_spec_augment(values, augment, time_width, rng):
+            widths.add(time_width)
+            return spec_augment(values, augment, time_width, rng)
+
+        monkeypatch.setattr(trainer, "spec_augment", spying_spec_augment)
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--features",
+                                      str(feats), "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 0, result.output
+        assert widths == {round(8 * 4000 / 8000)} == {4}
 
     def test_report_renders_sweep_raw(self, pipeline, tmp_path):
         _, runner = pipeline
@@ -718,6 +742,54 @@ class TestErrorSurface:
             "--features", str(feats), "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
         assert "classes.json" in result.output
+
+    @pytest.mark.parametrize("command", ["split", "featurize", "sweep"])
+    def test_one_class_corpus_refused(self, pipeline, tmp_path, monkeypatch, command):
+        """``ingest`` takes a one-class corpus, but every command after it
+        refuses the manifest before it reads any audio."""
+        root, runner = pipeline
+        corpus = make_corpus(tmp_path / "corpus", recordings_per_class=3, seconds=15.0,
+                             rate=8000, seed=1, classes={"alpha": (300.0, 1200.0)})
+        manifest = tmp_path / "manifest.csv"
+        result = runner.invoke(main, ["ingest", "--corpus-root", str(corpus),
+                                      "--out", str(manifest)])
+        assert result.exit_code == 0, result.output
+        reads = []
+        monkeypatch.setattr(cli, "_read_wav", lambda *args: reads.append(args))
+        out = tmp_path / "out"
+        args = {"split": [],
+                "featurize": ["--split-file", str(root / "split.csv"),
+                              "--corpus-root", str(corpus)],
+                "sweep": ["--corpus-root", str(corpus), "--data-rates", "8k",
+                          "--model-rates", "8k"]}[command]
+        result = runner.invoke(main, [command, "--config", str(root / "run.cfg"),
+                                      "--manifest", str(manifest), *args, "--out", str(out)])
+        assert_clean_failure(result)
+        assert "1 class(es) ['alpha'], need at least two" in result.output
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes", [
+        ["alpha"], [], "ab", ["alpha", "alpha"], ["alpha", ""], ["alpha", 1],
+        {"alpha": 0, "bravo": 1}, None,
+    ], ids=["one-class", "empty", "string", "duplicate", "empty-name", "non-string",
+            "object", "null"])
+    @pytest.mark.parametrize("command", ["train", "eval", "gradcam"])
+    def test_classes_file_needs_two_distinct_names(self, pipeline, tmp_path, command,
+                                                   classes):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        (feats / "classes.json").write_text(json.dumps(
+            {"classes": classes, "data_rate": 8000, "model_rate": 8000}))
+        out = tmp_path / "out"
+        args = (["--config", str(root / "run.cfg")] if command == "train"
+                else ["--model", str(root / "runs" / "model_seed0.spnn")])
+        result = runner.invoke(main, [command, *args, "--features", str(feats),
+                                      "--out", str(out)])
+        assert_clean_failure(result)
+        assert str(feats / "classes.json") in result.output
+        assert not out.exists()
 
     def test_train_refuses_features_made_at_other_rates(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -9,7 +9,8 @@ from sonarprep.datasplit import (DUPLICATE_ROW, INVALID_SPLIT_NAME, LEAKAGE,
                                  MISSING_CLASS, MISSING_RECORDING,
                                  UNKNOWN_RECORDING, DegenerateStatsError,
                                  EmptyTrainingSetError, NormStats, SplitSpec,
-                                 TooFewRecordingsError, compute_norm_stats,
+                                 TooFewClassesError, TooFewRecordingsError,
+                                 compute_norm_stats,
                                  normalize, read_split_rows,
                                  segment_counts, stratified_split,
                                  validate_split, write_split_file)
@@ -100,6 +101,11 @@ class TestStratifiedSplit:
     def test_empty_manifest_rejected(self):
         with pytest.raises(TooFewRecordingsError, match="no recordings"):
             stratified_split(Manifest([]), {}, SplitSpec())
+
+    def test_one_class_rejected(self):
+        m = toy_manifest({"a": 20})
+        with pytest.raises(TooFewClassesError, match=r"1 class\(es\) \['a'\]"):
+            stratified_split(m, segment_counts(m, 5.0), SplitSpec())
 
     def test_every_class_in_every_split(self):
         for seed in range(20):

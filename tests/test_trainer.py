@@ -14,8 +14,7 @@ from sonarprep.trainer import (EmptyDatasetError, FeatureSets, TrainConfig,
 from sonarprep.wavio import Manifest, ManifestEntry, Waveform
 
 TINY_ARCH = Architecture((Conv(2, 3), Relu(), MaxPool(2), GlobalAvgPool(), Dense()))
-TINY_AUG = AugmentConfig(base_time_mask_width=2, freq_mask_width=1,
-                         data_rate=8000, model_rate=8000)
+TINY_AUG = AugmentConfig(base_time_mask_width=2, freq_mask_width=1)
 TINY_FEAT = FeatureConfig(8000, win_length=64, hop_length=32, n_mels=6,
                           f_min=50, f_max=3500)
 
@@ -69,7 +68,7 @@ class TestEarlyStopping:
         cfg = tiny_config(patience=patience, max_epochs=max_epochs, lr=1e-2)
         data = tiny_data()
         model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
-        model, history = train(cfg, data.train, data.val, model, seed=0)
+        model, history = train(cfg, data.train, data.val, model, 8000, seed=0)
         return model, history, snapshots
 
     def test_stops_after_patience_without_improvement(self, monkeypatch):
@@ -111,7 +110,7 @@ class TestTrainLoop:
         runs = []
         for _ in range(2):
             model = init_model(cfg.arch, data.n_classes, seed=5, dtype=np.float32)
-            model, history = train(cfg, data.train, data.val, model, seed=5)
+            model, history = train(cfg, data.train, data.val, model, 8000, seed=5)
             runs.append((model, history))
         (m1, h1), (m2, h2) = runs
         assert h1.train_loss == h2.train_loss
@@ -123,9 +122,9 @@ class TestTrainLoop:
         cfg = tiny_config()
         data = tiny_data()
         model1 = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
-        _, h1 = train(cfg, data.train, data.val, model1, seed=0)
+        _, h1 = train(cfg, data.train, data.val, model1, 8000, seed=0)
         model2 = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
-        _, h2 = train(cfg, data.train, data.val, model2, seed=1)
+        _, h2 = train(cfg, data.train, data.val, model2, 8000, seed=1)
         assert h1.train_loss != h2.train_loss
 
     def test_every_train_batch_augmented_including_partial(self, monkeypatch):
@@ -134,13 +133,13 @@ class TestTrainLoop:
         sizes = []
         original = trainer_mod._augment_batch
 
-        def counting(inputs, targets, cfg, rng):
+        def counting(inputs, targets, cfg, time_width, rng):
             sizes.append(inputs.shape[0])
-            return original(inputs, targets, cfg, rng)
+            return original(inputs, targets, cfg, time_width, rng)
 
         monkeypatch.setattr(trainer_mod, "_augment_batch", counting)
         model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
-        train(cfg, data.train, data.val, model, seed=0)
+        train(cfg, data.train, data.val, model, 8000, seed=0)
         assert sizes == [8, 8, 4] * 3
 
     def test_validation_set_never_augmented(self, monkeypatch):
@@ -154,17 +153,16 @@ class TestTrainLoop:
 
         monkeypatch.setattr(trainer_mod, "validation_pass", spy_validation)
         model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
-        train(cfg, data.train, data.val, model, seed=0)
+        train(cfg, data.train, data.val, model, 8000, seed=0)
         for features in seen_val:
             assert features is data.val[0]  # same array, untouched
 
     def test_training_reduces_loss_on_separable_data(self):
         cfg = tiny_config(lr=5e-3, max_epochs=10, patience=10, use_mixup=False,
-                          augment=AugmentConfig(n_time_masks=0, n_freq_masks=0,
-                                                data_rate=8000, model_rate=8000))
+                          augment=AugmentConfig(n_time_masks=0, n_freq_masks=0))
         data = tiny_data(n_train=20)
         model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
-        _, history = train(cfg, data.train, data.val, model, seed=0)
+        _, history = train(cfg, data.train, data.val, model, 8000, seed=0)
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_empty_splits_rejected(self):
@@ -173,16 +171,16 @@ class TestTrainLoop:
         empty = (np.zeros((0, 8, 6), dtype=np.float32), np.zeros(0, dtype=int))
         model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
         with pytest.raises(EmptyDatasetError):
-            train(cfg, empty, data.val, model, seed=0)
+            train(cfg, empty, data.val, model, 8000, seed=0)
         with pytest.raises(EmptyDatasetError):
-            train(cfg, data.train, empty, model, seed=0)
+            train(cfg, data.train, empty, model, 8000, seed=0)
 
 
 class TestRunSeeds:
     def test_one_result_per_seed_with_metrics(self):
         cfg = tiny_config(seeds=(0, 1))
         data = tiny_data()
-        results = run_seeds(cfg, data)
+        results = run_seeds(cfg, data, 8000)
         assert [r.seed for r in results] == [0, 1]
         for r in results:
             assert 0.0 <= r.metrics.accuracy <= 1.0
@@ -325,6 +323,34 @@ class TestSweep:
         assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [
             (4000, 8000), (4000, 16000), (8000, 8000), (8000, 16000)]
         assert len(calls) == len(manifest.entries) * len(data_rates)
+
+    def test_each_cell_trains_with_the_mask_width_it_records(self, monkeypatch):
+        """The width reaching ``spec_augment`` in each cell, including cells
+        whose data rate differs from their model rate, is the cell's
+        recorded ``mask_width``."""
+        cell_widths = []
+        run_seeds, spec_augment = trainer_mod.run_seeds, trainer_mod.spec_augment
+
+        def marking_run_seeds(*args):
+            cell_widths.append(set())
+            return run_seeds(*args)
+
+        def spying_spec_augment(values, cfg, time_width, rng):
+            cell_widths[-1].add(time_width)
+            return spec_augment(values, cfg, time_width, rng)
+
+        monkeypatch.setattr(trainer_mod, "run_seeds", marking_run_seeds)
+        monkeypatch.setattr(trainer_mod, "spec_augment", spying_spec_augment)
+        manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
+        cfg = tiny_config(max_epochs=1, patience=1, seeds=(0,),
+                          augment=AugmentConfig(base_time_mask_width=8, freq_mask_width=1))
+        result = sweep((4000, 8000), (8000, 16000), cfg, manifest, loader,
+                       split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
+                       seconds=5.0)
+        recorded = [c["mask_width"] for c in result["cells"]]
+        assert recorded == [round(8 * c["data_rate"] / c["model_rate"])
+                            for c in result["cells"]] == [4, 2, 8, 4]
+        assert cell_widths == [{width} for width in recorded]
 
     def test_unbuildable_filterbank_fails_before_any_audio_is_read(self):
         """64 mels fit the 4 kHz bin grid of a 256-sample window but not the
