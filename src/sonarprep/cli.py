@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .errors import SonarprepError
 from .files import write_json, write_text
-from .wavio import Manifest, ManifestEntry, load_manifest, parse_wav, write_manifest
+from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_duration,
+                    write_manifest)
 from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, read_feature_archive,
                   segment_length, write_feature_archive)
 from .augment import AugmentConfig
@@ -262,14 +263,14 @@ def _echo(message: str) -> None:
 
 
 def _guarded(fn):
-    """Convert package errors into exit-code-1 CLI failures."""
+    """Convert package and file-system errors into exit-code-1 CLI failures."""
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except SonarprepError as exc:
-            raise click.ClickException(str(exc)) from exc
         except FileNotFoundError as exc:
             raise click.ClickException(f"missing input: {exc}") from exc
+        except (SonarprepError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
@@ -368,12 +369,11 @@ def ingest(corpus_root: Path, out: Path):
     entries = []
     for class_dir in sorted(p for p in corpus_root.iterdir() if p.is_dir()):
         for wav_path in sorted(class_dir.glob("*.wav")):
-            w = parse_wav(wav_path.read_bytes(), source_id=wav_path.stem)
             entries.append(ManifestEntry(
                 recording_id=wav_path.stem,
                 class_label=class_dir.name,
                 file_path=str(wav_path.relative_to(corpus_root)),
-                duration_seconds=w.duration_seconds,
+                duration_seconds=wav_duration(wav_path),
             ))
     manifest = Manifest(entries)
     write_text(out, write_manifest(manifest))

@@ -350,6 +350,8 @@ def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
         shape = struct.unpack_from("<II", data, 9) if count else (0, 0)
     except struct.error:
         refuse("archive truncated in a header")
+    if count and not shape[0] * shape[1]:
+        refuse(f"items of shape {shape} hold no cells")
     item_size = 12 + 4 * shape[0] * shape[1]
     size = 9 + count * item_size
     n_fit = min(count, (len(data) - 9) // item_size)

@@ -7,6 +7,8 @@ standard deviation, formatted as percentages to one decimal place.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +141,16 @@ def render_sweep_table(cells: list[dict]) -> str:
 
 def render_confusion_csv(confusion: np.ndarray, classes) -> str:
     """Counts (or count-averages) with labeled rows and columns."""
-    lines = ["true\\pred," + ",".join(classes)]
-    for i, label in enumerate(classes):
-        row = [label] + [_format_count(v) for v in confusion[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _confusion_table(classes, [[_format_count(v) for v in row] for row in confusion])
+
+
+def _confusion_table(classes, cells) -> str:
+    """CSV text: a header of the class names, then one row of cells per true class."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["true\\pred", *classes])
+    writer.writerows([label, *row] for label, row in zip(classes, cells))
+    return out.getvalue()
 
 
 def _format_count(v) -> str:
@@ -157,10 +164,7 @@ def render_confusion_rownorm_csv(confusion: np.ndarray, classes) -> str:
     row_sums = conf.sum(axis=1, keepdims=True)
     normed = np.divide(conf, row_sums, where=row_sums > 0,
                        out=np.zeros_like(conf))
-    lines = ["true\\pred," + ",".join(classes)]
-    for i, label in enumerate(classes):
-        lines.append(",".join([label] + [f"{v:.4f}" for v in normed[i]]))
-    return "\n".join(lines) + "\n"
+    return _confusion_table(classes, [[f"{v:.4f}" for v in row] for row in normed])
 
 
 def write_cam_report(out_dir, maps: np.ndarray, counts: np.ndarray, classes) -> None:

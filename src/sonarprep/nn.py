@@ -22,6 +22,7 @@ actual training runs.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -575,7 +576,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             pos += 4
             shape = struct.unpack_from(f"<{rank}I", data, pos)
             pos += 4 * rank
-            size = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            size = math.prod(shape)
             n_bytes = size * 4
             if pos + n_bytes > len(data):
                 raise CheckpointFormatError(f"tensor {name!r} truncated")

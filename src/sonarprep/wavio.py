@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import mmap
 import struct
 from dataclasses import dataclass, field
 
@@ -79,22 +80,13 @@ class Waveform:
             raise ValueError("sampling rate must be positive")
         self.rate = int(self.rate)
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.rate
 
-
-def parse_wav(data: bytes, source_id: str = "") -> Waveform:
-    """Decode a RIFF/WAVE byte string into a mono :class:`Waveform`.
-
-    16-bit PCM samples are scaled by 1/32768; 32-bit IEEE float samples
-    are taken as-is. Stereo input is mixed down by the arithmetic mean
-    of the two channels.
-    """
+def _wav_layout(data) -> tuple[tuple, int, int]:
+    """Walk the RIFF chunks of ``data`` (bytes or any buffer) to the fmt
+    fields and the offset and size of a data chunk this module can decode."""
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedHeaderError("not a RIFF/WAVE container")
-    fmt = None
-    raw = None
+    fmt = offset = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
@@ -108,24 +100,17 @@ def parse_wav(data: bytes, source_id: str = "") -> Waveform:
             if fmt is None:
                 raise MalformedHeaderError("data chunk precedes fmt chunk")
             if body + size > len(data):
-                raise TruncatedDataError(
-                    f"data chunk declares {size} bytes, "
-                    f"only {len(data) - body} present"
-                )
-            raw = data[body:body + size]
+                raise TruncatedDataError(f"data chunk declares {size} bytes, "
+                                         f"only {len(data) - body} present")
+            offset = body
             break
         if body + size > len(data):
             raise MalformedHeaderError(f"chunk {chunk_id!r} overruns the file")
         pos = body + size + (size & 1)  # chunks are word-aligned
     if fmt is None:
         raise MalformedHeaderError("missing fmt chunk")
-    if raw is None:
+    if offset is None:
         raise MalformedHeaderError("missing data chunk")
-    samples = _decode_samples(raw, fmt)
-    return Waveform(samples, fmt[2], source_id)
-
-
-def _decode_samples(raw: bytes, fmt: tuple) -> np.ndarray:
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if audio_format not in (_PCM, _IEEE_FLOAT):
         raise UnsupportedEncodingError(f"audio format tag {audio_format} not supported")
@@ -137,20 +122,39 @@ def _decode_samples(raw: bytes, fmt: tuple) -> np.ndarray:
         raise UnsupportedEncodingError(f"{channels} channels not supported (mono/stereo only)")
     if rate == 0:
         raise MalformedHeaderError("declared sample rate is zero")
-    frame_bytes = channels * bits // 8
-    if len(raw) % frame_bytes:
+    if size % (channels * bits // 8):
         raise TruncatedDataError("data chunk ends inside a sample frame")
-    if not raw:
+    if not size:
         raise TruncatedDataError("data chunk holds no samples")
+    return fmt, offset, size
+
+
+def parse_wav(data: bytes, source_id: str = "") -> Waveform:
+    """Decode a RIFF/WAVE byte string into a mono :class:`Waveform`.
+
+    16-bit PCM samples are scaled by 1/32768; 32-bit IEEE float samples
+    are taken as-is. Stereo input is mixed down by the arithmetic mean
+    of the two channels.
+    """
+    (audio_format, channels, rate, *_), offset, size = _wav_layout(data)
     if audio_format == _PCM:
-        arr = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM16_SCALE
+        arr = np.frombuffer(data, "<i2", size // 2, offset).astype(np.float64) / PCM16_SCALE
     else:
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteSamplesError("float data chunk contains NaN or infinity")
+        arr = np.frombuffer(data, "<f4", size // 4, offset).astype(np.float64)
     if channels == 2:
         arr = arr.reshape(-1, 2).mean(axis=1)
-    return arr
+    return Waveform(arr, rate, source_id)
+
+
+def wav_duration(path) -> float:
+    """Seconds of audio in the WAV file at ``path``, read from its chunk
+    headers; no sample is decoded."""
+    with open(path, "rb") as f:
+        if not f.seek(0, io.SEEK_END):  # mmap refuses an empty file
+            raise MalformedHeaderError("not a RIFF/WAVE container")
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            (_, channels, rate, _, _, bits), _, size = _wav_layout(view)
+    return size // (channels * bits // 8) / rate
 
 
 MANIFEST_FIELDS = ("recording_id", "class_label", "file_path", "duration_seconds")

@@ -3,11 +3,13 @@
 Each class is a fixed chord of sinusoids; recordings vary phase,
 per-partial amplitude, and additive noise so the task is separable
 but not degenerate. Files are written with the stdlib ``wave``
-module so corpus generation shares no code with the package reader.
+module (float WAVs by hand) so corpus generation shares no code with the
+package reader.
 """
 
 from __future__ import annotations
 
+import struct
 import wave
 from pathlib import Path
 
@@ -45,6 +47,15 @@ def write_pcm16(path: Path, samples: np.ndarray, rate: int) -> None:
         fh.setsampwidth(2)
         fh.setframerate(rate)
         fh.writeframes(ints.tobytes())
+
+
+def write_float32(path: Path, samples: np.ndarray, rate: int) -> None:
+    """A mono 32-bit IEEE float WAV, packed by hand: ``wave`` writes PCM only."""
+    data = np.asarray(samples, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
 
 
 def make_corpus(root: Path, recordings_per_class: int = 10,

@@ -20,7 +20,7 @@ from sonarprep.datasplit import read_split_rows
 from sonarprep.dsp import write_feature_archive
 from sonarprep import cli, nn, trainer
 from sonarprep.nn import load_checkpoint, save_checkpoint
-from synthdata import make_corpus, write_pcm16
+from synthdata import corpus_manifest_text, make_corpus, write_float32, write_pcm16
 
 SMOKE_CONFIG = """\
 # pipeline smoke settings
@@ -258,6 +258,21 @@ class TestPipelineCommands:
         lines = (root / "manifest.csv").read_text().strip().splitlines()
         assert lines[0] == "recording_id,class_label,file_path,duration_seconds"
         assert len(lines) == 9  # header + 8 recordings
+
+    def test_ingest_decodes_no_samples(self, pipeline, tmp_path, monkeypatch):
+        """Durations come from the WAV headers and match the stdlib reader's."""
+        root, runner = pipeline
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ingest decoded samples")
+
+        monkeypatch.setattr(cli, "parse_wav", refuse)
+        out = tmp_path / "manifest.csv"
+        result = runner.invoke(main, ["ingest", "--corpus-root", str(root / "corpus"),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (root / "manifest.csv").read_bytes()
+        assert out.read_text() == corpus_manifest_text(root / "corpus")
 
     def test_split_validates_cleanly(self, pipeline):
         root, runner = pipeline
@@ -829,6 +844,70 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert result.output.startswith("Error: seed 0: training diverged in epoch 1 ")
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_checkpoint_with_overflowing_shape(self, pipeline, tmp_path, command):
+        """A shape of (2**32 - 1, 2**32 - 1) elements wraps a 64-bit count."""
+        root, runner = pipeline
+        model = tmp_path / "model.spnn"
+        model.write_bytes(b"SPNN1" + struct.pack("<II1sI2I", 1, 1, b"w", 2,
+                                                 2**32 - 1, 2**32 - 1))
+        result = runner.invoke(main, [
+            command, "--model", str(model), "--features", str(root / "feats"),
+            "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "tensor 'w' truncated" in result.output
+
+    @pytest.mark.parametrize("command,split", [
+        ("eval", "test"), ("gradcam", "test"), ("train", "train")])
+    def test_archive_items_without_cells(self, pipeline, tmp_path, command, split):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        write_feature_archive(feats / f"{split}.sprf", np.zeros((2, 0, 24)), [0, 1])
+        source = (["--config", str(root / "run.cfg")] if command == "train"
+                  else ["--model", str(root / "runs" / "model_seed0.spnn")])
+        result = runner.invoke(main, [command, *source, "--features", str(feats),
+                                      "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert f"{split}.sprf: items of shape (0, 24) hold no cells" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_refuses_a_directory_named_like_a_wav(self, pipeline, tmp_path):
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        (corpus / "alpha" / "dir.wav").mkdir()
+        out = tmp_path / "manifest.csv"
+        result = runner.invoke(main, ["ingest", "--corpus-root", str(corpus),
+                                      "--out", str(out)])
+        assert_clean_failure(result)
+        assert "dir.wav" in result.output
+        assert not out.exists()
+
+    def test_non_finite_wav_passes_ingest_and_featurize_refuses_it(self, pipeline,
+                                                                   tmp_path):
+        """``ingest`` reads only headers, so samples are first checked when
+        ``featurize`` decodes them."""
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        samples = np.zeros(15 * 8000)
+        samples[7] = np.nan
+        write_float32(corpus / "alpha" / "alpha00.wav", samples, 8000)
+        manifest = tmp_path / "manifest.csv"
+        result = runner.invoke(main, ["ingest", "--corpus-root", str(corpus),
+                                      "--out", str(manifest)])
+        assert result.exit_code == 0, result.output
+        assert manifest.read_bytes() == (root / "manifest.csv").read_bytes()
+        out = tmp_path / "feats"
+        result = runner.invoke(main, [
+            "featurize", "--config", str(root / "run.cfg"), "--manifest", str(manifest),
+            "--split-file", str(root / "split.csv"), "--corpus-root", str(corpus),
+            "--out", str(out)])
+        assert_clean_failure(result)
+        assert "non-finite samples" in result.output
+        assert not out.exists()
 
     def test_checkpoint_with_trailing_bytes(self, pipeline, tmp_path):
         root, runner = pipeline

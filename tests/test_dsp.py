@@ -393,8 +393,11 @@ class TestArchive:
         (b"SPRF1\x01", "truncated in a header"),
         (packed_archive((3, 2, 0, [0.0] * 6), tail=b"JUNK"), "4 trailing bytes"),
         (packed_archive(tail=b"JUNK"), "4 trailing bytes"),
+        (packed_archive((0, 8, 0, []), (0, 8, 1, [])), r"shape \(0, 8\) hold no cells"),
+        (packed_archive((5, 0, 0, [])), r"shape \(5, 0\) hold no cells"),
     ], ids=["ragged-grows", "ragged-shrinks", "missing-item", "truncated-item",
-            "truncated-header", "no-count", "trailing", "trailing-after-empty"])
+            "truncated-header", "no-count", "trailing", "trailing-after-empty",
+            "no-frames", "no-mels"])
     def test_malformed_archive_rejected(self, tmp_path, blob, problem):
         path = tmp_path / "x.sprf"
         path.write_bytes(blob)

@@ -1,5 +1,7 @@
 """Metrics, multi-run aggregation, activation-map reports, and table rendering."""
 
+import csv
+import io
 import json
 import tracemalloc
 
@@ -187,6 +189,25 @@ class TestRendering:
     def test_confusion_csv_float_cells(self):
         text = render_confusion_csv(np.array([[2.5, 0.5], [0.0, 3.0]]), ["a", "b"])
         assert "a,2.50,0.50" in text
+
+    def test_plain_names_keep_their_bytes(self):
+        conf = np.array([[3, 1, 0], [0, 2.5, 0.5], [0, 0, 0]])
+        classes = ["Cargo", "passenger ship", "tug_boat"]
+        assert render_confusion_csv(conf, classes) == (
+            "true\\pred,Cargo,passenger ship,tug_boat\n"
+            "Cargo,3,1,0\npassenger ship,0,2.50,0.50\ntug_boat,0,0,0\n")
+        assert render_confusion_rownorm_csv(conf, classes) == (
+            "true\\pred,Cargo,passenger ship,tug_boat\n"
+            "Cargo,0.7500,0.2500,0.0000\npassenger ship,0.0000,0.8333,0.1667\n"
+            "tug_boat,0.0000,0.0000,0.0000\n")
+
+    @pytest.mark.parametrize("render", [render_confusion_csv, render_confusion_rownorm_csv])
+    def test_names_with_csv_syntax_read_back(self, render):
+        classes = ["Cargo, large", 'the "tug"', "pilot\nboat"]
+        rows = list(csv.reader(io.StringIO(render(np.eye(3), classes))))
+        assert rows[0] == ["true\\pred", *classes]
+        assert [row[0] for row in rows[1:]] == classes
+        assert all(len(row) == 4 for row in rows)
 
     def test_rownorm_zero_row_stays_zero(self):
         text = render_confusion_rownorm_csv(np.array([[0, 0], [1, 3]]), ["a", "b"])

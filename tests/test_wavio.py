@@ -1,4 +1,5 @@
-"""WAV decoding against the stdlib wave module, plus manifest handling."""
+"""WAV decoding against the stdlib wave module, durations from WAV headers,
+plus manifest handling."""
 
 import io
 import struct
@@ -13,25 +14,84 @@ from sonarprep.wavio import (PCM16_SCALE, DuplicateRecordingError,
                              MissingFieldError, NonFiniteSamplesError,
                              NonPositiveDurationError, TruncatedDataError,
                              UnsupportedEncodingError, load_manifest, parse_wav,
-                             write_manifest)
+                             wav_duration, write_manifest)
 
 
 def stdlib_wav_bytes(ints: np.ndarray, rate: int, channels: int = 1) -> bytes:
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as fh:
-        fh.setnchannels(channels)
-        fh.setsampwidth(2)
-        fh.setframerate(rate)
-        fh.writeframes(ints.astype("<i2").tobytes())
-    return buf.getvalue()
+    return stdlib_wav_with(channels, 2, ints.astype("<i2").tobytes(), rate)
 
 
 def float32_wav_bytes(samples: np.ndarray, rate: int) -> bytes:
-    data = samples.astype("<f4").tobytes()
-    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)
-    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(data)) + data)
+    return riff(fmt_chunk(tag=3, rate=rate, bits=32), (b"data", samples.astype("<f4").tobytes()))
+
+
+def riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    """A RIFF/WAVE container of (chunk id, body) pairs, each body padded to
+    an even length."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
+                    for cid, data in chunks)
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_chunk(tag: int = 1, channels: int = 1, rate: int = 8000,
+              bits: int = 16) -> tuple[bytes, bytes]:
+    block = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+
+
+def with_list_chunk(blob: bytes) -> bytes:
+    """``blob`` with a LIST chunk spliced in between its fmt and data chunks."""
+    fmt_end = blob.index(b"data")
+    extra = b"LIST" + struct.pack("<I", 4) + b"info"
+    patched = blob[:fmt_end] + extra + blob[fmt_end:]
+    return patched[:4] + struct.pack("<I", len(patched) - 8) + patched[8:]
+
+
+def stdlib_wav_with(channels: int, sample_width: int, frames: bytes,
+                    rate: int = 8000) -> bytes:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as fh:
+        fh.setnchannels(channels)
+        fh.setsampwidth(sample_width)
+        fh.setframerate(rate)
+        fh.writeframes(frames)
+    return buf.getvalue()
+
+
+VALID_WAVS = {
+    "pcm16-mono": lambda: stdlib_wav_bytes(np.arange(-50, 50, dtype=np.int16), 16000),
+    "pcm16-stereo": lambda: stdlib_wav_bytes(np.arange(6, dtype=np.int16), 44100,
+                                             channels=2),
+    "float32": lambda: float32_wav_bytes(np.linspace(-1, 1, 64), 22050),
+    "list-chunk": lambda: with_list_chunk(stdlib_wav_bytes(np.array([5, -5], np.int16),
+                                                           8000)),
+}
+
+MALFORMED_WAVS = {
+    "not-riff": (lambda: b"OGGS" + b"\x00" * 64, MalformedHeaderError),
+    "truncated-data": (lambda: stdlib_wav_bytes(np.zeros(100, np.int16), 8000)[:-10],
+                       TruncatedDataError),
+    "data-before-fmt": (lambda: riff((b"data", b"\x00\x00"), fmt_chunk()),
+                        MalformedHeaderError),
+    "8-bit-pcm": (lambda: stdlib_wav_with(1, 1, b"\x80" * 16), UnsupportedEncodingError),
+    "4-channels": (lambda: stdlib_wav_with(4, 2, b"\x00" * 32), UnsupportedEncodingError),
+    "empty-data": (lambda: stdlib_wav_bytes(np.zeros(0, np.int16), 8000),
+                   TruncatedDataError),
+    "missing-fmt": (lambda: riff((b"LIST", b"info")), MalformedHeaderError),
+    "missing-data": (lambda: riff(fmt_chunk()), MalformedHeaderError),
+    "short-fmt": (lambda: riff((b"fmt ", bytes(8)), (b"data", bytes(2))),
+                  MalformedHeaderError),
+    "chunk-overruns": (lambda: riff(fmt_chunk()) + b"LIST" + struct.pack("<I", 99),
+                       MalformedHeaderError),
+    "16-bit-float": (lambda: riff(fmt_chunk(tag=3), (b"data", bytes(2))),
+                     UnsupportedEncodingError),
+    "adpcm": (lambda: riff(fmt_chunk(tag=2), (b"data", bytes(2))),
+              UnsupportedEncodingError),
+    "zero-rate": (lambda: riff(fmt_chunk(rate=0), (b"data", bytes(2))),
+                  MalformedHeaderError),
+    "partial-frame": (lambda: riff(fmt_chunk(channels=2), (b"data", bytes(2))),
+                      TruncatedDataError),
+}
 
 
 class TestParse:
@@ -72,18 +132,8 @@ class TestParse:
 
     def test_extra_chunks_are_skipped(self):
         ints = np.array([5, -5], dtype=np.int16)
-        blob = stdlib_wav_bytes(ints, 8000)
-        # splice a LIST chunk between fmt and data
-        fmt_end = blob.index(b"data")
-        extra = b"LIST" + struct.pack("<I", 4) + b"info"
-        patched = blob[:fmt_end] + extra + blob[fmt_end:]
-        patched = patched[:4] + struct.pack("<I", len(patched) - 8) + patched[8:]
-        w = parse_wav(patched)
+        w = parse_wav(with_list_chunk(stdlib_wav_bytes(ints, 8000)))
         np.testing.assert_array_equal(w.samples, ints / PCM16_SCALE)
-
-    def test_duration_property(self):
-        w = parse_wav(stdlib_wav_bytes(np.zeros(4000, dtype=np.int16), 8000))
-        assert w.duration_seconds == pytest.approx(0.5)
 
 
 class TestParseErrors:
@@ -97,33 +147,16 @@ class TestParseErrors:
             parse_wav(blob[:-10])
 
     def test_data_before_fmt(self):
-        data = b"\x00\x00"
-        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
-        body = (b"data" + struct.pack("<I", len(data)) + data
-                + b"fmt " + struct.pack("<I", len(fmt)) + fmt)
-        blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
         with pytest.raises(MalformedHeaderError):
-            parse_wav(blob)
+            parse_wav(riff((b"data", b"\x00\x00"), fmt_chunk()))
 
     def test_unsupported_bit_depth(self):
-        buf = io.BytesIO()
-        with wave.open(buf, "wb") as fh:
-            fh.setnchannels(1)
-            fh.setsampwidth(1)  # 8-bit
-            fh.setframerate(8000)
-            fh.writeframes(b"\x80" * 16)
         with pytest.raises(UnsupportedEncodingError):
-            parse_wav(buf.getvalue())
+            parse_wav(stdlib_wav_with(1, 1, b"\x80" * 16))
 
     def test_too_many_channels(self):
-        buf = io.BytesIO()
-        with wave.open(buf, "wb") as fh:
-            fh.setnchannels(4)
-            fh.setsampwidth(2)
-            fh.setframerate(8000)
-            fh.writeframes(b"\x00" * 32)
         with pytest.raises(UnsupportedEncodingError):
-            parse_wav(buf.getvalue())
+            parse_wav(stdlib_wav_with(4, 2, b"\x00" * 32))
 
     def test_empty_data(self):
         blob = stdlib_wav_bytes(np.zeros(0, dtype=np.int16), 8000)
@@ -134,6 +167,42 @@ class TestParseErrors:
         x = np.array([0.0, np.nan], dtype=np.float32)
         with pytest.raises(NonFiniteSamplesError):
             parse_wav(float32_wav_bytes(x, 8000))
+
+
+class TestDuration:
+    """``wav_duration`` reads the headers ``parse_wav`` reads, and no samples."""
+
+    @pytest.mark.parametrize("name", VALID_WAVS)
+    def test_matches_decoded_length(self, tmp_path, name):
+        blob = VALID_WAVS[name]()
+        path = tmp_path / "x.wav"
+        path.write_bytes(blob)
+        w = parse_wav(blob)
+        assert wav_duration(path) == w.samples.size / w.rate
+
+    @pytest.mark.parametrize("name", MALFORMED_WAVS)
+    def test_refuses_what_parse_refuses(self, tmp_path, name):
+        build, error = MALFORMED_WAVS[name]
+        path = tmp_path / "x.wav"
+        path.write_bytes(build())
+        with pytest.raises(error) as parsed:
+            parse_wav(path.read_bytes())
+        with pytest.raises(error) as walked:
+            wav_duration(path)
+        assert str(walked.value) == str(parsed.value)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"")
+        with pytest.raises(MalformedHeaderError, match="not a RIFF/WAVE container"):
+            wav_duration(path)
+
+    def test_non_finite_samples_have_a_duration(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(float32_wav_bytes(np.array([0.0, np.nan, np.inf]), 8000))
+        assert wav_duration(path) == 3 / 8000
+        with pytest.raises(NonFiniteSamplesError):
+            parse_wav(path.read_bytes())
 
 
 MANIFEST_HEADER = "recording_id,class_label,file_path,duration_seconds"
