@@ -453,10 +453,11 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     [(data, stats)] = build_feature_sets(manifest, lambda entry: _read_wav(corpus_root, entry),
                                          assignment, cfg.data_rate, [cfg.train.feature],
                                          cfg.segment_seconds, jobs=cfg.jobs)
-    for name in SPLIT_NAMES:
+    for name, outside in zip(SPLIT_NAMES, data.outside):
         x, y = getattr(data, name)
         write_feature_archive(out / f"{name}.sprf", x, y)
-        _echo(f"{name}.sprf: {len(y)} segments")
+        _echo(f"{name}.sprf: {len(y)} segments"
+              + (f", {outside} outside the train range" if name != "train" else ""))
     write_json(out / "norm_stats.json",
                {"global_min": stats.global_min, "global_max": stats.global_max})
     write_json(out / "classes.json", {"classes": list(manifest.classes),

@@ -12,10 +12,12 @@ is filtered by a few BLAS matrix products on strided views of its samples.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -107,15 +109,37 @@ def _phase_bank(up: int, down: int) -> np.ndarray:
 MIN_STRIDE, MAX_BLOCK = 128, 512
 
 
-@lru_cache(maxsize=16)
+#: Bytes of band matrices kept across calls. Plans used least recently are
+#: dropped first, but the latest plan is always kept, even above the bound:
+#: 52,734 -> 32,000 Hz alone needs 54.3 MB.
+PLAN_CACHE_BYTES = 64 << 20
+_plans: OrderedDict = OrderedDict()  # (up, down) -> (plan, bytes), oldest first
+_plans_lock = threading.Lock()
+
+
 def _band_plan(up: int, down: int):
     """``(half, D, U, groups)``: outputs in blocks of ``U = k * up`` whose
     inputs start ``D = k * down`` samples apart. Group ``(r0, r1, a0, H)``
     of block outputs ``r0 <= r < r1`` has a read-only band matrix ``H``
     [B x (r1 - r0)] holding the bank row of output ``r`` from row
     ``anchor(r) - a0``; its anchors span under ``taps``, so B < 2 * taps.
-    Kept per ratio: a corpus repeats a few ratios, and designing them costs
-    more than filtering a short recording."""
+    Kept per ratio within PLAN_CACHE_BYTES: a corpus repeats a few ratios,
+    and designing them costs more than filtering a short recording."""
+    key = (up, down)
+    with _plans_lock:
+        if key in _plans:
+            _plans.move_to_end(key)
+            return _plans[key][0]
+    plan = _design_band_plan(up, down)
+    with _plans_lock:  # a thread that designed the same plan first wins
+        plan, _ = _plans.setdefault(key, (plan, sum(h.nbytes for *_, h in plan[3])))
+        _plans.move_to_end(key)
+        while len(_plans) > 1 and sum(n for _, n in _plans.values()) > PLAN_CACHE_BYTES:
+            _plans.popitem(last=False)
+    return plan
+
+
+def _design_band_plan(up: int, down: int):
     bank = _phase_bank(up, down)
     taps = bank.shape[1]
     k = max(1, min(-(-MIN_STRIDE // down), MAX_BLOCK // up))
@@ -334,37 +358,42 @@ def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back the [n x frames x mels] float32 values and int64 labels
     written by :func:`write_feature_archive`.
 
-    Every item must have the first item's shape; the file is read through
-    one structured view and copied once into the returned values.
+    Every item must have the first item's shape; each item's values are
+    read from the file straight into the returned array, so a read holds
+    one copy of them.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-
     def refuse(problem: str):
         raise ArchiveFormatError(f"{path}: {problem}")
 
-    if data[:5] != ARCHIVE_MAGIC:
-        refuse("bad magic: not a feature archive")
-    try:
-        (count,) = struct.unpack_from("<I", data, 5)
-        shape = struct.unpack_from("<II", data, 9) if count else (0, 0)
-    except struct.error:
-        refuse("archive truncated in a header")
-    if count and not shape[0] * shape[1]:
-        refuse(f"items of shape {shape} hold no cells")
-    item_size = 12 + 4 * shape[0] * shape[1]
-    size = 9 + count * item_size
-    n_fit = min(count, (len(data) - 9) // item_size)
-    if count and not n_fit:
-        refuse(f"archive truncated: {len(data)} of {size} bytes")
-    item = np.dtype([("frames", "<u4"), ("mels", "<u4"), ("label", "<u4"),
-                     ("values", "<f4", shape)])
-    records = np.frombuffer(data, dtype=item, count=n_fit, offset=9)
-    if np.any(records["frames"] != shape[0]) or np.any(records["mels"] != shape[1]):
-        refuse(f"items differ in shape from the first item's {shape}")
-    if len(data) < size:
-        refuse(f"archive truncated: {len(data)} of {size} bytes")
-    if len(data) > size:
-        refuse(f"{len(data) - size} trailing bytes after last item")
-    return (np.ascontiguousarray(records["values"], dtype=np.float32),
-            records["label"].astype(np.int64))
+    with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
+        head = f.read(21)
+        if head[:5] != ARCHIVE_MAGIC:
+            refuse("bad magic: not a feature archive")
+        try:
+            (count,) = struct.unpack_from("<I", head, 5)
+            shape = struct.unpack_from("<II", head, 9) if count else (0, 0)
+        except struct.error:
+            refuse("archive truncated in a header")
+        if count and not shape[0] * shape[1]:
+            refuse(f"items of shape {shape} hold no cells")
+        item_size = 12 + 4 * shape[0] * shape[1]
+        size = 9 + count * item_size
+        n_fit = min(count, (file_size - 9) // item_size)
+        if count and not n_fit:
+            refuse(f"archive truncated: {file_size} of {size} bytes")
+        values = np.empty((n_fit,) + shape, dtype="<f4")
+        labels = np.empty(n_fit, dtype=np.int64)
+        header = np.empty(3, dtype="<u4")  # frames, mels, label
+        f.seek(9)
+        for i in range(n_fit):
+            f.readinto(header)
+            f.readinto(values[i])
+            if tuple(header[:2]) != shape:
+                refuse(f"items differ in shape from the first item's {shape}")
+            labels[i] = header[2]
+    if file_size < size:
+        refuse(f"archive truncated: {file_size} of {size} bytes")
+    if file_size > size:
+        refuse(f"{file_size - size} trailing bytes after last item")
+    return values.astype(np.float32, copy=False), labels

@@ -161,6 +161,9 @@ class FeatureSets(NamedTuple):
     val: tuple[np.ndarray, np.ndarray]
     test: tuple[np.ndarray, np.ndarray]
     n_classes: int
+    #: per split, the segments whose extrema fall outside the train split's
+    #: range; counted by :func:`build_feature_sets`, empty elsewhere
+    outside: tuple[int, ...] = ()
 
 
 @dataclass
@@ -197,6 +200,21 @@ def history_csv(history: RunHistory) -> str:
 # rate sweeps
 # ---------------------------------------------------------------------------
 
+def _rows_array(capacity: int, shape: tuple[int, int]) -> np.ndarray:
+    """An unfilled float32 array of ``capacity`` rows; empty if a manifest
+    promises more rows than can be allocated, which then grows as needed."""
+    try:
+        return np.empty((capacity,) + shape, dtype=np.float32)
+    except (MemoryError, ValueError):
+        return np.empty((0,) + shape, dtype=np.float32)
+
+
+def _resize_rows(x: np.ndarray, n: int) -> None:
+    """Grow or cut ``x`` to ``n`` rows in place, without a second copy of
+    its values; no view of ``x`` may be alive."""
+    x.resize((n,) + x.shape[1:], refcheck=False)
+
+
 def build_feature_sets(manifest: Manifest,
                        load_waveform: Callable[[ManifestEntry], Waveform],
                        assignment: dict[str, str], data_rate: int,
@@ -211,41 +229,76 @@ def build_feature_sets(manifest: Manifest,
     any audio is read. Recordings are featurized on ``jobs`` threads; the
     arrays do not depend on ``jobs``. Each config's normalization stats come
     from its training split alone, and each split must produce at least one
-    segment. A float64 spectrogram is dropped once its float32 row is filled.
+    segment.
+
+    A segment's float64 log-mel is kept only until its float32 row and its
+    float64 min and max are taken; the stats come from the train split's
+    extrema. Each split's array is allocated once, sized from the
+    manifest's durations, and a recording's rows are copied into it in
+    manifest order; each row is then rescaled in place in float64. Memory
+    holds the output plus a recording per worker. Durations that understate
+    the audio grow the array, and rows they overstate are cut at the end.
     """
     banks = [mel_filterbank(cfg, data_rate) for cfg in feature_cfgs]
+    shapes = [(frame_count(segment_length(seconds, data_rate), cfg.hop_length),
+               cfg.n_mels) for cfg in feature_cfgs]
 
-    def featurize_recording(entry: ManifestEntry) -> list[list[np.ndarray]]:
+    def featurize_recording(entry: ManifestEntry) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per config: the recording's float32 rows and each row's [min, max]."""
         segments = segment(resample(load_waveform(entry), data_rate), seconds)
-        return [[features_for_segment(samples, cfg, fb) for samples in segments]
-                for cfg, fb in zip(feature_cfgs, banks)]
+        per_config = []
+        for cfg, fb, shape in zip(feature_cfgs, banks, shapes):
+            rows = np.empty((len(segments),) + shape, dtype=np.float32)
+            extrema = np.empty((len(segments), 2))
+            for i, samples in enumerate(segments):
+                spectrogram = features_for_segment(samples, cfg, fb)
+                rows[i] = spectrogram
+                extrema[i] = spectrogram.min(), spectrogram.max()
+            per_config.append((rows, extrema))
+        return per_config
+
+    counts = segment_counts(manifest, seconds)
+    capacity = dict.fromkeys(SPLIT_NAMES, 0)
+    for entry in manifest.entries:
+        capacity[assignment[entry.recording_id]] += counts[entry.recording_id]
+    # per config and split: the rows, their extrema and their labels so far
+    splits = [{name: (_rows_array(capacity[name], shape), [], []) for name in SPLIT_NAMES}
+              for shape in shapes]
+    label_index = manifest.label_indices()
+
+    def append(recordings) -> None:
+        for entry, per_config in zip(manifest.entries, recordings):
+            for split, (rows, extrema) in zip(splits, per_config):
+                x, split_extrema, labels = split[assignment[entry.recording_id]]
+                n = len(labels)
+                if n + len(rows) > len(x):
+                    _resize_rows(x, n + len(rows))
+                x[n:n + len(rows)] = rows
+                split_extrema.append(extrema)
+                labels.extend([label_index[entry.class_label]] * len(rows))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_recording = list(pool.map(featurize_recording, manifest.entries))
+            append(pool.map(featurize_recording, manifest.entries))
     else:
-        per_recording = [featurize_recording(e) for e in manifest.entries]
-    label_index = manifest.label_indices()
+        append(map(featurize_recording, manifest.entries))
     results = []
-    for k in range(len(feature_cfgs)):
-        buckets = {name: ([], []) for name in SPLIT_NAMES}
-        for entry, spectrograms in zip(manifest.entries, per_recording):
-            values, labels = buckets[assignment[entry.recording_id]]
-            values.extend(spectrograms[k])
-            labels.extend([label_index[entry.class_label]] * len(spectrograms[k]))
-            spectrograms[k] = None  # the buckets hold the only references
-        for name, (values, _) in buckets.items():
-            if not values:
+    for split in splits:
+        for name, (x, _, labels) in split.items():
+            if not labels:
                 raise EmptyDatasetError(f"{name} split produced no segments")
-        stats = compute_norm_stats(buckets["train"][0])
-        sets = {}
-        for name, (values, labels) in buckets.items():
-            x = np.empty((len(values),) + values[0].shape, dtype=np.float32)
-            for i, spectrogram in enumerate(values):
-                x[i] = normalize(spectrogram, stats)
-                values[i] = None
+            _resize_rows(x, len(labels))
+        stats = compute_norm_stats([np.concatenate(split["train"][1])])
+        sets, outside = {}, []
+        for name, (x, split_extrema, labels) in split.items():
+            for i in range(len(x)):
+                x[i] = normalize(x[i].astype(np.float64), stats)
+            lo, hi = np.concatenate(split_extrema).T
+            outside.append(int(np.count_nonzero((lo < stats.global_min)
+                                                | (hi > stats.global_max))))
             sets[name] = (x, np.array(labels, dtype=np.int64))
-        results.append((FeatureSets(**sets, n_classes=len(manifest.classes)), stats))
+        results.append((FeatureSets(**sets, n_classes=len(manifest.classes),
+                                    outside=tuple(outside)), stats))
     return results
 
 

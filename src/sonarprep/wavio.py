@@ -1,8 +1,9 @@
 """WAV ingestion and dataset manifests.
 
 Parses RIFF/WAVE containers (16-bit PCM and 32-bit IEEE float, mono or
-stereo) into mono float waveforms, and handles the CSV manifest that maps
-recordings to class labels and file paths.
+stereo, in a plain or a WAVE_FORMAT_EXTENSIBLE fmt chunk) into mono float
+waveforms, and handles the CSV manifest that maps recordings to class
+labels and file paths.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class NonPositiveDurationError(ManifestError):
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_EXTENSIBLE = 0xFFFE
+# bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs whose first two bytes are a
+# plain format tag, such as PCM's 00000001-0000-0010-8000-00aa00389b71
+_SUBTYPE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 PCM16_SCALE = 32768.0
 
 
@@ -81,6 +86,22 @@ class Waveform:
         self.rate = int(self.rate)
 
 
+def _extensible_format(data, body: int, size: int, bits: int) -> int:
+    """The plain format tag that a WAVE_FORMAT_EXTENSIBLE fmt chunk at
+    ``body`` stands for: its sub-format GUID's PCM or IEEE-float code."""
+    if size < 40 or body + 40 > len(data):
+        raise MalformedHeaderError("extensible fmt chunk too short")
+    valid_bits, _channel_mask, code, tail = struct.unpack_from("<HIH14s", data, body + 18)
+    if tail != _SUBTYPE_GUID_TAIL or code not in (_PCM, _IEEE_FLOAT):
+        guid = bytes(data[body + 24:body + 40]).hex()
+        raise UnsupportedEncodingError(f"extensible sub-format {guid} not supported "
+                                       f"(PCM or IEEE float only)")
+    if valid_bits != bits:
+        raise UnsupportedEncodingError(f"{valid_bits} valid bits in {bits}-bit samples "
+                                       f"not supported")
+    return code
+
+
 def _wav_layout(data) -> tuple[tuple, int, int]:
     """Walk the RIFF chunks of ``data`` (bytes or any buffer) to the fmt
     fields and the offset and size of a data chunk this module can decode."""
@@ -96,6 +117,8 @@ def _wav_layout(data) -> tuple[tuple, int, int]:
             if size < 16 or body + 16 > len(data):
                 raise MalformedHeaderError("fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", data, body)
+            if fmt[0] == _EXTENSIBLE:
+                fmt = (_extensible_format(data, body, size, fmt[5]),) + fmt[1:]
         elif chunk_id == b"data":
             if fmt is None:
                 raise MalformedHeaderError("data chunk precedes fmt chunk")
@@ -138,7 +161,8 @@ def parse_wav(data: bytes, source_id: str = "") -> Waveform:
     """
     (audio_format, channels, rate, *_), offset, size = _wav_layout(data)
     if audio_format == _PCM:
-        arr = np.frombuffer(data, "<i2", size // 2, offset).astype(np.float64) / PCM16_SCALE
+        arr = np.frombuffer(data, "<i2", size // 2, offset).astype(np.float64)
+        arr /= PCM16_SCALE  # in place: one float64 copy of the recording
     else:
         arr = np.frombuffer(data, "<f4", size // 4, offset).astype(np.float64)
     if channels == 2:

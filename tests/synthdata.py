@@ -58,6 +58,27 @@ def write_float32(path: Path, samples: np.ndarray, rate: int) -> None:
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
 
 
+def subformat_guid(code: int) -> bytes:
+    """KSDATAFORMAT_SUBTYPE GUID {0000XXXX-0000-0010-8000-00aa00389b71} in
+    its little-endian byte layout."""
+    return struct.pack("<IHH", code, 0, 0x10) + bytes.fromhex("800000aa00389b71")
+
+
+def as_extensible(blob: bytes, valid_bits: int | None = None,
+                  guid: bytes | None = None) -> bytes:
+    """The plain WAV ``blob`` with its 16-byte fmt chunk rewritten as
+    WAVE_FORMAT_EXTENSIBLE: format tag 0xFFFE, and the old tag as the
+    sub-format GUID's code unless ``guid`` is given."""
+    tag, channels, rate, byte_rate, block, bits = struct.unpack_from("<HHIIHH", blob, 20)
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, byte_rate, block, bits, 22,
+                      bits if valid_bits is None else valid_bits, (1 << channels) - 1)
+    fmt += guid or subformat_guid(tag)
+    data_at = blob.index(b"data", 36)
+    (size,) = struct.unpack_from("<I", blob, data_at + 4)
+    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt + blob[data_at:data_at + 8 + size]
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 def make_corpus(root: Path, recordings_per_class: int = 10,
                 seconds: float = 25.0, rate: int = 8000, seed: int = 0,
                 classes: dict[str, tuple[float, ...]] | None = None) -> Path:

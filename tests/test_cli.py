@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import shutil
 import struct
 import weakref
@@ -20,7 +21,9 @@ from sonarprep.datasplit import read_split_rows
 from sonarprep.dsp import write_feature_archive
 from sonarprep import cli, nn, trainer
 from sonarprep.nn import load_checkpoint, save_checkpoint
-from synthdata import corpus_manifest_text, make_corpus, write_float32, write_pcm16
+from sonarprep.wavio import parse_wav
+from synthdata import (as_extensible, corpus_manifest_text, make_corpus, subformat_guid,
+                       write_float32, write_pcm16)
 
 SMOKE_CONFIG = """\
 # pipeline smoke settings
@@ -340,6 +343,30 @@ class TestPipelineCommands:
             outs.append(out)
         for name in ("train.sprf", "val.sprf", "test.sprf", "run.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_featurize_counts_segments_outside_the_train_range(self, pipeline, tmp_path):
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        rows, _ = read_split_rows((root / "split.csv").read_text())
+        loud = next(rec_id for rec_id, split_name in rows if split_name == "val")
+        path = next(corpus.rglob(f"{loud}.wav"))  # 20 dB above every train recording
+        write_float32(path, 10 * parse_wav(path.read_bytes()).samples, 8000)
+        counts = []
+        for i, corpus_root in enumerate((root / "corpus", corpus)):
+            result = runner.invoke(main, [
+                "featurize", "--config", str(root / "run.cfg"),
+                "--manifest", str(root / "manifest.csv"),
+                "--split-file", str(root / "split.csv"),
+                "--corpus-root", str(corpus_root), "--out", str(tmp_path / f"feats{i}")])
+            assert result.exit_code == 0, result.output
+            assert re.search(r"^train\.sprf: \d+ segments$", result.output, re.M)
+            counts.append({name: int(n) for name, n in re.findall(
+                r"^(val|test)\.sprf: \d+ segments, (\d+) outside the train range$",
+                result.output, re.M)})
+        pristine, louder = counts
+        assert louder["test"] == pristine["test"]  # the train range did not move
+        assert louder["val"] >= max(3, pristine["val"])  # all 3 of the loud segments
 
     def test_train_outputs(self, pipeline):
         root, _ = pipeline
@@ -884,6 +911,35 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert "dir.wav" in result.output
         assert not out.exists()
+
+    def test_ingest_reads_extensible_wav(self, pipeline, tmp_path):
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        path = corpus / "alpha" / "alpha00.wav"
+        path.write_bytes(as_extensible(path.read_bytes()))
+        out = tmp_path / "manifest.csv"
+        result = runner.invoke(main, ["ingest", "--corpus-root", str(corpus),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (root / "manifest.csv").read_bytes()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"valid_bits": 12}, "12 valid bits in 16-bit samples not supported"),
+        ({"guid": subformat_guid(2)},
+         "extensible sub-format 0200000000001000800000aa00389b71 not supported"),
+    ], ids=["valid-bits", "sub-format"])
+    def test_ingest_refuses_extensible_wav_it_cannot_read(self, pipeline, tmp_path,
+                                                          change, message):
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        path = corpus / "alpha" / "alpha00.wav"
+        path.write_bytes(as_extensible(path.read_bytes(), **change))
+        result = runner.invoke(main, ["ingest", "--corpus-root", str(corpus),
+                                      "--out", str(tmp_path / "manifest.csv")])
+        assert_clean_failure(result)
+        assert message in result.output
 
     def test_non_finite_wav_passes_ingest_and_featurize_refuses_it(self, pipeline,
                                                                    tmp_path):

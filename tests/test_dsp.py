@@ -7,11 +7,14 @@ vectorized code never validates itself.
 
 import math
 import struct
+import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sonarprep import dsp
 from sonarprep.wavio import Waveform
 from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, LOG_FLOOR, ArchiveFormatError,
                            ConfigMismatchError, DegenerateBandError,
@@ -121,6 +124,26 @@ class TestResample:
         # under twice the phase bank, or 2 MB where widened blocks need it
         cached = sum(band.nbytes for *_, band in _band_plan(up, down)[3])
         assert cached <= max(2 * _phase_bank(up, down).nbytes, 2_000_000)
+
+    def test_plan_cache_keeps_within_its_byte_bound(self, monkeypatch):
+        x = np.random.default_rng(4).standard_normal(3000)
+        ratios = [(44100, 16000), (44100, 8000), (44100, 32000), (22050, 8000),
+                  (48000, 44100)]
+        want = [resample_signal(x, src, dst).tobytes() for src, dst in ratios]
+
+        def cached_bytes():
+            return sum(band.nbytes for plan, _ in dsp._plans.values()
+                       for *_, band in plan[3])
+
+        monkeypatch.setattr(dsp, "_plans", OrderedDict())
+        monkeypatch.setattr(dsp, "PLAN_CACHE_BYTES", 2_000_000)  # two of these plans
+        for (src, dst), expected in zip(ratios * 2, want * 2):
+            assert resample_signal(x, src, dst).tobytes() == expected
+            assert 0 < cached_bytes() <= dsp.PLAN_CACHE_BYTES
+        assert len(dsp._plans) < len(ratios)
+        monkeypatch.setattr(dsp, "PLAN_CACHE_BYTES", 1)  # the latest plan stays
+        assert resample_signal(x, 44100, 32000).tobytes() == want[2]
+        assert list(dsp._plans) == [(320, 441)]
 
     def test_invalid_rates(self):
         w = Waveform(samples=np.ones(10), rate=8000)
@@ -362,6 +385,20 @@ class TestArchive:
         back, labels = read_feature_archive(path)
         np.testing.assert_array_equal(back, values)
         assert labels.tolist() == [1, 0]
+
+    def test_read_holds_one_copy_of_the_values(self, tmp_path):
+        values = np.random.default_rng(2).normal(size=(64, 101, 32)).astype(np.float32)
+        path = tmp_path / "x.sprf"
+        write_feature_archive(path, values, np.arange(64) % 3)
+        tracemalloc.start()
+        try:
+            back, labels = read_feature_archive(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (back.dtype, back.tobytes()) == (np.float32, values.tobytes())
+        assert labels.tolist() == (np.arange(64) % 3).tolist()
+        assert peak <= 1.25 * values.nbytes
 
     def test_empty_archive(self, tmp_path):
         path = tmp_path / "x.sprf"

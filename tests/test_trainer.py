@@ -1,12 +1,16 @@
 """Training loop behavior: early stopping, weight restore, determinism."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sonarprep.trainer as trainer_mod
 from sonarprep.augment import AugmentConfig
-from sonarprep.datasplit import SplitSpec
-from sonarprep.dsp import DegenerateBandError, FeatureConfig, scale_config
+from sonarprep.datasplit import SPLIT_NAMES, NormStats, SplitSpec, normalize
+from sonarprep.dsp import (DegenerateBandError, FeatureConfig, features_for_segment,
+                           mel_filterbank, resample, scale_config, segment)
 from sonarprep.nn import Architecture, Conv, Dense, GlobalAvgPool, MaxPool, Relu, init_model
 from sonarprep.trainer import (EmptyDatasetError, FeatureSets, TrainConfig,
                                build_feature_sets, history_csv, one_hot,
@@ -294,6 +298,86 @@ class TestBuildFeatureSets:
         for cfg, built in zip(configs, together):
             [alone] = build([cfg])
             assert_same_feature_sets(built, alone)
+
+
+def split_of(manifest):
+    """Recordings i = 0, 1, 2, 3 of each class go to train, train, val, test."""
+    return {e.recording_id: ("train", "train", "val", "test")[int(e.recording_id[-1]) % 4]
+            for e in manifest.entries}
+
+
+def float64_log_mels(manifest, loader, assignment, cfg, data_rate=8000, seconds=5.0):
+    """Each split's float64 log-mels, computed segment by segment."""
+    fb = mel_filterbank(cfg, data_rate)
+    out = {name: [] for name in SPLIT_NAMES}
+    for entry in manifest.entries:
+        for samples in segment(resample(loader(entry), data_rate), seconds):
+            out[assignment[entry.recording_id]].append(features_for_segment(samples, cfg, fb))
+    return out
+
+
+class TestStreamedFeatures:
+    def test_values_within_an_ulp_of_float64_scaling(self):
+        manifest, loader = synthetic_manifest_and_loader()
+        [(data, stats)] = build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
+                                             data_rate=8000, feature_cfgs=[TINY_FEAT],
+                                             seconds=5.0)
+        exact = float64_log_mels(manifest, loader, SYNTHETIC_ASSIGNMENT, TINY_FEAT)
+        train = exact["train"]
+        assert stats == NormStats(min(float(s.min()) for s in train),
+                                  max(float(s.max()) for s in train))
+        for name, (x, _) in zip(SPLIT_NAMES, data[:3]):
+            want = normalize(np.stack(exact[name]), stats)
+            ulp = np.spacing(np.maximum(np.abs(want), 1).astype(np.float32))
+            assert np.all(np.abs(x - want) <= ulp)
+
+    def test_counts_segments_outside_the_train_range(self):
+        manifest, loader = synthetic_manifest_and_loader()
+
+        def loud(entry):  # hum2, a val recording, 20 dB above every train one
+            w = loader(entry)
+            if entry.recording_id != "hum2":
+                return w
+            return Waveform(10 * w.samples, w.rate, w.source_id)
+
+        [(data, stats)] = build_feature_sets(manifest, loud, SYNTHETIC_ASSIGNMENT,
+                                             data_rate=8000, feature_cfgs=[TINY_FEAT],
+                                             seconds=5.0)
+        exact = float64_log_mels(manifest, loud, SYNTHETIC_ASSIGNMENT, TINY_FEAT)
+        want = tuple(sum(s.min() < stats.global_min or s.max() > stats.global_max
+                         for s in exact[name]) for name in SPLIT_NAMES)
+        assert data.outside == want
+        assert want[0] == 0 and want[1] >= 2  # both of hum2's segments
+
+    @pytest.mark.parametrize("scale", [0.4, 3.0, 1e12, 1e300],
+                             ids=["understated", "overstated", "unallocatable", "huge"])
+    def test_manifest_durations_only_size_the_arrays(self, scale):
+        manifest, loader = synthetic_manifest_and_loader()
+        wrong = Manifest([replace(e, duration_seconds=e.duration_seconds * scale)
+                          for e in manifest.entries])
+        built, exact = [build_feature_sets(m, loader, SYNTHETIC_ASSIGNMENT, data_rate=8000,
+                                           feature_cfgs=[TINY_FEAT], seconds=5.0)[0]
+                        for m in (wrong, manifest)]
+        assert_same_feature_sets(built, exact)
+        assert built[0].outside == exact[0].outside
+
+    def test_peak_grows_with_the_output_alone(self):
+        """No float64 spectrogram outlives its segment: as the corpus doubles,
+        the traced peak grows by little more than the float32 output."""
+        def traced(n_per_class):
+            manifest, loader = synthetic_manifest_and_loader(n_per_class=n_per_class)
+            tracemalloc.start()
+            try:
+                [(data, _)] = build_feature_sets(manifest, loader, split_of(manifest),
+                                                 data_rate=8000, feature_cfgs=[TINY_FEAT],
+                                                 seconds=5.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, sum(x.nbytes for x, _ in data[:3])
+
+        (peak, out), (peak2, out2) = traced(4), traced(8)
+        assert peak2 - peak <= 1.25 * (out2 - out)
 
 
 class TestSweep:

@@ -3,12 +3,14 @@ plus manifest handling."""
 
 import io
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from synthdata import as_extensible, subformat_guid
 from sonarprep.wavio import (PCM16_SCALE, DuplicateRecordingError,
                              MalformedHeaderError, Manifest, ManifestEntry,
                              MissingFieldError, NonFiniteSamplesError,
@@ -58,6 +60,10 @@ def stdlib_wav_with(channels: int, sample_width: int, frames: bytes,
     return buf.getvalue()
 
 
+def silence() -> bytes:
+    return stdlib_wav_bytes(np.zeros(4, np.int16), 8000)
+
+
 VALID_WAVS = {
     "pcm16-mono": lambda: stdlib_wav_bytes(np.arange(-50, 50, dtype=np.int16), 16000),
     "pcm16-stereo": lambda: stdlib_wav_bytes(np.arange(6, dtype=np.int16), 44100,
@@ -91,7 +97,20 @@ MALFORMED_WAVS = {
                   MalformedHeaderError),
     "partial-frame": (lambda: riff(fmt_chunk(channels=2), (b"data", bytes(2))),
                       TruncatedDataError),
+    "extensible-adpcm": (lambda: as_extensible(silence(), guid=subformat_guid(2)),
+                         UnsupportedEncodingError),
+    "extensible-foreign-guid": (lambda: as_extensible(silence(), guid=bytes(range(1, 17))),
+                                UnsupportedEncodingError),
+    "extensible-12-valid-bits": (lambda: as_extensible(silence(), valid_bits=12),
+                                 UnsupportedEncodingError),
+    "extensible-short-fmt": (lambda: riff((b"fmt ", struct.pack("<HHIIHHH", 0xFFFE, 1, 8000,
+                                                                16000, 2, 16, 0)),
+                                          (b"data", bytes(2))),
+                             MalformedHeaderError),
 }
+
+# each a plain twin of a VALID_WAVS entry, in a WAVE_FORMAT_EXTENSIBLE fmt chunk
+EXTENSIBLE_TWINS = ("pcm16-mono", "pcm16-stereo", "float32")
 
 
 class TestParse:
@@ -129,6 +148,29 @@ class TestParse:
         w = parse_wav(float32_wav_bytes(x, 22050))
         assert w.rate == 22050
         np.testing.assert_allclose(w.samples, x, atol=1e-7)
+
+    @pytest.mark.parametrize("name", EXTENSIBLE_TWINS)
+    def test_extensible_decodes_like_its_plain_twin(self, tmp_path, name):
+        plain = VALID_WAVS[name]()
+        blob = as_extensible(plain)
+        assert struct.unpack_from("<H", blob, 20) == (0xFFFE,)
+        w, twin = parse_wav(blob), parse_wav(plain)
+        assert (w.rate, w.samples.tobytes()) == (twin.rate, twin.samples.tobytes())
+        for path, data in ((tmp_path / "ext.wav", blob), (tmp_path / "plain.wav", plain)):
+            path.write_bytes(data)
+        assert wav_duration(tmp_path / "ext.wav") == wav_duration(tmp_path / "plain.wav")
+
+    def test_pcm16_decodes_into_one_float64_copy(self):
+        ints = np.random.default_rng(1).integers(-32768, 32768, 200_000).astype(np.int16)
+        blob = stdlib_wav_bytes(ints, 8000)
+        tracemalloc.start()
+        try:
+            w = parse_wav(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(w.samples * PCM16_SCALE, ints)
+        assert peak <= 1.25 * w.samples.nbytes
 
     def test_extra_chunks_are_skipped(self):
         ints = np.array([5, -5], dtype=np.int16)
