@@ -28,8 +28,9 @@ from .errors import SonarprepError
 from .files import write_json, write_text
 from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_duration,
                     write_manifest)
-from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, read_feature_archive,
-                  segment_length, write_feature_archive)
+from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, FeatureConfig,
+                  read_feature_archive, scale_config, segment_length,
+                  write_feature_archive)
 from .augment import AugmentConfig
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_two_classes,
                         segment_counts, stratified_split, validate_split,
@@ -262,6 +263,16 @@ def _echo(message: str) -> None:
     click.echo(message, file=click.get_text_stream("stdout"))
 
 
+def _warn_clamped_band(data_rate: int, feature: FeatureConfig) -> None:
+    """Print a ``warning:`` line when the data rate's Nyquist cuts the mel
+    band below ``feature.f_max``; standard error is named for the reason
+    :func:`_echo` gives."""
+    if feature.f_max > data_rate / 2:
+        click.echo(f"warning: data rate {data_rate} Hz clamps the mel band of model "
+                   f"rate {feature.model_rate} Hz from f_max {feature.f_max:g} Hz to "
+                   f"{data_rate / 2:g} Hz", file=click.get_text_stream("stderr"))
+
+
 def _guarded(fn):
     """Convert package and file-system errors into exit-code-1 CLI failures."""
     def wrapper(*args, **kwargs):
@@ -449,6 +460,7 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
             "split file failed validation: "
             + "; ".join(f"{code}: {detail}" for code, detail in report.failures[:3])
         )
+    _warn_clamped_band(cfg.data_rate, cfg.train.feature)
     assignment = dict(rows)
     [(data, stats)] = build_feature_sets(manifest, lambda entry: _read_wav(corpus_root, entry),
                                          assignment, cfg.data_rate, [cfg.train.feature],
@@ -575,16 +587,20 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, 
     if not cfg.sweep_data_rates or not cfg.sweep_model_rates:
         raise click.ClickException("sweep needs --data-rates and --model-rates "
                                    "(or sweep.* config keys)")
-    raw = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train, manifest,
-                    lambda entry: _read_wav(corpus_root, entry),
-                    split_spec=cfg.split, seconds=cfg.segment_seconds,
-                    jobs=cfg.jobs)
+    for data_rate in sorted(set(cfg.sweep_data_rates)):
+        for model_rate in sorted(set(cfg.sweep_model_rates)):
+            _warn_clamped_band(data_rate, scale_config(cfg.train.feature, model_rate))
+    raw, outside = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train,
+                             manifest, lambda entry: _read_wav(corpus_root, entry),
+                             split_spec=cfg.split, seconds=cfg.segment_seconds,
+                             jobs=cfg.jobs)
     write_json(out / "sweep_raw.json", raw)
     write_text(out / "sweep_table.csv", render_sweep_table(raw["cells"]))
     _write_run_record(out, "sweep", _settings_record(cfg))
-    for cell in raw["cells"]:
+    for cell, (_, val, test) in zip(raw["cells"], outside):
         _echo(f"data {cell['data_rate']} Hz / model {cell['model_rate']} Hz: "
-              f"{cell['mean_accuracy']:.4f} +/- {cell['std_accuracy']:.4f}")
+              f"{cell['mean_accuracy']:.4f} +/- {cell['std_accuracy']:.4f}, "
+              f"val {val} / test {test} outside the train range")
 
 
 @main.command()

@@ -254,11 +254,21 @@ def frame_count(n_samples: int, hop_length: int) -> int:
 # STFT and mel filterbank
 # ---------------------------------------------------------------------------
 
+#: Bytes of windowed float64 frames one STFT block holds: 64 frames of a
+#: 1024-sample window, 128 of a 512. Each block's spectrum and power are
+#: the same size or smaller, so a call's temporaries stay near this bound
+#: however many frames the segment has.
+STFT_BLOCK_BYTES = 1 << 19
+
+
 def stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Power spectrogram of 1-d samples, [n_frames x (win/2 + 1)].
 
     The signal is reflect-padded by win/2 on each side so frames are
-    centered on multiples of the hop; window is a symmetric Hann.
+    centered on multiples of the hop; window is a symmetric Hann. Frames
+    are windowed, transformed and squared a block at a time into the
+    output; the rfft computes each frame on its own, so the values do not
+    depend on the block size.
     """
     x = np.asarray(samples, dtype=np.float64)
     win, hop = cfg.win_length, cfg.hop_length
@@ -270,8 +280,18 @@ def stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     xp = np.pad(x, pad, mode="reflect")
     n_frames = frame_count(x.size, hop)
     frames = sliding_window_view(xp, win)[::hop][:n_frames]
-    spectrum = np.fft.rfft(frames * np.hanning(win), axis=1)
-    return spectrum.real ** 2 + spectrum.imag ** 2
+    window = np.hanning(win)
+    step = max(1, STFT_BLOCK_BYTES // window.nbytes)
+    windowed = np.empty((min(step, n_frames), win))
+    power = np.empty((n_frames, win // 2 + 1))
+    for start in range(0, n_frames, step):
+        rows = power[start:start + step]
+        block = windowed[:len(rows)]
+        np.multiply(frames[start:start + step], window, out=block)
+        spectrum = np.fft.rfft(block, axis=1)
+        np.square(spectrum.real, out=rows)
+        rows += np.square(spectrum.imag)
+    return power
 
 
 def hz_to_mel(f):

@@ -305,7 +305,7 @@ def build_feature_sets(manifest: Manifest,
 def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
           load_waveform: Callable[[ManifestEntry], Waveform],
           split_spec: SplitSpec | None = None, seconds: float = 5.0,
-          jobs: int = 1) -> dict:
+          jobs: int = 1) -> tuple[dict, list[tuple[int, ...]]]:
     """Full grid over data and model sampling rates.
 
     The recording-level split is drawn once and reused for every cell.
@@ -313,8 +313,9 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
     read. The corpus is then featurized once per data rate, on ``jobs``
     threads, with every model rate's rescaled config; each cell also
     rescales the time-mask budget and runs the usual multi-seed training.
-    Returns the ``sweep_raw.json`` record: the class labels and one cell
-    record per (data rate, model rate), sorted by data rate, then model rate.
+    Returns the ``sweep_raw.json`` record (the class labels and one cell
+    record per (data rate, model rate), sorted by data rate, then model
+    rate) and, in the same order, each cell's :attr:`FeatureSets.outside`.
     """
     split_spec = split_spec if split_spec is not None else SplitSpec()
     counts = segment_counts(manifest, seconds)
@@ -328,12 +329,13 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
             except DegenerateBandError as exc:
                 raise DegenerateBandError(f"data rate {data_rate}, model rate "
                                           f"{model_rate}: {exc}") from exc
-    cells = []
+    cells, outside = [], []
     for data_rate in data_rates:
         feature_sets = build_feature_sets(manifest, load_waveform, split.assignment,
                                           data_rate, list(features.values()),
                                           seconds, jobs=jobs)
         for model_rate, cell_feature in features.items():
+            outside.append(feature_sets[0][0].outside)
             # popped, so each cell's arrays are freed once it has trained
             results = run_seeds(replace(cfg, feature=cell_feature),
                                 feature_sets.pop(0)[0], data_rate)
@@ -350,4 +352,4 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
                 "std_accuracy": aggregate.std_accuracy,
                 "mean_confusion": aggregate.mean_confusion.tolist(),
             })
-    return {"classes": list(manifest.classes), "cells": cells}
+    return {"classes": list(manifest.classes), "cells": cells}, outside

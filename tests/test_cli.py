@@ -368,6 +368,66 @@ class TestPipelineCommands:
         assert louder["test"] == pristine["test"]  # the train range did not move
         assert louder["val"] >= max(3, pristine["val"])  # all 3 of the loud segments
 
+    def test_warns_when_the_data_rate_clamps_the_mel_band(self, pipeline, tmp_path):
+        root, runner = pipeline
+        inputs = ["--config", str(root / "run.cfg"), "--manifest", str(root / "manifest.csv"),
+                  "--corpus-root", str(root / "corpus")]
+        featurize = runner.invoke(main, ["featurize", *inputs, "--split-file",
+                                         str(root / "split.csv"), "--data-rate", "4k",
+                                         "--out", str(tmp_path / "feats")])
+        sweep = runner.invoke(main, ["sweep", *inputs, "--data-rates", "4k,8k",
+                                     "--model-rates", "8k,16k", "--out", str(tmp_path / "sweep")])
+        for result in (featurize, sweep):
+            assert result.exit_code == 0, result.output
+            assert "warning" not in result.stdout
+        clamp = "warning: data rate {} Hz clamps the mel band of model rate {} Hz " \
+                "from f_max {} Hz to {} Hz\n"
+        assert featurize.stderr == clamp.format(4000, 8000, 3500, 2000)
+        assert sweep.stderr == (clamp.format(4000, 8000, 3500, 2000)
+                                + clamp.format(4000, 16000, 7000, 2000)
+                                + clamp.format(8000, 16000, 7000, 4000))
+
+    def test_keeps_no_redirected_stderr(self, pipeline, tmp_path):
+        root, _ = pipeline
+        buf = io.StringIO()
+        with contextlib.redirect_stderr(buf):
+            main.main(args=["featurize", "--config", str(root / "run.cfg"),
+                            "--manifest", str(root / "manifest.csv"),
+                            "--split-file", str(root / "split.csv"),
+                            "--corpus-root", str(root / "corpus"), "--data-rate", "4k",
+                            "--out", str(tmp_path / "feats")],
+                      prog_name="sonarprep", standalone_mode=False)
+        assert buf.getvalue().startswith("warning: data rate 4000 Hz")
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
+
+    def test_sweep_counts_segments_outside_the_train_range(self, pipeline, tmp_path):
+        """A sweep cell counts what featurize counts on the same corpus,
+        whose val recording is 20 dB louder than every train recording."""
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        rows, _ = read_split_rows((root / "split.csv").read_text())
+        loud = next(rec_id for rec_id, split_name in rows if split_name == "val")
+        path = next(corpus.rglob(f"{loud}.wav"))
+        write_float32(path, 10 * parse_wav(path.read_bytes()).samples, 8000)
+        inputs = ["--config", str(root / "run.cfg"), "--manifest", str(root / "manifest.csv"),
+                  "--corpus-root", str(corpus)]
+        featurize = runner.invoke(main, ["featurize", *inputs, "--split-file",
+                                         str(root / "split.csv"), "--out", str(tmp_path / "f")])
+        sweep = runner.invoke(main, ["sweep", *inputs, "--data-rates", "8k",
+                                     "--model-rates", "8k", "--out", str(tmp_path / "s")])
+        assert featurize.exit_code == 0 == sweep.exit_code, sweep.output
+        counts = dict(re.findall(r"^(val|test)\.sprf: \d+ segments, (\d+) outside",
+                                 featurize.output, re.M))
+        assert int(counts["val"]) >= 3  # all 3 of the loud segments
+        assert re.fullmatch(
+            r"data 8000 Hz / model 8000 Hz: \d\.\d{4} \+/- \d\.\d{4}, "
+            rf"val {counts['val']} / test {counts['test']} outside the train range\n",
+            sweep.stdout)
+
     def test_train_outputs(self, pipeline):
         root, _ = pipeline
         runs = root / "runs"

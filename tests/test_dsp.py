@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sonarprep import dsp
 from sonarprep.wavio import Waveform
@@ -234,7 +235,49 @@ def naive_stft_power(x: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     return np.stack(frames)
 
 
+def unblocked_stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """The STFT as one vectorized pass over every frame."""
+    x = np.asarray(samples, dtype=np.float64)
+    win, hop = cfg.win_length, cfg.hop_length
+    xp = np.pad(x, win // 2, mode="reflect")
+    frames = sliding_window_view(xp, win)[::hop][:frame_count(x.size, hop)]
+    spectrum = np.fft.rfft(frames * np.hanning(win), axis=1)
+    return spectrum.real ** 2 + spectrum.imag ** 2
+
+
 class TestStft:
+    @pytest.mark.parametrize("win", [256, 512, 1024, 2048])
+    def test_blocks_match_one_pass_bitwise(self, win):
+        """At frame counts on and around the block size, the blocked STFT
+        gives the bytes of a single pass over every frame."""
+        block = dsp.STFT_BLOCK_BYTES // (8 * win)
+        hop = 3 * win // 4  # above win/2, so one frame fits a paddable signal
+        cfg = FeatureConfig(8000, win_length=win, hop_length=hop, n_mels=8,
+                            f_min=50, f_max=3500)
+        rng = np.random.default_rng(win)
+        for n_frames in (1, block - 1, block, block + 1, 3 * block + 7):
+            x = rng.normal(size=(n_frames - 1) * hop + win // 2 + 1)
+            got = stft_power(x, cfg)
+            assert got.shape == (n_frames, win // 2 + 1)
+            assert got.tobytes() == unblocked_stft_power(x, cfg).tobytes()
+
+    def test_segment_peak_stays_under_three_power_arrays(self):
+        """One warmed 501x64 log-mel at the paper's front end traces at most
+        3x its power spectrogram, not the five full-size temporaries of a
+        one-pass STFT."""
+        cfg = DEFAULT_FEATURE_CONFIG
+        x = np.random.default_rng(0).normal(size=5 * cfg.model_rate)
+        fb = mel_filterbank(cfg, cfg.model_rate)
+        features_for_segment(x, cfg, fb)
+        tracemalloc.start()
+        try:
+            out = features_for_segment(x, cfg, fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (501, 64)
+        assert peak <= 3 * 501 * (cfg.win_length // 2 + 1) * 8
+
     def test_matches_naive_dft(self):
         cfg = FeatureConfig(8000, win_length=64, hop_length=16, n_mels=8,
                             f_min=50, f_max=3500)

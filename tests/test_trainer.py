@@ -385,9 +385,9 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         cfg = tiny_config(max_epochs=2, patience=2, seeds=(0,),
                           feature=TINY_FEAT)
-        result = sweep((8000,), (8000,), cfg, manifest, loader,
-                       split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
-                       seconds=5.0)
+        result, _ = sweep((8000,), (8000,), cfg, manifest, loader,
+                          split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
+                          seconds=5.0)
         assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [(8000, 8000)]
         cell = result["cells"][0]
         assert cell["mask_width"] == TINY_AUG.base_time_mask_width  # same-rate cell
@@ -399,11 +399,11 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         load, calls = counting(loader)
         data_rates, model_rates = (4000, 8000), (8000, 16000)
-        result = sweep(data_rates, model_rates,
-                       tiny_config(max_epochs=1, patience=1, seeds=(0,)),
-                       manifest, load,
-                       split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
-                       seconds=5.0)
+        result, _ = sweep(data_rates, model_rates,
+                          tiny_config(max_epochs=1, patience=1, seeds=(0,)),
+                          manifest, load,
+                          split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
+                          seconds=5.0)
         assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [
             (4000, 8000), (4000, 16000), (8000, 8000), (8000, 16000)]
         assert len(calls) == len(manifest.entries) * len(data_rates)
@@ -428,9 +428,9 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         cfg = tiny_config(max_epochs=1, patience=1, seeds=(0,),
                           augment=AugmentConfig(base_time_mask_width=8, freq_mask_width=1))
-        result = sweep((4000, 8000), (8000, 16000), cfg, manifest, loader,
-                       split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
-                       seconds=5.0)
+        result, _ = sweep((4000, 8000), (8000, 16000), cfg, manifest, loader,
+                          split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
+                          seconds=5.0)
         recorded = [c["mask_width"] for c in result["cells"]]
         assert recorded == [round(8 * c["data_rate"] / c["model_rate"])
                             for c in result["cells"]] == [4, 2, 8, 4]
@@ -455,9 +455,9 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(
             n_per_class=8, seconds=4.0, tones=(("high", 1700.0), ("low", 1300.0)))
         cfg = tiny_config(lr=1e-2, max_epochs=60, patience=60, use_mixup=False)
-        result = sweep((2000, 8000), (8000,), cfg, manifest, loader,
-                       split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0),
-                       seconds=1.0)
+        result, _ = sweep((2000, 8000), (8000,), cfg, manifest, loader,
+                          split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0),
+                          seconds=1.0)
         cells = {c["data_rate"]: c for c in result["cells"]}
         for cell in cells.values():  # 2 test recordings per class, 4 segments each
             assert np.sum(cell["mean_confusion"], axis=1).tolist() == [8, 8]
