@@ -261,14 +261,16 @@ def frame_count(n_samples: int, hop_length: int) -> int:
 STFT_BLOCK_BYTES = 1 << 19
 
 
-def stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    """Power spectrogram of 1-d samples, [n_frames x (win/2 + 1)].
+def _stft_blocks(samples: np.ndarray, cfg: FeatureConfig):
+    """Yield ``(start, rows)``: the power of frames ``start ..
+    start + len(rows)``, one block at a time.
 
     The signal is reflect-padded by win/2 on each side so frames are
-    centered on multiples of the hop; window is a symmetric Hann. Frames
-    are windowed, transformed and squared a block at a time into the
-    output; the rfft computes each frame on its own, so the values do not
-    depend on the block size.
+    centered on multiples of the hop; window is a symmetric Hann. Each
+    block is windowed into one reused buffer, transformed and squared into
+    another, so ``rows`` holds until the next block is drawn. The rfft
+    computes each frame on its own, so the values do not depend on the
+    block size.
     """
     x = np.asarray(samples, dtype=np.float64)
     win, hop = cfg.win_length, cfg.hop_length
@@ -281,16 +283,27 @@ def stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     n_frames = frame_count(x.size, hop)
     frames = sliding_window_view(xp, win)[::hop][:n_frames]
     window = np.hanning(win)
-    step = max(1, STFT_BLOCK_BYTES // window.nbytes)
-    windowed = np.empty((min(step, n_frames), win))
-    power = np.empty((n_frames, win // 2 + 1))
+    step = min(max(1, STFT_BLOCK_BYTES // window.nbytes), n_frames)
+    windowed = np.empty((step, win))
+    power = np.empty((step, win // 2 + 1))
     for start in range(0, n_frames, step):
-        rows = power[start:start + step]
-        block = windowed[:len(rows)]
-        np.multiply(frames[start:start + step], window, out=block)
-        spectrum = np.fft.rfft(block, axis=1)
+        block = frames[start:start + step]
+        np.multiply(block, window, out=windowed[:len(block)])
+        spectrum = np.fft.rfft(windowed[:len(block)], axis=1)
+        rows = power[:len(block)]
         np.square(spectrum.real, out=rows)
         rows += np.square(spectrum.imag)
+        del spectrum  # else it outlives the next block's
+        yield start, rows
+
+
+def stft_power(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """Power spectrogram of 1-d samples, [n_frames x (win/2 + 1)], a
+    centered Hann-windowed STFT."""
+    power = np.empty((frame_count(np.size(samples), cfg.hop_length),
+                      cfg.win_length // 2 + 1))
+    for start, rows in _stft_blocks(samples, cfg):
+        power[start:start + len(rows)] = rows
     return power
 
 
@@ -347,9 +360,13 @@ def features_for_segment(samples: np.ndarray, cfg: FeatureConfig,
     model's window and hop.
 
     ``fb`` is the filterbank for the samples' rate, built once per run with
-    ``mel_filterbank(cfg, rate)``.
+    ``mel_filterbank(cfg, rate)``. Each STFT block's log-mel goes straight
+    into the output, so no power spectrogram of the whole segment exists.
     """
-    return log_mel(stft_power(samples, cfg), fb)
+    out = np.empty((frame_count(np.size(samples), cfg.hop_length), fb.shape[1]))
+    for start, rows in _stft_blocks(samples, cfg):
+        out[start:start + len(rows)] = log_mel(rows, fb)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -189,23 +189,30 @@ def aggregate_input_channels(weights: np.ndarray) -> np.ndarray:
 # layer math
 # ---------------------------------------------------------------------------
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int):
-    """Channels-last convolution of ``x`` [B, H, W, C]. Returns the im2col
-    matrix ``[B*H'*W', k*k*C]``, each row in ``(k, k, C)`` order, and the
-    output [B, H', W', out]."""
+def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """The im2col matrix of ``x`` [B, H, W, C] for a ``k`` x ``k`` kernel,
+    [B, H', W', k*k*C], each row in ``(k, k, C)`` order. The zero-padded
+    copy and its window view die on return."""
     batch, height, width, in_ch = x.shape
-    out_ch, _, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     out_h = height + 2 * pad - k + 1
     out_w = width + 2 * pad - k + 1
     if out_h < 1 or out_w < 1:
         raise ShapeMismatchError(f"input {height}x{width} smaller than kernel {k}")
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     windows = sliding_window_view(xp, (k, k), axis=(1, 2))
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch * out_h * out_w,
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch, out_h, out_w,
                                                        k * k * in_ch)
-    y = cols @ w.transpose(2, 3, 1, 0).reshape(k * k * in_ch, out_ch)
+
+
+def _conv_forward(cols: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Channels-last convolution from its im2col matrix ``cols`` [B, H', W',
+    k*k*C]. Returns that matrix as ``[B*H'*W', k*k*C]`` and the output [B,
+    H', W', out]."""
+    out_ch, in_ch, k, _ = w.shape
+    flat = cols.reshape(-1, k * k * in_ch)
+    y = flat @ w.transpose(2, 3, 1, 0).reshape(k * k * in_ch, out_ch)
     y += b
-    return cols, y.reshape(batch, out_h, out_w, out_ch)
+    return flat, y.reshape(cols.shape[:3] + (out_ch,))
 
 
 def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray, pad: int,
@@ -326,8 +333,11 @@ def forward(model: ModelState, batch: np.ndarray,
         keep = cache is not None and i >= keep_from
         if isinstance(layer, Conv):
             name = _param_name(i, layer)
+            # x now names the im2col matrix, so the product runs without
+            # the layer's input
+            x = _im2col(x, layer.kernel, layer.pad)
             saved = _conv_forward(x, model.params[f"{name}.weight"],
-                                  model.params[f"{name}.bias"], layer.pad)
+                                  model.params[f"{name}.bias"])
             x = saved[1]
         elif isinstance(layer, Relu):
             saved, x = x, np.maximum(x, 0)
@@ -374,7 +384,8 @@ def backward(model: ModelState, cache: list, grad_logits: np.ndarray,
         elif isinstance(layer, GlobalAvgPool):
             x_shape = saved
             area = x_shape[1] * x_shape[2]
-            g = np.broadcast_to(g[:, None, None, :] / area, x_shape).copy()
+            # a read-only view: each consumer makes a new array from it
+            g = np.broadcast_to(g[:, None, None, :] / area, x_shape)
         elif isinstance(layer, Dense):
             name = _param_name(i, layer)
             grads[f"{name}.weight"] = saved.T @ g

@@ -278,6 +278,46 @@ class TestStft:
         assert out.shape == (501, 64)
         assert peak <= 3 * 501 * (cfg.win_length // 2 + 1) * 8
 
+    @pytest.mark.parametrize("win", [64, 128, 256, 512, 1024, 2048])
+    def test_features_match_the_whole_spectrograms_log_mel(self, win):
+        """Each block's log-mel, at frame counts on and around the block
+        size, matches the log-mel of the whole power array. A tolerance,
+        not bytes: a 1-row tail block takes another BLAS path for its mel
+        product and may round a value differently."""
+        block = dsp.STFT_BLOCK_BYTES // (8 * win)
+        hop = 3 * win // 4
+        cfg = FeatureConfig(8000, win_length=win, hop_length=hop, n_mels=8,
+                            f_min=50, f_max=3500)
+        fb = mel_filterbank(cfg, 8000)
+        rng = np.random.default_rng(win)
+        for n_frames in (1, 2, block - 1, block, block + 1, block + 2, 3 * block + 7):
+            x = rng.normal(size=(n_frames - 1) * hop + win // 2 + 1)
+            got = features_for_segment(x, cfg, fb)
+            assert got.shape == (n_frames, cfg.n_mels)
+            np.testing.assert_allclose(got, log_mel(stft_power(x, cfg), fb),
+                                       rtol=1e-14, atol=0)
+
+    def test_segment_holds_no_whole_power_array(self):
+        """One warmed 501x64 log-mel holds its padded segment, its output and
+        one STFT block's arrays: the windowed frames (a block), the spectrum
+        (a block), and the power rows and their squared imaginary part (half
+        a block each). A quarter block covers the Nyquist bin these carry
+        and numpy's small arrays; the [501 x 513] power array (2.06 MB)
+        would not fit."""
+        cfg = DEFAULT_FEATURE_CONFIG
+        x = np.random.default_rng(0).normal(size=5 * cfg.model_rate)
+        fb = mel_filterbank(cfg, cfg.model_rate)
+        features_for_segment(x, cfg, fb)
+        tracemalloc.start()
+        try:
+            out = features_for_segment(x, cfg, fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = (x.size + 2 * (cfg.win_length // 2)) * x.itemsize
+        blocks = 3 * dsp.STFT_BLOCK_BYTES + dsp.STFT_BLOCK_BYTES // 4
+        assert peak <= padded + blocks + out.nbytes
+
     def test_matches_naive_dft(self):
         cfg = FeatureConfig(8000, win_length=64, hop_length=16, n_mels=8,
                             f_min=50, f_max=3500)

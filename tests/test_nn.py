@@ -17,7 +17,7 @@ from sonarprep.nn import (DEFAULT_ARCHITECTURE, AdamState, Architecture,
                           cam_from_activations, cross_entropy_soft, forward,
                           grad_cam, gradients, infer, init_model,
                           load_checkpoint, save_checkpoint)
-from sonarprep.nn import (_conv_backward, _conv_forward, _maxpool_backward,
+from sonarprep.nn import (_conv_backward, _conv_forward, _im2col, _maxpool_backward,
                           _maxpool_forward)
 
 EPS = 1e-6
@@ -120,6 +120,27 @@ class TestForward:
                 tracemalloc.stop()
 
         assert peak() < 0.8 * peak([])
+
+    def test_inference_peak_is_one_conv_product(self):
+        """At 501x64 a pass runs 4-sample chunks, and its peak is the second
+        conv's product: while it runs only that conv's im2col matrix and
+        output are alive, not its input or its zero-padded copy. One input
+        chunk's bytes cover every other array."""
+        m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
+        x = np.random.default_rng(0).random((20, 501, 64)).astype(np.float32)
+        infer(m, x)
+        tracemalloc.start()
+        try:
+            infer(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        first, _, pool, second = DEFAULT_ARCHITECTURE.layers[:4]
+        chunk = sonarprep.nn.CHUNK_CELLS // (501 * 64)
+        cells = chunk * (501 // pool.size) * (64 // pool.size)
+        cols = cells * second.kernel ** 2 * first.out_channels * x.itemsize
+        out = cells * second.out_channels * x.itemsize
+        assert peak <= cols + out + chunk * 501 * 64 * x.itemsize
 
     def test_inference_records_no_pool_positions(self, monkeypatch):
         asked = []
@@ -336,7 +357,7 @@ class TestKernels:
         x = rng.normal(size=(2, 5, 4, in_ch))
         w = rng.normal(size=(2, in_ch, kernel, kernel))
         b = rng.normal(size=2)
-        cols, y = _conv_forward(x, w, b, pad)
+        cols, y = _conv_forward(_im2col(x, kernel, pad), w, b)
         dy = rng.normal(size=y.shape)
         want_y, want_dw, want_dx = loop_conv(x, w, b, pad, dy)
         dw, db, dx = _conv_backward(dy, cols, w, pad, input_grad=True)
@@ -452,7 +473,7 @@ class TestKernelsMatchSliceLoops:
                                         ((4, 63, 16, 16), (32, 3, 1))]:
             x = rng.normal(size=shape).astype(np.float32)
             w = rng.normal(size=(out_ch, shape[3], k, k)).astype(np.float32)
-            cols, y = _conv_forward(x, w, np.zeros(out_ch, np.float32), pad)
+            cols, y = _conv_forward(_im2col(x, k, pad), w, np.zeros(out_ch, np.float32))
             dy = rng.normal(size=y.shape).astype(np.float32)
             _, _, dx = _conv_backward(dy, cols, w, pad, input_grad=True)
             assert_same_bytes(dx, dcols_col2im(dy, w, pad))
