@@ -359,6 +359,15 @@ def _load_split(features_dir: Path, name: str,
     return values, labels
 
 
+def _load_test_run(model_path: Path, features_dir: Path):
+    """The classes, test archive and checkpoint model that eval and gradcam read."""
+    classes = _load_classes(features_dir)
+    features, labels = _load_split(features_dir, "test", len(classes))
+    model = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, len(classes), seed=0),
+                             load_checkpoint(model_path))
+    return classes, features, labels, model
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -371,19 +380,21 @@ def main():
 
 @main.command()
 @click.option("--corpus-root", type=click.Path(exists=True, file_okay=False, path_type=Path),
-              required=True, help="Directory of <class_label>/<recording>.wav files.")
+              required=True, help="Directory of <class_label>/**/<recording>.wav files.")
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True,
               help="Manifest CSV to write.")
 @_guarded
 def ingest(corpus_root: Path, out: Path):
-    """Scan a class-per-directory corpus into a manifest CSV."""
+    """Scan a class-per-directory corpus, subfolders included, into a manifest
+    CSV whose IDs are paths under the root without ``.wav``: ``Cargo/ship1/0001``."""
     entries = []
     for class_dir in sorted(p for p in corpus_root.iterdir() if p.is_dir()):
-        for wav_path in sorted(class_dir.glob("*.wav")):
+        for wav_path in sorted(class_dir.rglob("*.wav")):
+            file_path = wav_path.relative_to(corpus_root)
             entries.append(ManifestEntry(
-                recording_id=wav_path.stem,
+                recording_id=file_path.with_suffix("").as_posix(),
                 class_label=class_dir.name,
-                file_path=str(wav_path.relative_to(corpus_root)),
+                file_path=str(file_path),
                 duration_seconds=wav_duration(wav_path),
             ))
     manifest = Manifest(entries)
@@ -515,11 +526,6 @@ def train(config_path, features_dir, out):
           f"{aggregate.mean_accuracy:.4f} +/- {aggregate.std_accuracy:.4f}")
 
 
-def _restore_model(model_path: Path, n_classes: int):
-    model = init_model(DEFAULT_ARCHITECTURE, n_classes, seed=0, dtype=np.float32)
-    return apply_checkpoint(model, load_checkpoint(model_path))
-
-
 @main.command("eval")
 @click.option("--model", "model_path", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
@@ -530,9 +536,7 @@ def _restore_model(model_path: Path, n_classes: int):
 @_guarded
 def eval_cmd(model_path, features_dir, out_dir):
     """Evaluate a checkpoint on the test archive."""
-    classes = _load_classes(features_dir)
-    features, labels = _load_split(features_dir, "test", len(classes))
-    model = _restore_model(model_path, len(classes))
+    classes, features, labels, model = _load_test_run(model_path, features_dir)
     metrics = evaluate(model, features, labels)
     write_json(out_dir / "metrics.json", {
         "accuracy": metrics.accuracy,
@@ -558,9 +562,7 @@ def eval_cmd(model_path, features_dir, out_dir):
 @_guarded
 def gradcam(model_path, features_dir, out_dir):
     """Aggregate class activation maps over the test archive."""
-    classes = _load_classes(features_dir)
-    features, labels = _load_split(features_dir, "test", len(classes))
-    model = _restore_model(model_path, len(classes))
+    classes, features, labels, model = _load_test_run(model_path, features_dir)
     maps, counts = aggregate_cams(model, features, labels)
     write_cam_report(out_dir, maps, counts, classes)
     _write_run_record(out_dir, "gradcam", _inputs_record(model_path, features_dir))

@@ -269,18 +269,11 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
     return rows, seed
 
 
-def compute_norm_stats(spectrograms) -> NormStats:
-    """Global scalar min and max over every entry of the training features,
-    given as an iterable of arrays."""
-    lo, hi = np.inf, -np.inf
-    count = 0
-    for values in spectrograms:
-        lo = min(lo, float(values.min()))
-        hi = max(hi, float(values.max()))
-        count += 1
-    if count == 0:
+def compute_norm_stats(values: np.ndarray) -> NormStats:
+    """Global scalar min and max over every entry of the training features."""
+    if not values.size:
         raise EmptyTrainingSetError("cannot compute stats from zero spectrograms")
-    return NormStats(lo, hi)
+    return NormStats(float(values.min()), float(values.max()))
 
 
 def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:

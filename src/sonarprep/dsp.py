@@ -395,9 +395,9 @@ def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back the [n x frames x mels] float32 values and int64 labels
     written by :func:`write_feature_archive`.
 
-    Every item must have the first item's shape; each item's values are
-    read from the file straight into the returned array, so a read holds
-    one copy of them.
+    Every item must have the first item's shape. The items are read in one
+    call into an array of records, and the values returned are a view of
+    it, so a read holds one copy of them.
     """
     def refuse(problem: str):
         raise ArchiveFormatError(f"{path}: {problem}")
@@ -414,23 +414,17 @@ def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
             refuse("archive truncated in a header")
         if count and not shape[0] * shape[1]:
             refuse(f"items of shape {shape} hold no cells")
-        item_size = 12 + 4 * shape[0] * shape[1]
-        size = 9 + count * item_size
-        n_fit = min(count, (file_size - 9) // item_size)
+        item = np.dtype([("head", "<u4", 3), ("values", "<f4", shape)])  # frames, mels, label
+        size = 9 + count * item.itemsize
+        n_fit = min(count, (file_size - 9) // item.itemsize)
         if count and not n_fit:
             refuse(f"archive truncated: {file_size} of {size} bytes")
-        values = np.empty((n_fit,) + shape, dtype="<f4")
-        labels = np.empty(n_fit, dtype=np.int64)
-        header = np.empty(3, dtype="<u4")  # frames, mels, label
         f.seek(9)
-        for i in range(n_fit):
-            f.readinto(header)
-            f.readinto(values[i])
-            if tuple(header[:2]) != shape:
-                refuse(f"items differ in shape from the first item's {shape}")
-            labels[i] = header[2]
+        records = np.fromfile(f, dtype=item, count=n_fit)
+    if (records["head"][:, :2] != shape).any():
+        refuse(f"items differ in shape from the first item's {shape}")
     if file_size < size:
         refuse(f"archive truncated: {file_size} of {size} bytes")
     if file_size > size:
         refuse(f"{file_size - size} trailing bytes after last item")
-    return values.astype(np.float32, copy=False), labels
+    return records["values"], records["head"][:, 2].astype(np.int64)

@@ -288,7 +288,7 @@ def build_feature_sets(manifest: Manifest,
             if not labels:
                 raise EmptyDatasetError(f"{name} split produced no segments")
             _resize_rows(x, len(labels))
-        stats = compute_norm_stats([np.concatenate(split["train"][1])])
+        stats = compute_norm_stats(np.concatenate(split["train"][1]))
         sets, outside = {}, []
         for name, (x, split_extrema, labels) in split.items():
             for i in range(len(x)):

@@ -101,6 +101,6 @@ def corpus_manifest_text(root: Path) -> str:
         for path in sorted(class_dir.glob("*.wav")):
             with wave.open(str(path), "rb") as fh:
                 duration = fh.getnframes() / fh.getframerate()
-            lines.append(f"{path.stem},{class_dir.name},"
+            lines.append(f"{class_dir.name}/{path.stem},{class_dir.name},"
                          f"{class_dir.name}/{path.name},{duration!r}")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ a real ship-noise corpus and is skipped unless ``DEEPSHIP_ROOT`` is set.
 import json
 import math
 import os
-import struct
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,7 +28,7 @@ from sonarprep.evaluation import aggregate_runs, confusion_matrix, metrics_from_
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, Architecture, Conv, Dense,
                           GlobalAvgPool, MaxPool, Relu, aggregate_input_channels,
                           backward, cross_entropy_soft, forward, init_model)
-from sonarprep.wavio import Manifest, ManifestEntry
+from sonarprep.wavio import Manifest, ManifestEntry, load_manifest
 from synthdata import make_corpus
 
 
@@ -408,48 +407,17 @@ def test_criterion_10_evaluation_algebra():
             np.testing.assert_allclose(agg.mean_confusion, stack, atol=1e-12)
 
 
-def wav_duration_from_header(path: Path) -> float:
-    """Duration via chunk headers only; no sample decoding."""
-    with open(path, "rb") as fh:
-        riff = fh.read(12)
-        if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
-            raise ValueError(f"not a WAV file: {path}")
-        rate = None
-        block_align = None
-        while True:
-            header = fh.read(8)
-            if len(header) < 8:
-                break
-            cid, size = header[:4], struct.unpack("<I", header[4:])[0]
-            if cid == b"fmt ":
-                fmt = fh.read(size)
-                _, _, rate, _, block_align, _ = struct.unpack("<HHIIHH", fmt[:16])
-            elif cid == b"data":
-                if rate is None:
-                    raise ValueError(f"data before fmt in {path}")
-                return (size // block_align) / rate
-            else:
-                fh.seek(size + (size % 2), os.SEEK_CUR)
-    raise ValueError(f"no data chunk in {path}")
-
-
-def test_criterion_11_real_corpus_statistics():
+def test_criterion_11_real_corpus_statistics(tmp_path):
     root = os.environ.get("DEEPSHIP_ROOT")
     if not root:
         pytest.skip("DEEPSHIP_ROOT not set; real-corpus check skipped")
     with criterion(11, "real corpus segment totals and split proportions", 1800.0):
-        root = Path(root)
-        class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-        assert len(class_dirs) == 4, f"expected 4 class directories, got {class_dirs}"
-        entries = []
-        for class_dir in class_dirs:
-            for wav in sorted(class_dir.rglob("*.wav")):
-                entries.append(ManifestEntry(
-                    recording_id=f"{class_dir.name}/{wav.stem}",
-                    class_label=class_dir.name,
-                    file_path=str(wav.relative_to(root)),
-                    duration_seconds=wav_duration_from_header(wav)))
-        manifest = Manifest(entries)
+        result = CliRunner().invoke(main, ["ingest", "--corpus-root", root,
+                                           "--out", str(tmp_path / "manifest.csv")],
+                                    catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        manifest = load_manifest((tmp_path / "manifest.csv").read_text())
+        assert len(manifest.classes) == 4, f"expected 4 classes, got {manifest.classes}"
         assert len(manifest.entries) == 609, len(manifest.entries)
         counts = segment_counts(manifest, 5.0)
         assert sum(counts.values()) == 33770, sum(counts.values())

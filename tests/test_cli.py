@@ -21,7 +21,7 @@ from sonarprep.datasplit import read_split_rows
 from sonarprep.dsp import write_feature_archive
 from sonarprep import cli, nn, trainer
 from sonarprep.nn import load_checkpoint, save_checkpoint
-from sonarprep.wavio import parse_wav
+from sonarprep.wavio import load_manifest, parse_wav
 from synthdata import (as_extensible, corpus_manifest_text, make_corpus, subformat_guid,
                        write_float32, write_pcm16)
 
@@ -613,9 +613,39 @@ def test_recording_ids_with_commas_survive_the_split_file(tmp_path):
         outputs.append(result.output)
     assert "split OK" in outputs[2]
     rows, _ = read_split_rows((tmp_path / "split.csv").read_text())
-    assert {"a0,x", 'b1 "q"'} <= {rec_id for rec_id, _ in rows}
+    assert {"a/a0,x", 'b/b1 "q"'} <= {rec_id for rec_id, _ in rows}
     assert len(rows) == 8
     assert (tmp_path / "feats" / "train.sprf").is_file()
+
+
+def test_ingest_names_recordings_by_their_path_under_the_root(tmp_path):
+    """Two classes may hold the same file name, and a class may keep its
+    recordings in subfolders."""
+    corpus = make_corpus(tmp_path / "corpus", recordings_per_class=3, seconds=15.0,
+                         rate=8000, seed=1,
+                         classes={"alpha": (300.0, 1200.0), "bravo": (700.0, 2500.0)})
+    (corpus / "alpha" / "alpha00.wav").rename(corpus / "alpha" / "x.wav")
+    (corpus / "bravo" / "bravo00.wav").rename(corpus / "bravo" / "x.wav")
+    (corpus / "alpha" / "sub").mkdir()
+    (corpus / "alpha" / "alpha01.wav").rename(corpus / "alpha" / "sub" / "y.wav")
+    (tmp_path / "run.cfg").write_text(SMOKE_CONFIG)
+    common = ["--config", str(tmp_path / "run.cfg"),
+              "--manifest", str(tmp_path / "manifest.csv")]
+    runner = CliRunner()
+    for args in (
+            ["ingest", "--corpus-root", str(corpus), "--out", str(tmp_path / "manifest.csv")],
+            ["split", *common, "--out", str(tmp_path / "split.csv")],
+            ["featurize", *common, "--split-file", str(tmp_path / "split.csv"),
+             "--corpus-root", str(corpus), "--out", str(tmp_path / "feats")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, f"{args[0]} failed: {result.output}"
+    manifest = load_manifest((tmp_path / "manifest.csv").read_text())
+    assert {e.recording_id: e.file_path for e in manifest.entries} == {
+        "alpha/sub/y": "alpha/sub/y.wav", "alpha/x": "alpha/x.wav",
+        "alpha/alpha02": "alpha/alpha02.wav", "bravo/bravo01": "bravo/bravo01.wav",
+        "bravo/bravo02": "bravo/bravo02.wav", "bravo/x": "bravo/x.wav"}
+    assert all((tmp_path / "feats" / f"{name}.sprf").is_file()
+               for name in ("train", "val", "test"))
 
 
 class TestErrorSurface:

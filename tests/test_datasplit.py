@@ -160,7 +160,7 @@ class TestSplitFile:
         assert validate_split(rows, m).passed
 
     def test_ids_with_hash_spaces_and_line_breaks_round_trip(self):
-        # ingest takes IDs from file stems, so any of these can reach a manifest
+        # ingest takes IDs from paths, whose class folder and file names can hold any of these
         m = Manifest([ManifestEntry(rid, cls, f"{cls}/{i}.wav", 25.0)
                       for cls in ("a", "b")
                       for i, rid in enumerate((f"#{cls}0", f" {cls}1", f"{cls}2 ",
@@ -228,7 +228,7 @@ class TestNormalization:
     def test_stats_over_training_features(self):
         a = np.array([[0.0, 5.0], [2.0, 3.0]])
         b = np.array([[-4.0, 1.0]])
-        stats = compute_norm_stats([a, b])
+        stats = compute_norm_stats(np.concatenate([a, b]))
         assert (stats.global_min, stats.global_max) == (-4.0, 5.0)
 
     def test_normalize_maps_extremes_to_unit_interval(self):
@@ -262,4 +262,4 @@ class TestNormalization:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(EmptyTrainingSetError):
-            compute_norm_stats([])
+            compute_norm_stats(np.empty((0, 2)))
