@@ -32,12 +32,6 @@ class AugmentConfig:
             raise ValueError("mixup_alpha must be positive")
 
 
-class MixPair(NamedTuple):
-    lam: float
-    index_a: int
-    index_b: int
-
-
 class Mask(NamedTuple):
     axis: str   # "time" masks frames, "freq" masks mel bins
     start: int
@@ -93,18 +87,19 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
 
 
 def make_mix_pairs(batch_size: int, alpha: float,
-                   rng: np.random.Generator) -> list[MixPair]:
-    """Pair every batch element with a random-permutation partner."""
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, partners)``: a random-permutation partner for every batch
+    element, then one lambda per element, drawn in that order."""
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     partners = rng.permutation(batch_size)
-    return [MixPair(sample_lambda(alpha, rng), i, int(partners[i]))
-            for i in range(batch_size)]
+    return np.array([sample_lambda(alpha, rng) for _ in range(batch_size)]), partners
 
 
-def mixup(x: np.ndarray, batch_targets, pairs: list[MixPair]):
-    """Convex-combine a batch's paired inputs and targets with each pair's
-    lambda; ``x`` is the [batch x ...] input array."""
+def mixup(x: np.ndarray, batch_targets, pairs: tuple[np.ndarray, np.ndarray]):
+    """Convex-combine each element of a batch with its partner, inputs and
+    targets alike, by the element's lambda; ``x`` is the [batch x ...]
+    input array and ``pairs`` is ``(lam, partners)``."""
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
     y = np.asarray(batch_targets, dtype=x.dtype)
@@ -116,13 +111,13 @@ def mixup(x: np.ndarray, batch_targets, pairs: list[MixPair]):
         )
     if np.any(np.abs(y.sum(axis=1) - 1.0) > 1e-6):
         raise ValueError("each target row must sum to 1")
-    lam = np.array([p.lam for p in pairs], dtype=x.dtype)
-    a = np.array([p.index_a for p in pairs])
-    b = np.array([p.index_b for p in pairs])
-    if len(pairs) and (a.min() < 0 or b.min() < 0 or
-                       a.max() >= x.shape[0] or b.max() >= x.shape[0]):
-        raise ShapeMismatchError("pair indices fall outside the batch")
+    lam, partners = np.asarray(pairs[0], dtype=x.dtype), np.asarray(pairs[1])
+    if lam.shape != (len(x),) or partners.shape != (len(x),):
+        raise ShapeMismatchError(f"{len(x)} inputs but {lam.size} lambdas "
+                                 f"and {partners.size} partners")
+    if len(x) and (partners.min() < 0 or partners.max() >= len(x)):
+        raise ShapeMismatchError("partner indices fall outside the batch")
     lam_x = lam.reshape((-1,) + (1,) * (x.ndim - 1))
-    mixed_x = lam_x * x[a] + (1.0 - lam_x) * x[b]
-    mixed_y = lam[:, None] * y[a] + (1.0 - lam[:, None]) * y[b]
+    mixed_x = lam_x * x + (1.0 - lam_x) * x[partners]
+    mixed_y = lam[:, None] * y + (1.0 - lam[:, None]) * y[partners]
     return mixed_x, mixed_y

@@ -29,7 +29,7 @@ from .files import write_json, write_text
 from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_duration,
                     write_manifest)
 from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, FeatureConfig,
-                  read_feature_archive, scale_config, segment_length,
+                  frame_count, read_feature_archive, scale_config, segment_length,
                   write_feature_archive)
 from .augment import AugmentConfig
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_two_classes,
@@ -346,13 +346,17 @@ def _load_classes(features_dir: Path, rates: tuple[int, int] | None = None) -> l
     return classes
 
 
-def _load_split(features_dir: Path, name: str,
-                n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of one split archive written by ``featurize``."""
+def _load_split(features_dir: Path, name: str, n_classes: int,
+                shape: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of one split archive written by ``featurize``;
+    given a ``(frames, mels)`` shape, refuse items of another."""
     path = features_dir / f"{name}.sprf"
     values, labels = read_feature_archive(path)
     if not labels.size:
         raise SonarprepError(f"{path}: archive holds no segments")
+    if shape and values.shape[1:] != shape:
+        raise SonarprepError(f"{path}: items of shape {values.shape[1:]}, but the "
+                             f"config makes {shape}")
     if labels.max() >= n_classes:
         raise ArchiveFormatError(f"{path}: labels outside 0..{n_classes - 1} "
                                  f"of classes.json")
@@ -441,10 +445,9 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
     counts = segment_counts(manifest, cfg.segment_seconds)
     sf = stratified_split(manifest, counts, cfg.split)
     write_text(out, write_split_file(sf))
-    for name in ("train", "val", "test"):
-        recs = sum(c[0] for c in sf.class_counts[name].values())
-        segs = sum(c[1] for c in sf.class_counts[name].values())
-        _echo(f"{name}: {recs} recordings, {segs} segments")
+    for name in SPLIT_NAMES:
+        recs = [r for r, split_name in sf.assignment.items() if split_name == name]
+        _echo(f"{name}: {len(recs)} recordings, {sum(counts[r] for r in recs)} segments")
 
 
 @main.command()
@@ -498,8 +501,11 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
 def train(config_path, features_dir, out):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
-    classes = _load_classes(features_dir, (cfg.data_rate, cfg.train.feature.model_rate))
-    data = FeatureSets(*(_load_split(features_dir, name, len(classes))
+    feature = cfg.train.feature
+    classes = _load_classes(features_dir, (cfg.data_rate, feature.model_rate))
+    shape = (frame_count(segment_length(cfg.segment_seconds, cfg.data_rate),
+                         feature.hop_length), feature.n_mels)
+    data = FeatureSets(*(_load_split(features_dir, name, len(classes), shape)
                          for name in SPLIT_NAMES),
                        n_classes=len(classes))
     results = run_seeds(cfg.train, data, cfg.data_rate)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -80,8 +80,6 @@ class SplitFile:
 
     assignment: dict[str, str]
     seed: int
-    # split -> class -> (recording count, segment count); filled by stratified_split
-    class_counts: dict[str, dict[str, tuple[int, int]]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,6 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
             )
     rng = np.random.default_rng(spec.seed)
     assignment: dict[str, str] = {}
-    class_counts = {s: {} for s in SPLIT_NAMES}
     seg_assigned = dict.fromkeys(SPLIT_NAMES, 0)
     seg_total = 0
     for label in manifest.classes:  # sorted, so iteration order is stable
@@ -172,11 +169,9 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
             cursor += quota
             for rec_id in chosen:
                 assignment[rec_id] = split_name
-            segs = sum(counts[r] for r in chosen)
-            class_counts[split_name][label] = (len(chosen), segs)
-            seg_assigned[split_name] += segs
+            seg_assigned[split_name] += sum(counts[r] for r in chosen)
         seg_total += sum(counts[r] for r in recs)
-    return SplitFile(assignment, spec.seed, class_counts)
+    return SplitFile(assignment, spec.seed)
 
 
 def validate_split(rows, manifest: Manifest) -> SplitReport:

@@ -462,18 +462,19 @@ def gradients(model: ModelState, inputs: np.ndarray, targets: np.ndarray):
 # optimizer
 # ---------------------------------------------------------------------------
 
+#: Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    lr: float
     t: int = 0
-    lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float = 5e-5) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray], lr: float) -> "AdamState":
         return cls(m={k: np.zeros_like(p) for k, p in params.items()},
                    v={k: np.zeros_like(p) for k, p in params.items()}, lr=lr)
 
@@ -482,8 +483,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState):
     """One bias-corrected Adam update, in place."""
     state.t += 1
-    bias1 = 1.0 - state.beta1 ** state.t
-    bias2 = 1.0 - state.beta2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         if name not in grads:
             raise ShapeMismatchError(f"no gradient for parameter {name!r}")
@@ -493,11 +494,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 f"gradient for {name!r} has shape {g.shape}, expected {p.shape}"
             )
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return params, state
 
 

@@ -24,8 +24,8 @@ from .dsp import (DegenerateBandError, FeatureConfig, DEFAULT_FEATURE_CONFIG,
 from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, spec_augment
 from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
                         normalize, segment_counts, stratified_split)
-from .nn import (AdamState, Architecture, DEFAULT_ARCHITECTURE, ModelState,
-                 adam_step, cross_entropy_soft, gradients, infer, init_model)
+from .nn import (AdamState, DEFAULT_ARCHITECTURE, ModelState, adam_step,
+                 cross_entropy_soft, gradients, infer, init_model)
 from .evaluation import Metrics, aggregate_runs, evaluate
 
 
@@ -46,7 +46,6 @@ class TrainConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     feature: FeatureConfig = DEFAULT_FEATURE_CONFIG
-    arch: Architecture = DEFAULT_ARCHITECTURE
     use_mixup: bool = True
 
     def __post_init__(self):
@@ -64,7 +63,6 @@ class TrainConfig:
 
 @dataclass
 class RunHistory:
-    seed: int
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
@@ -93,8 +91,8 @@ def _augment_batch(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     masked = np.stack([spec_augment(sample, cfg.augment, time_width, rng)
                        for sample in inputs])
     if cfg.use_mixup:
-        pairs = make_mix_pairs(masked.shape[0], cfg.augment.mixup_alpha, rng)
-        return mixup(masked, targets, pairs)
+        return mixup(masked, targets,
+                     make_mix_pairs(len(masked), cfg.augment.mixup_alpha, rng))
     return masked, targets
 
 
@@ -115,7 +113,7 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
     time_width = scaled_mask_width(cfg.augment.base_time_mask_width, data_rate,
                                    cfg.feature.model_rate)
     optimizer = AdamState.for_params(model.params, lr=cfg.lr)
-    history = RunHistory(seed=seed)
+    history = RunHistory()
     best_loss = np.inf
     best_epoch = 0
     best_params = {k: p.copy() for k, p in model.params.items()}
@@ -175,10 +173,10 @@ class SeedResult:
 
 
 def run_seeds(cfg: TrainConfig, data: FeatureSets, data_rate: int) -> list[SeedResult]:
-    """Independent train/evaluate runs, one fresh model per seed."""
+    """Independent train/evaluate runs, one fresh default network per seed."""
     results = []
     for seed in cfg.seeds:
-        model = init_model(cfg.arch, data.n_classes, seed, dtype=np.float32)
+        model = init_model(DEFAULT_ARCHITECTURE, data.n_classes, seed, dtype=np.float32)
         model, history = train(cfg, data.train, data.val, model, data_rate, seed=seed)
         metrics = evaluate(model, *data.test)
         results.append(SeedResult(seed=seed, model=model, history=history,
@@ -261,42 +259,46 @@ def build_feature_sets(manifest: Manifest,
     capacity = dict.fromkeys(SPLIT_NAMES, 0)
     for entry in manifest.entries:
         capacity[assignment[entry.recording_id]] += counts[entry.recording_id]
-    # per config and split: the rows, their extrema and their labels so far
-    splits = [{name: (_rows_array(capacity[name], shape), [], []) for name in SPLIT_NAMES}
+    # per split, the labels so far (every config featurizes the same
+    # segments); per config and split, the rows and their extrema so far
+    labels = {name: [] for name in SPLIT_NAMES}
+    splits = [{name: (_rows_array(capacity[name], shape), []) for name in SPLIT_NAMES}
               for shape in shapes]
     label_index = manifest.label_indices()
 
     def append(recordings) -> None:
         for entry, per_config in zip(manifest.entries, recordings):
+            name = assignment[entry.recording_id]
+            n = len(labels[name])
             for split, (rows, extrema) in zip(splits, per_config):
-                x, split_extrema, labels = split[assignment[entry.recording_id]]
-                n = len(labels)
+                x, split_extrema = split[name]
                 if n + len(rows) > len(x):
                     _resize_rows(x, n + len(rows))
                 x[n:n + len(rows)] = rows
                 split_extrema.append(extrema)
-                labels.extend([label_index[entry.class_label]] * len(rows))
+            labels[name].extend([label_index[entry.class_label]] * len(per_config[0][0]))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             append(pool.map(featurize_recording, manifest.entries))
     else:
         append(map(featurize_recording, manifest.entries))
+    for name, split_labels in labels.items():
+        if not split_labels:
+            raise EmptyDatasetError(f"{name} split produced no segments")
+        labels[name] = np.array(split_labels, dtype=np.int64)
     results = []
     for split in splits:
-        for name, (x, _, labels) in split.items():
-            if not labels:
-                raise EmptyDatasetError(f"{name} split produced no segments")
-            _resize_rows(x, len(labels))
         stats = compute_norm_stats(np.concatenate(split["train"][1]))
         sets, outside = {}, []
-        for name, (x, split_extrema, labels) in split.items():
+        for name, (x, split_extrema) in split.items():
+            _resize_rows(x, len(labels[name]))
             for i in range(len(x)):
                 x[i] = normalize(x[i].astype(np.float64), stats)
             lo, hi = np.concatenate(split_extrema).T
             outside.append(int(np.count_nonzero((lo < stats.global_min)
                                                 | (hi > stats.global_max))))
-            sets[name] = (x, np.array(labels, dtype=np.int64))
+            sets[name] = (x, labels[name])
         results.append((FeatureSets(**sets, n_classes=len(manifest.classes),
                                     outside=tuple(outside)), stats))
     return results
@@ -304,7 +306,7 @@ def build_feature_sets(manifest: Manifest,
 
 def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
           load_waveform: Callable[[ManifestEntry], Waveform],
-          split_spec: SplitSpec | None = None, seconds: float = 5.0,
+          split_spec: SplitSpec, seconds: float,
           jobs: int = 1) -> tuple[dict, list[tuple[int, ...]]]:
     """Full grid over data and model sampling rates.
 
@@ -317,7 +319,6 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
     record per (data rate, model rate), sorted by data rate, then model
     rate) and, in the same order, each cell's :attr:`FeatureSets.outside`.
     """
-    split_spec = split_spec if split_spec is not None else SplitSpec()
     counts = segment_counts(manifest, seconds)
     split = stratified_split(manifest, counts, split_spec)
     features = {rm: scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sonarprep.augment import (AugmentConfig, Mask, MixPair, apply_masks,
+from sonarprep.augment import (AugmentConfig, Mask, apply_masks,
                                draw_masks, make_mix_pairs, mixup,
                                sample_lambda, scaled_mask_width, spec_augment)
 from sonarprep.errors import ShapeMismatchError
@@ -126,10 +126,33 @@ class TestMixup:
 
     def test_pairs_use_permutation_partners(self):
         rng = np.random.default_rng(5)
-        pairs = make_mix_pairs(64, 1.0, rng)
-        assert [p.index_a for p in pairs] == list(range(64))
-        assert sorted(p.index_b for p in pairs) == list(range(64))
-        assert all(0.0 <= p.lam <= 1.0 for p in pairs)
+        lam, partners = make_mix_pairs(64, 1.0, rng)
+        assert lam.shape == partners.shape == (64,)
+        assert sorted(partners) == list(range(64))
+        assert all(0.0 <= v <= 1.0 for v in lam)
+
+    @pytest.mark.parametrize("n,alpha", [(1, 1.0), (7, 0.4), (64, 2.0)])
+    def test_draws_the_permutation_then_one_lambda_per_element(self, n, alpha):
+        lam, partners = make_mix_pairs(n, alpha, np.random.default_rng(11))
+        reference = np.random.default_rng(11)
+        want_partners = reference.permutation(n)
+        want_lam = [reference.beta(alpha, alpha) for _ in range(n)]
+        assert partners.tolist() == want_partners.tolist()
+        assert lam.tolist() == want_lam
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mix_equals_the_two_gather_formula_bitwise(self, dtype):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(9, 5, 3)).astype(dtype)
+        y = np.eye(3, dtype=dtype)[rng.integers(0, 3, 9)]
+        lam, partners = make_mix_pairs(9, 1.0, rng)
+        mx, my = mixup(x, y, (lam, partners))
+        a, b, lam = np.arange(9), partners, lam.astype(dtype)
+        lam_x = lam[:, None, None]
+        want_x = lam_x * x[a] + (1.0 - lam_x) * x[b]
+        want_y = lam[:, None] * y[a] + (1.0 - lam[:, None]) * y[b]
+        assert (mx.dtype, mx.tobytes()) == (want_x.dtype, want_x.tobytes())
+        assert (my.dtype, my.tobytes()) == (want_y.dtype, want_y.tobytes())
 
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=2, max_value=5),
@@ -148,7 +171,7 @@ class TestMixup:
     def test_mix_is_convex_combination(self):
         x = np.stack([np.zeros((2, 2)), np.ones((2, 2))])
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pairs = [MixPair(0.25, 0, 1), MixPair(0.5, 1, 0)]
+        pairs = (np.array([0.25, 0.5]), np.array([1, 0]))
         mx, my = mixup(x, y, pairs)
         np.testing.assert_allclose(mx[0], 0.75)
         np.testing.assert_allclose(my[0], [0.25, 0.75])
@@ -158,20 +181,31 @@ class TestMixup:
     def test_integer_inputs_promoted(self):
         x = np.array([[[0, 0]], [[2, 2]]])
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        mx, _ = mixup(x, y, [MixPair(0.5, 0, 1), MixPair(0.5, 1, 0)])
+        mx, _ = mixup(x, y, (np.array([0.5, 0.5]), np.array([1, 0])))
         np.testing.assert_allclose(mx[0], 1.0)
 
     def test_target_rows_must_sum_to_one(self):
         x = np.ones((2, 2, 2))
         y = np.array([[0.9, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError):
-            mixup(x, y, [MixPair(0.5, 0, 1), MixPair(0.5, 1, 0)])
+            mixup(x, y, (np.array([0.5, 0.5]), np.array([1, 0])))
 
     def test_partner_index_out_of_range(self):
         x = np.ones((2, 2, 2))
         y = np.eye(2)
         with pytest.raises(ShapeMismatchError):
-            mixup(x, y, [MixPair(0.5, 0, 5), MixPair(0.5, 1, 0)])
+            mixup(x, y, (np.array([0.5, 0.5]), np.array([5, 0])))
+        with pytest.raises(ShapeMismatchError):
+            mixup(x, y, (np.array([0.5, 0.5]), np.array([-1, 0])))
+
+    @pytest.mark.parametrize("lam,partners", [
+        ([0.5], [1, 0]), ([0.5, 0.5, 0.5], [1, 0]), ([0.5, 0.5], [1]), (0.5, [1, 0])],
+        ids=["few-lambdas", "many-lambdas", "few-partners", "scalar-lambda"])
+    def test_one_lambda_and_one_partner_per_element(self, lam, partners):
+        x = np.ones((2, 2, 2))
+        y = np.eye(2)
+        with pytest.raises(ShapeMismatchError):
+            mixup(x, y, (np.array(lam), np.array(partners)))
 
 
 class TestConfigValidation:

@@ -941,6 +941,37 @@ class TestErrorSurface:
         assert str(feats) in error and "2000" in error and "32000" in error
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("line,shape", [
+        ("feature.n_mels = 16", (501, 16)), ("feature.hop_length = 160", (251, 24))],
+        ids=["n_mels", "hop_length"])
+    def test_train_refuses_features_its_config_did_not_make(self, pipeline, tmp_path,
+                                                           line, shape):
+        """Features of 501x24 under a config that makes another shape."""
+        root, runner = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE_CONFIG + line + "\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--features",
+                                      str(root / "feats"), "--out", str(tmp_path / "runs")])
+        assert_clean_failure(result)
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert str(root / "feats" / "train.sprf") in error
+        assert "(501, 24)" in error and str(shape) in error
+        assert not (tmp_path / "runs").exists()
+
+    def test_train_refuses_a_split_archive_of_another_shape(self, pipeline, tmp_path):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        write_feature_archive(feats / "val.sprf", np.zeros((2, 126, 24)), [0, 1])
+        result = runner.invoke(main, ["train", "--config", str(root / "run.cfg"),
+                                      "--features", str(feats),
+                                      "--out", str(tmp_path / "runs")])
+        assert_clean_failure(result)
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert str(feats / "val.sprf") in error
+        assert "(126, 24)" in error and "(501, 24)" in error
+        assert not (tmp_path / "runs").exists()
+
     def test_train_refuses_classes_file_without_rates(self, pipeline, tmp_path):
         root, runner = pipeline
         feats = tmp_path / "feats"

@@ -25,7 +25,7 @@ TINY_FEAT = FeatureConfig(8000, win_length=64, hop_length=32, n_mels=6,
 
 def tiny_config(**overrides):
     base = dict(lr=1e-3, batch_size=4, max_epochs=3, patience=3, seeds=(0,),
-                augment=TINY_AUG, feature=TINY_FEAT, arch=TINY_ARCH,
+                augment=TINY_AUG, feature=TINY_FEAT,
                 use_mixup=True)
     base.update(overrides)
     return TrainConfig(**base)
@@ -71,7 +71,7 @@ class TestEarlyStopping:
         monkeypatch.setattr(trainer_mod, "validation_pass", fake_validation)
         cfg = tiny_config(patience=patience, max_epochs=max_epochs, lr=1e-2)
         data = tiny_data()
-        model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
+        model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
         model, history = train(cfg, data.train, data.val, model, 8000, seed=0)
         return model, history, snapshots
 
@@ -113,7 +113,7 @@ class TestTrainLoop:
         data = tiny_data()
         runs = []
         for _ in range(2):
-            model = init_model(cfg.arch, data.n_classes, seed=5, dtype=np.float32)
+            model = init_model(TINY_ARCH, data.n_classes, seed=5, dtype=np.float32)
             model, history = train(cfg, data.train, data.val, model, 8000, seed=5)
             runs.append((model, history))
         (m1, h1), (m2, h2) = runs
@@ -125,9 +125,9 @@ class TestTrainLoop:
     def test_seed_changes_trajectory(self):
         cfg = tiny_config()
         data = tiny_data()
-        model1 = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
+        model1 = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
         _, h1 = train(cfg, data.train, data.val, model1, 8000, seed=0)
-        model2 = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
+        model2 = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
         _, h2 = train(cfg, data.train, data.val, model2, 8000, seed=1)
         assert h1.train_loss != h2.train_loss
 
@@ -142,7 +142,7 @@ class TestTrainLoop:
             return original(inputs, targets, cfg, time_width, rng)
 
         monkeypatch.setattr(trainer_mod, "_augment_batch", counting)
-        model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
+        model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
         train(cfg, data.train, data.val, model, 8000, seed=0)
         assert sizes == [8, 8, 4] * 3
 
@@ -156,7 +156,7 @@ class TestTrainLoop:
             return validation_pass(model, features, labels)
 
         monkeypatch.setattr(trainer_mod, "validation_pass", spy_validation)
-        model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
+        model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
         train(cfg, data.train, data.val, model, 8000, seed=0)
         for features in seen_val:
             assert features is data.val[0]  # same array, untouched
@@ -165,7 +165,7 @@ class TestTrainLoop:
         cfg = tiny_config(lr=5e-3, max_epochs=10, patience=10, use_mixup=False,
                           augment=AugmentConfig(n_time_masks=0, n_freq_masks=0))
         data = tiny_data(n_train=20)
-        model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
+        model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
         _, history = train(cfg, data.train, data.val, model, 8000, seed=0)
         assert history.train_loss[-1] < history.train_loss[0]
 
@@ -173,7 +173,7 @@ class TestTrainLoop:
         cfg = tiny_config()
         data = tiny_data()
         empty = (np.zeros((0, 8, 6), dtype=np.float32), np.zeros(0, dtype=int))
-        model = init_model(cfg.arch, data.n_classes, seed=0, dtype=np.float32)
+        model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
         with pytest.raises(EmptyDatasetError):
             train(cfg, empty, data.val, model, 8000, seed=0)
         with pytest.raises(EmptyDatasetError):
@@ -198,7 +198,7 @@ class TestRunSeeds:
 class TestHistoryCsv:
     def test_layout_and_precision(self):
         from sonarprep.trainer import RunHistory
-        h = RunHistory(seed=3, train_loss=[1.5, 0.25], val_loss=[1.25, 0.75],
+        h = RunHistory(train_loss=[1.5, 0.25], val_loss=[1.25, 0.75],
                        val_acc=[0.5, 0.625], best_epoch=2, stopped_epoch=2)
         text = history_csv(h)
         lines = text.strip().splitlines()
