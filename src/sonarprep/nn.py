@@ -192,16 +192,39 @@ def aggregate_input_channels(weights: np.ndarray) -> np.ndarray:
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     """The im2col matrix of ``x`` [B, H, W, C] for a ``k`` x ``k`` kernel,
     [B, H', W', k*k*C], each row in ``(k, k, C)`` order. The zero-padded
-    copy and its window view die on return."""
+    copy and its window view die on return.
+
+    A one-channel input, whose window view would copy one element per run,
+    is copied a kernel tap at a time into a tap-major ``[k*k, B, H', W']``
+    array and returned as its transposed view: its flat matrix is then a
+    view that BLAS reads transposed."""
     batch, height, width, in_ch = x.shape
     out_h = height + 2 * pad - k + 1
     out_w = width + 2 * pad - k + 1
     if out_h < 1 or out_w < 1:
         raise ShapeMismatchError(f"input {height}x{width} smaller than kernel {k}")
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    if in_ch == 1:
+        taps = np.empty((k * k, batch, out_h, out_w), dtype=x.dtype)
+        for t in range(k * k):
+            di, dj = divmod(t, k)
+            taps[t] = xp[:, di:di + out_h, dj:dj + out_w, 0]
+        return taps.transpose(1, 2, 3, 0)
     windows = sliding_window_view(xp, (k, k), axis=(1, 2))
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch, out_h, out_w,
                                                        k * k * in_ch)
+
+
+def _channel_sum(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """``x.sum(axis=axes)`` for a channels-last ``x``, summed in the same
+    order. Over several channels einsum runs one long loop per summed
+    element, where ``sum`` runs a C-element loop; over one channel einsum
+    would sum in another order, so ``sum`` runs there."""
+    if x.shape[-1] == 1:
+        return x.sum(axis=axes)
+    letters = "abcdefgh"[:x.ndim]
+    kept = "".join(c for i, c in enumerate(letters) if i not in axes)
+    return np.einsum(f"{letters}->{kept}", x)
 
 
 def _conv_forward(cols: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -223,7 +246,7 @@ def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray, pad: int,
     batch, out_h, out_w, _ = dy.shape
     dy_flat = dy.reshape(-1, out_ch)
     dw = (cols.T @ dy_flat).reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
-    db = dy_flat.sum(axis=0)
+    db = _channel_sum(dy_flat, (0,))
     if not input_grad:
         return dw, db, None
     # col2im one kernel tap at a time: the im2col gradient's column block
@@ -344,7 +367,7 @@ def forward(model: ModelState, batch: np.ndarray,
         elif isinstance(layer, MaxPool):
             x, saved = _maxpool_forward(x, layer.size, positions=keep)
         elif isinstance(layer, GlobalAvgPool):
-            saved, x = x.shape, x.mean(axis=(1, 2))
+            saved, x = x.shape, _channel_sum(x, (1, 2)) / (x.shape[1] * x.shape[2])
         elif isinstance(layer, Dense):
             saved = x
             name = _param_name(i, layer)

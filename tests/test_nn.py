@@ -486,6 +486,79 @@ class TestKernelsMatchSliceLoops:
         assert_same_bytes(forward(m, x), forward(m, x, []))
 
 
+def window_view_im2col(x, k, pad):
+    """The window-view gather that multi-channel inputs use, for any input:
+    a C-contiguous [B, H', W', k*k*C] matrix in (k, k, C) order."""
+    batch, height, width, in_ch = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+        batch, height + 2 * pad - k + 1, width + 2 * pad - k + 1, k * k * in_ch)
+
+
+class TestChannelLoops:
+    """The one-channel tap-major im2col and the einsum channel sums give the
+    bytes of the window-view gather and of ``sum``/``mean``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("height,width", [(7, 6), (8, 9)])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_one_channel_im2col_matches_the_window_view(self, k, pad, height, width,
+                                                        batch, dtype):
+        rng = np.random.default_rng(k * 100 + pad * 10 + batch)
+        x = rng.normal(size=(batch, height, width, 1)).astype(dtype)
+        cols = _im2col(x, k, pad)
+        want = window_view_im2col(x, k, pad)
+        assert_same_bytes(np.ascontiguousarray(cols), want)
+        # With the default network's 16 output channels the products are the
+        # same whether BLAS reads the matrix transposed or not. At some other
+        # counts OpenBLAS sums in another order (SkylakeX at 1-8 more float32
+        # outputs than a multiple of 16; one output runs as GEMV everywhere).
+        w = rng.normal(size=(16, 1, k, k)).astype(dtype)
+        b = rng.normal(size=16).astype(dtype)
+        flat, y = _conv_forward(cols, w, b)
+        want_flat, want_y = _conv_forward(want, w, b)
+        assert_same_bytes(y, want_y)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        for got, expected in zip(_conv_backward(dy, flat, w, pad, input_grad=False)[:2],
+                                 _conv_backward(dy, want_flat, w, pad, input_grad=False)[:2]):
+            assert_same_bytes(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (16 * 126 * 32, 16), (16 * 63 * 16, 32),    # train-small conv0, conv3
+        (4 * 501 * 64, 16), (4 * 250 * 32, 32),     # paper-infer conv0, conv3
+        (84, 3), (60, 2), (84, 2),                  # criterion 05
+        (240, 16), (60, 32),
+        (20, 1), (64512, 1)])                       # one output channel
+    def test_bias_gradient_is_the_row_sum(self, shape, dtype):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        dy = rng.normal(size=shape).astype(dtype)
+        out_ch = shape[1]
+        w = np.zeros((out_ch, 1, 1, 1), dtype)
+        cols = np.zeros((shape[0], 1), dtype)
+        _, db, _ = _conv_backward(dy.reshape(1, -1, 1, out_ch), cols, w, 0,
+                                  input_grad=False)
+        assert_same_bytes(db, dy.sum(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (16, 63, 16, 32), (4, 250, 32, 32),         # the benchmark's pooled maps
+        (2, 7, 6, 3), (2, 6, 5, 2), (2, 7, 6, 2), (2, 3, 3, 2), (2, 6, 5, 32),
+        (3, 5, 7, 1), (16, 63, 16, 1)])             # one channel
+    def test_global_pooling_is_the_mean(self, shape, dtype):
+        x = np.random.default_rng(shape[1]).normal(size=shape).astype(dtype)
+        arch = Architecture((GlobalAvgPool(), Dense()), in_channels=shape[3])
+        m = init_model(arch, 2, seed=0, dtype=dtype)
+        # an input [B, C, H, W] arrives at the pool as [B, H, W, C]; the
+        # dense layer's cache slot holds the pooled features
+        cache = []
+        forward(m, x.transpose(0, 3, 1, 2), cache)
+        assert_same_bytes(cache[1], x.mean(axis=(1, 2)))
+
+
 class TestLoss:
     def test_value_against_manual_softmax(self):
         logits = np.array([[2.0, 0.5, -1.0]])
