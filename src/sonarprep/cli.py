@@ -29,7 +29,7 @@ from .files import write_json, write_text
 from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_duration,
                     write_manifest)
 from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, FeatureConfig,
-                  frame_count, read_feature_archive, scale_config, segment_length,
+                  item_shape, read_feature_archive, scale_config, segment_length,
                   write_feature_archive)
 from .augment import AugmentConfig
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_two_classes,
@@ -125,15 +125,26 @@ class RunConfig:
         for rate in (self.data_rate, *self.sweep_data_rates):
             segment_length(self.segment_seconds, rate)
 
+    def values(self) -> dict:
+        """The effective value of every config key."""
+        objects = {"run": self, "train": self.train, "feature": self.train.feature,
+                   "augment": self.train.augment, "split": self.split}
+        return {key: getattr(objects[target], name)
+                for key, (target, name, _) in _CONFIG_KEYS.items()}
+
     def fingerprint(self) -> str:
         """Hash of canonical JSON of the effective value of every config key
         but ``data.jobs``, which changes no output bytes."""
-        objects = {"run": self, "train": self.train, "feature": self.train.feature,
-                   "augment": self.train.augment, "split": self.split}
-        values = {key: getattr(objects[target], name)
-                  for key, (target, name, _) in _CONFIG_KEYS.items()
-                  if key != "data.jobs"}
+        values = self.values()
+        del values["data.jobs"]
         return hashlib.sha256(json.dumps(values, sort_keys=True).encode("utf-8")).hexdigest()
+
+    def front_end(self) -> dict:
+        """The effective value of every key that shapes a feature:
+        ``data.rate``, ``data.segment_seconds`` and each ``feature.*`` key."""
+        return {key: value for key, value in self.values().items()
+                if key in ("data.rate", "data.segment_seconds")
+                or key.startswith("feature.")}
 
 
 # key -> (object the value is staged for, field name, caster); each object is
@@ -324,14 +335,14 @@ def _read_wav(corpus_root: Path, entry: ManifestEntry):
                      source_id=entry.recording_id)
 
 
-def _load_classes(features_dir: Path, rates: tuple[int, int] | None = None) -> list[str]:
-    """Class names from ``classes.json``: at least two distinct, non-empty
-    names. Given ``(data rate, model rate)``, refuse features made at other
-    rates."""
+def _load_classes(features_dir: Path) -> tuple[list[str], dict]:
+    """Class names from ``classes.json``, at least two distinct, non-empty
+    names, and its front-end record: the :meth:`RunConfig.front_end` of the
+    ``featurize`` run that made the features, empty if it records none."""
     path = features_dir / "classes.json"
     try:
         record = json.loads(path.read_text())
-        made = (record.get("data_rate"), record.get("model_rate"))
+        made = record.get("front_end", {})
         classes = record["classes"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
@@ -340,10 +351,21 @@ def _load_classes(features_dir: Path, rates: tuple[int, int] | None = None) -> l
         raise SonarprepError(f"{path}: classes must be a list of distinct, non-empty "
                              f"names, not {classes!r}")
     require_two_classes(classes, path)
-    if rates and made != rates:
-        raise SonarprepError(f"{features_dir}: features made at data/model rate {made[0]}/"
-                             f"{made[1]} Hz, the config sets {rates[0]}/{rates[1]} Hz")
-    return classes
+    if not isinstance(made, dict):
+        raise SonarprepError(f"{path}: front_end must be an object, not {made!r}")
+    return classes, made
+
+
+def _refuse_other_front_end(features_dir: Path, made: dict, front_end: dict,
+                            keys) -> None:
+    """Refuse features whose front-end record differs from ``front_end`` in
+    any of ``keys``; a key the record lacks differs."""
+    differ = [key for key in keys if made.get(key) != front_end[key]]
+    if differ:
+        raise SonarprepError(
+            f"{features_dir}: features made with "
+            + ", ".join(f"{key} = {made.get(key)}" for key in differ)
+            + "; the config sets " + ", ".join(f"{key} = {front_end[key]}" for key in differ))
 
 
 def _load_split(features_dir: Path, name: str, n_classes: int,
@@ -365,7 +387,7 @@ def _load_split(features_dir: Path, name: str, n_classes: int,
 
 def _load_test_run(model_path: Path, features_dir: Path):
     """The classes, test archive and checkpoint model that eval and gradcam read."""
-    classes = _load_classes(features_dir)
+    classes, _ = _load_classes(features_dir)
     features, labels = _load_split(features_dir, "test", len(classes))
     model = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, len(classes), seed=0),
                              load_checkpoint(model_path))
@@ -434,19 +456,19 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
     manifest = load_manifest(_read_text(manifest_path))
     if do_validate:
         rows, _ = read_split_rows(_read_text(split_file))
-        report = validate_split(rows, manifest)
-        for code, detail in report.failures:
+        failures = validate_split(rows, manifest)
+        for code, detail in failures:
             _echo(f"FAIL {code}: {detail}")
-        if not report.passed:
+        if failures:
             raise click.ClickException(f"split failed validation "
-                                       f"({len(report.failures)} problems)")
+                                       f"({len(failures)} problems)")
         _echo("split OK")
         return
     counts = segment_counts(manifest, cfg.segment_seconds)
-    sf = stratified_split(manifest, counts, cfg.split)
-    write_text(out, write_split_file(sf))
+    assignment = stratified_split(manifest, counts, cfg.split)
+    write_text(out, write_split_file(assignment, cfg.split.seed))
     for name in SPLIT_NAMES:
-        recs = [r for r, split_name in sf.assignment.items() if split_name == name]
+        recs = [r for r, split_name in assignment.items() if split_name == name]
         _echo(f"{name}: {len(recs)} recordings, {sum(counts[r] for r in recs)} segments")
 
 
@@ -468,11 +490,11 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     manifest = load_manifest(_read_text(manifest_path))
     require_two_classes(manifest.classes, manifest_path)
     rows, _ = read_split_rows(_read_text(split_file))
-    report = validate_split(rows, manifest)
-    if not report.passed:
+    failures = validate_split(rows, manifest)
+    if failures:
         raise click.ClickException(
             "split file failed validation: "
-            + "; ".join(f"{code}: {detail}" for code, detail in report.failures[:3])
+            + "; ".join(f"{code}: {detail}" for code, detail in failures[:3])
         )
     _warn_clamped_band(cfg.data_rate, cfg.train.feature)
     assignment = dict(rows)
@@ -487,8 +509,7 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     write_json(out / "norm_stats.json",
                {"global_min": stats.global_min, "global_max": stats.global_max})
     write_json(out / "classes.json", {"classes": list(manifest.classes),
-                                      "data_rate": cfg.data_rate,
-                                      "model_rate": cfg.train.feature.model_rate})
+                                      "front_end": cfg.front_end()})
     _write_run_record(out, "featurize", _settings_record(cfg))
 
 
@@ -501,13 +522,16 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
 def train(config_path, features_dir, out):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
-    feature = cfg.train.feature
-    classes = _load_classes(features_dir, (cfg.data_rate, feature.model_rate))
-    shape = (frame_count(segment_length(cfg.segment_seconds, cfg.data_rate),
-                         feature.hop_length), feature.n_mels)
+    classes, made = _load_classes(features_dir)
+    front_end = cfg.front_end()
+    # the rates before any archive is read; a value that changes the item
+    # shape is then named by the refusal of the first archive it misfits
+    _refuse_other_front_end(features_dir, made, front_end, ("data.rate", "feature.model_rate"))
+    shape = item_shape(cfg.train.feature, cfg.segment_seconds, cfg.data_rate)
     data = FeatureSets(*(_load_split(features_dir, name, len(classes), shape)
                          for name in SPLIT_NAMES),
                        n_classes=len(classes))
+    _refuse_other_front_end(features_dir, made, front_end, front_end)
     results = run_seeds(cfg.train, data, cfg.data_rate)
     summary = {"seeds": [], "classes": classes}
     for result in results:

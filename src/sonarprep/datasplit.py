@@ -74,14 +74,6 @@ class SplitSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass
-class SplitFile:
-    """Recording-to-split assignment plus the seed that produced it."""
-
-    assignment: dict[str, str]
-    seed: int
-
-
 @dataclass(frozen=True)
 class NormStats:
     global_min: float
@@ -90,15 +82,6 @@ class NormStats:
     @property
     def degenerate(self) -> bool:
         return not (self.global_min < self.global_max)
-
-
-@dataclass
-class SplitReport:
-    passed: bool
-    failures: list[tuple[str, str]]  # (code, detail)
-
-    def codes(self) -> set[str]:
-        return {code for code, _ in self.failures}
 
 
 def segment_counts(manifest: Manifest, seconds: float) -> dict[str, int]:
@@ -132,8 +115,9 @@ def _class_quotas(n: int, ratios, seg_deficits) -> list[int]:
 
 
 def stratified_split(manifest: Manifest, counts: dict[str, int],
-                     spec: SplitSpec) -> SplitFile:
-    """Assign recordings to train/val/test, stratified by class.
+                     spec: SplitSpec) -> dict[str, str]:
+    """Assign recordings to train/val/test, stratified by class; returns
+    ``{recording_id: split}``.
 
     ``counts`` gives segments per recording and is used to bias quota
     tie-breaks toward the split lagging its segment share.
@@ -171,13 +155,13 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
                 assignment[rec_id] = split_name
             seg_assigned[split_name] += sum(counts[r] for r in chosen)
         seg_total += sum(counts[r] for r in recs)
-    return SplitFile(assignment, spec.seed)
+    return assignment
 
 
-def validate_split(rows, manifest: Manifest) -> SplitReport:
+def validate_split(rows, manifest: Manifest) -> list[tuple[str, str]]:
     """Check (recording_id, split) rows, as loaded from disk, against a
     manifest: exact partition, no leakage, every class present in every
-    split."""
+    split. Returns the ``(code, detail)`` failures, empty for a sound split."""
     failures: list[tuple[str, str]] = []
     known = manifest.by_id()
     first_seen: dict[str, str] = {}
@@ -209,22 +193,22 @@ def validate_split(rows, manifest: Manifest) -> SplitReport:
             if label not in present[split_name]:
                 failures.append((MISSING_CLASS,
                                  f"class {label!r} absent from {split_name!r}"))
-    return SplitReport(passed=not failures, failures=failures)
+    return failures
 
 
-def write_split_file(sf: SplitFile) -> str:
-    """Serialize as CSV rows plus a seed footer comment. An ID is quoted
-    when it holds a comma, a quote or a line break, as in the manifest, and
-    when it starts with ``#`` or with or ends in white space, so every ID
-    reads back verbatim."""
+def write_split_file(assignment: dict[str, str], seed: int) -> str:
+    """Serialize an assignment as CSV rows plus a footer comment with the
+    seed that drew it. An ID is quoted when it holds a comma, a quote or a
+    line break, as in the manifest, and when it starts with ``#`` or with
+    or ends in white space, so every ID reads back verbatim."""
     out = io.StringIO()
     plain = csv.writer(out, lineterminator="\n")
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(("recording_id", "split"))
-    for rec_id, split_name in sorted(sf.assignment.items()):
+    for rec_id, split_name in sorted(assignment.items()):
         needs_quotes = rec_id.startswith("#") or rec_id != rec_id.strip()
         (quoted if needs_quotes else plain).writerow((rec_id, split_name))
-    out.write(f"# seed={sf.seed}\n")
+    out.write(f"# seed={seed}\n")
     return out.getvalue()
 
 

@@ -250,6 +250,11 @@ def frame_count(n_samples: int, hop_length: int) -> int:
     return 1 + n_samples // hop_length
 
 
+def item_shape(cfg: FeatureConfig, seconds: float, rate: int) -> tuple[int, int]:
+    """``(frames, mels)`` of one segment's log-mel at data rate ``rate``."""
+    return frame_count(segment_length(seconds, rate), cfg.hop_length), cfg.n_mels
+
+
 # ---------------------------------------------------------------------------
 # STFT and mel filterbank
 # ---------------------------------------------------------------------------
@@ -321,17 +326,17 @@ def mel_filterbank(cfg: FeatureConfig, rate: int) -> np.ndarray:
 
     Window and hop stay in samples as designed for the model; the mel band
     is read against the bin frequencies at ``rate``, with f_max clamped to
-    its Nyquist.
+    its Nyquist. A :class:`DegenerateBandError` names both rates.
     """
     if int(rate) <= 0:
         raise InvalidRateError(f"data rate {rate} must be positive")
+    cell = f"data rate {rate}, model rate {cfg.model_rate}"
     f_max = min(cfg.f_max, rate / 2)
     if not cfg.f_min < f_max:
-        raise DegenerateBandError(
-            f"data rate {rate} leaves no usable band above f_min={cfg.f_min}")
+        raise DegenerateBandError(f"{cell}: no usable band above f_min={cfg.f_min}")
     edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(f_max), cfg.n_mels + 2))
     if np.any(np.diff(edges) <= 0):
-        raise DegenerateBandError("mel band too narrow: filter edges collapse")
+        raise DegenerateBandError(f"{cell}: mel band too narrow: filter edges collapse")
     freqs = (np.arange(cfg.win_length // 2 + 1) * int(rate) / cfg.win_length)[:, None]
     lower, center, upper = edges[:-2], edges[1:-1], edges[2:]
     rising = (freqs - lower) / (center - lower)
@@ -339,7 +344,7 @@ def mel_filterbank(cfg: FeatureConfig, rate: int) -> np.ndarray:
     fb = np.clip(np.minimum(rising, falling), 0.0, None)
     peaks = fb.max(axis=0)
     if np.any(peaks <= 0):
-        raise DegenerateBandError("a mel filter has no support on the FFT bin grid")
+        raise DegenerateBandError(f"{cell}: a mel filter has no support on the FFT bin grid")
     return fb / peaks
 
 

@@ -504,7 +504,8 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState):
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of ``params`` and ``state``, in place;
+    returns nothing."""
     state.t += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.t
     bias2 = 1.0 - ADAM_BETA2 ** state.t
@@ -522,7 +523,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * np.square(g)
         p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, Waveform
-from .dsp import (DegenerateBandError, FeatureConfig, DEFAULT_FEATURE_CONFIG,
-                  features_for_segment, frame_count, mel_filterbank, resample,
-                  scale_config, segment, segment_length)
+from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, features_for_segment,
+                  item_shape, mel_filterbank, resample, scale_config, segment)
 from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, spec_augment
 from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
                         normalize, segment_counts, stratified_split)
@@ -238,8 +237,7 @@ def build_feature_sets(manifest: Manifest,
     the audio grow the array, and rows they overstate are cut at the end.
     """
     banks = [mel_filterbank(cfg, data_rate) for cfg in feature_cfgs]
-    shapes = [(frame_count(segment_length(seconds, data_rate), cfg.hop_length),
-               cfg.n_mels) for cfg in feature_cfgs]
+    shapes = [item_shape(cfg, seconds, data_rate) for cfg in feature_cfgs]
 
     def featurize_recording(entry: ManifestEntry) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per config: the recording's float32 rows and each row's [min, max]."""
@@ -320,19 +318,15 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
     rate) and, in the same order, each cell's :attr:`FeatureSets.outside`.
     """
     counts = segment_counts(manifest, seconds)
-    split = stratified_split(manifest, counts, split_spec)
+    assignment = stratified_split(manifest, counts, split_spec)
     features = {rm: scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))}
     data_rates = sorted(set(data_rates))
     for data_rate in data_rates:
-        for model_rate, cell_feature in features.items():
-            try:
-                mel_filterbank(cell_feature, data_rate)
-            except DegenerateBandError as exc:
-                raise DegenerateBandError(f"data rate {data_rate}, model rate "
-                                          f"{model_rate}: {exc}") from exc
+        for cell_feature in features.values():
+            mel_filterbank(cell_feature, data_rate)
     cells, outside = [], []
     for data_rate in data_rates:
-        feature_sets = build_feature_sets(manifest, load_waveform, split.assignment,
+        feature_sets = build_feature_sets(manifest, load_waveform, assignment,
                                           data_rate, list(features.values()),
                                           seconds, jobs=jobs)
         for model_rate, cell_feature in features.items():
@@ -346,8 +340,7 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
                 "model_rate": model_rate,
                 "mask_width": scaled_mask_width(cfg.augment.base_time_mask_width,
                                                 data_rate, cell_feature.model_rate),
-                "n_frames": frame_count(segment_length(seconds, data_rate),
-                                        cell_feature.hop_length),
+                "n_frames": item_shape(cell_feature, seconds, data_rate)[0],
                 "accuracies": [r.metrics.accuracy for r in results],
                 "mean_accuracy": aggregate.mean_accuracy,
                 "std_accuracy": aggregate.std_accuracy,

@@ -236,12 +236,12 @@ def test_criterion_07_split_soundness_fuzz():
             counts = segment_counts(manifest, 5.0)
             seed = int(rng.integers(0, 2**31))
             split = stratified_split(manifest, counts, SplitSpec(seed=seed))
-            report = validate_split(split.assignment.items(), manifest)
-            assert report.passed, report.failures
+            failures = validate_split(split.items(), manifest)
+            assert not failures, failures
             per_class = {}
             for e in manifest.entries:
                 per_class.setdefault(e.class_label, []).append(
-                    split.assignment[e.recording_id])
+                    split[e.recording_id])
             for cls, assigned in per_class.items():
                 n = len(assigned)
                 for name, ratio in zip(("train", "val", "test"), spec.ratios):
@@ -249,7 +249,7 @@ def test_criterion_07_split_soundness_fuzz():
                     assert abs(got - n * ratio) <= 1.0, (cls, name, got, n)
             if case % 100 == 0:  # seed determinism spot checks
                 again = stratified_split(manifest, counts, SplitSpec(seed=seed))
-                assert again.assignment == split.assignment
+                assert again == split
 
         detected = 0
         for case in range(1000):
@@ -258,9 +258,9 @@ def test_criterion_07_split_soundness_fuzz():
             split = stratified_split(manifest, counts,
                                      SplitSpec(seed=int(rng.integers(0, 2**31))))
             kind = CORRUPTIONS[case % len(CORRUPTIONS)]
-            bad_rows = corrupt(list(split.assignment.items()), manifest, kind, rng)
-            report = validate_split(bad_rows, manifest)
-            assert not report.passed, (kind, report.failures)
+            bad_rows = corrupt(list(split.items()), manifest, kind, rng)
+            failures = validate_split(bad_rows, manifest)
+            assert failures, (kind, failures)
             detected += 1
         assert detected == 1000
 
@@ -425,7 +425,7 @@ def test_criterion_11_real_corpus_statistics(tmp_path):
         per_class = {}
         for e in manifest.entries:
             per_class.setdefault(e.class_label, []).append(
-                split.assignment[e.recording_id])
+                split[e.recording_id])
         for cls, assigned in per_class.items():
             n = len(assigned)
             for name, ratio in zip(("train", "val", "test"), (0.7, 0.1, 0.2)):

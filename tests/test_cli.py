@@ -325,8 +325,10 @@ class TestPipelineCommands:
         stats = json.loads((feats / "norm_stats.json").read_text())
         assert stats["global_min"] < stats["global_max"]
         classes = json.loads((feats / "classes.json").read_text())
-        assert classes == {"classes": ["alpha", "bravo"], "data_rate": 8000,
-                           "model_rate": 8000}
+        assert classes == {"classes": ["alpha", "bravo"], "front_end": {
+            "data.rate": 8000, "data.segment_seconds": 5.0, "feature.model_rate": 8000,
+            "feature.win_length": 256, "feature.hop_length": 80, "feature.n_mels": 24,
+            "feature.f_min": 50.0, "feature.f_max": 3500.0}}
 
     def test_featurize_is_deterministic_across_jobs(self, pipeline, tmp_path):
         root, runner = pipeline
@@ -705,6 +707,20 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert "model rate 8100" in result.output
 
+    def test_featurize_names_both_rates_of_a_rate_without_mel_band(self, pipeline,
+                                                                   tmp_path):
+        root, runner = pipeline  # a 100 Hz data rate's Nyquist is f_min's 50 Hz
+        out = tmp_path / "feats"
+        result = runner.invoke(main, [
+            "featurize", "--config", str(root / "run.cfg"), "--data-rate", "100",
+            "--manifest", str(root / "manifest.csv"),
+            "--split-file", str(root / "split.csv"),
+            "--corpus-root", str(root / "corpus"), "--out", str(out)])
+        assert_clean_failure(result)
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert "data rate 100, model rate 8000" in error
+        assert not out.exists()
+
     def test_sweep_cell_without_filterbank_reads_no_audio(self, pipeline, tmp_path,
                                                           monkeypatch):
         root, runner = pipeline
@@ -972,6 +988,24 @@ class TestErrorSurface:
         assert "(126, 24)" in error and "(501, 24)" in error
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("line,made,config", [
+        ("feature.win_length = 160", "feature.win_length = 256", "feature.win_length = 160"),
+        ("feature.f_min = 400", "feature.f_min = 50.0", "feature.f_min = 400.0"),
+        ("feature.f_max = 2000", "feature.f_max = 3500.0", "feature.f_max = 2000.0")],
+        ids=["win_length", "f_min", "f_max"])
+    def test_train_refuses_features_of_another_front_end(self, pipeline, tmp_path,
+                                                         line, made, config):
+        """Each key changes the log-mel's values but not its 501x24 shape."""
+        root, runner = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE_CONFIG + line + "\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--features",
+                                      str(root / "feats"), "--out", str(tmp_path / "runs")])
+        assert_clean_failure(result)
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert str(root / "feats") in error and made in error and config in error
+        assert not (tmp_path / "runs").exists()
+
     def test_train_refuses_classes_file_without_rates(self, pipeline, tmp_path):
         root, runner = pipeline
         feats = tmp_path / "feats"
@@ -982,6 +1016,19 @@ class TestErrorSurface:
                                       "--out", str(tmp_path / "runs")])
         assert_clean_failure(result)
         assert str(feats) in result.output
+
+    def test_train_refuses_a_front_end_record_that_is_not_an_object(self, pipeline,
+                                                                    tmp_path):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        (feats / "classes.json").write_text('{"classes": ["alpha", "bravo"], '
+                                            '"front_end": [8000, 8000]}')
+        result = runner.invoke(main, ["train", "--config", str(root / "run.cfg"),
+                                      "--features", str(feats),
+                                      "--out", str(tmp_path / "runs")])
+        assert_clean_failure(result)
+        assert str(feats / "classes.json") in result.output
 
     def test_diverged_training_fails_without_a_checkpoint(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -28,7 +28,7 @@ def toy_manifest(per_class: dict[str, int], duration: float = 25.0) -> Manifest:
 def split_sizes(sf, manifest):
     by_class = {}
     label = {e.recording_id: e.class_label for e in manifest.entries}
-    for rid, split in sf.assignment.items():
+    for rid, split in sf.items():
         by_class.setdefault(label[rid], {"train": 0, "val": 0, "test": 0})
         by_class[label[rid]][split] += 1
     return by_class
@@ -59,22 +59,22 @@ class TestStratifiedSplit:
     def test_every_recording_assigned_once(self):
         m = toy_manifest({"a": 13, "b": 7, "c": 5})
         sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=2))
-        assert set(sf.assignment) == {e.recording_id for e in m.entries}
+        assert set(sf) == {e.recording_id for e in m.entries}
 
     def test_deterministic_for_seed(self):
         m = toy_manifest({"a": 9, "b": 11})
         counts = segment_counts(m, 5.0)
         a = stratified_split(m, counts, SplitSpec(seed=5))
         b = stratified_split(m, counts, SplitSpec(seed=5))
-        assert a.assignment == b.assignment
-        assert write_split_file(a) == write_split_file(b)
+        assert a == b
+        assert write_split_file(a, 5) == write_split_file(b, 5)
 
     def test_seed_changes_assignment(self):
         m = toy_manifest({"a": 30, "b": 30})
         counts = segment_counts(m, 5.0)
         a = stratified_split(m, counts, SplitSpec(seed=0))
         b = stratified_split(m, counts, SplitSpec(seed=1))
-        assert a.assignment != b.assignment
+        assert a != b
 
     @given(st.integers(min_value=4, max_value=40),
            st.integers(min_value=4, max_value=40),
@@ -111,8 +111,8 @@ class TestStratifiedSplit:
         for seed in range(20):
             m = toy_manifest({"a": 4, "b": 5, "c": 17})
             sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=seed))
-            report = validate_split(sf.assignment.items(), m)
-            assert report.passed, report.failures
+            failures = validate_split(sf.items(), m)
+            assert not failures, failures
 
     def test_missing_counts_rejected(self):
         m = toy_manifest({"a": 5})
@@ -134,30 +134,30 @@ class TestSplitFile:
     def test_round_trip_with_seed_footer(self):
         m = toy_manifest({"a": 5, "b": 5})
         sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=77))
-        text = write_split_file(sf)
+        text = write_split_file(sf, 77)
         assert text.rstrip().endswith("# seed=77")
         rows, seed = read_split_rows(text)
         assert seed == 77
-        assert dict(rows) == sf.assignment
+        assert dict(rows) == sf
 
     def test_plain_ids_are_written_unquoted(self):
         m = toy_manifest({"a": 5, "b": 5})
         sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=77))
         lines = ["recording_id,split"]
-        lines += [f"{rec_id},{split}" for rec_id, split in sorted(sf.assignment.items())]
-        assert write_split_file(sf) == "\n".join(lines + ["# seed=77"]) + "\n"
+        lines += [f"{rec_id},{split}" for rec_id, split in sorted(sf.items())]
+        assert write_split_file(sf, 77) == "\n".join(lines + ["# seed=77"]) + "\n"
 
     def test_ids_with_commas_and_quotes_round_trip(self):
         m = Manifest([ManifestEntry(rid, cls, f"{cls}/{rid}.wav", 25.0)
                       for cls in ("a", "b")
                       for rid in (f"{cls}0,x", f'{cls}1 "q"', f"{cls}2", f"{cls}3")])
         sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=5))
-        text = write_split_file(sf)
+        text = write_split_file(sf, 5)
         assert '"a0,x",' in text and '"a1 ""q""",' in text
         rows, seed = read_split_rows(text)
         assert seed == 5
-        assert dict(rows) == sf.assignment
-        assert validate_split(rows, m).passed
+        assert dict(rows) == sf
+        assert not validate_split(rows, m)
 
     def test_ids_with_hash_spaces_and_line_breaks_round_trip(self):
         # ingest takes IDs from paths, whose class folder and file names can hold any of these
@@ -166,12 +166,12 @@ class TestSplitFile:
                       for i, rid in enumerate((f"#{cls}0", f" {cls}1", f"{cls}2 ",
                                                f"{cls}3\n# seed=9", f"{cls}4"))])
         sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=5))
-        text = write_split_file(sf)
+        text = write_split_file(sf, 5)
         assert '"#a0",' in text and '" a1",' in text and '"a2 ",' in text
         rows, seed = read_split_rows(text)
         assert seed == 5
-        assert rows == sorted(sf.assignment.items())
-        assert validate_split(rows, m).passed
+        assert rows == sorted(sf.items())
+        assert not validate_split(rows, m)
 
     def test_row_reader_preserves_duplicates(self):
         text = "recording_id,split\nx,train\nx,val\n"
@@ -184,44 +184,44 @@ class TestValidateSplit:
     def make(self):
         m = toy_manifest({"a": 5, "b": 5})
         sf = stratified_split(m, segment_counts(m, 5.0), SplitSpec(seed=0))
-        return m, list(sf.assignment.items())
+        return m, list(sf.items())
 
     def test_clean_split_passes(self):
         m, rows = self.make()
-        assert validate_split(rows, m).passed
+        assert not validate_split(rows, m)
 
     def test_leakage_detected(self):
         m, rows = self.make()
         rows.append((rows[0][0], "val" if rows[0][1] != "val" else "test"))
-        report = validate_split(rows, m)
-        assert LEAKAGE in report.codes()
+        failures = validate_split(rows, m)
+        assert LEAKAGE in {code for code, _ in failures}
 
     def test_duplicate_row_detected(self):
         m, rows = self.make()
         rows.append(rows[0])
-        assert DUPLICATE_ROW in validate_split(rows, m).codes()
+        assert DUPLICATE_ROW in {code for code, _ in validate_split(rows, m)}
 
     def test_missing_recording_detected(self):
         m, rows = self.make()
-        report = validate_split(rows[:-1], m)
-        assert MISSING_RECORDING in report.codes()
+        failures = validate_split(rows[:-1], m)
+        assert MISSING_RECORDING in {code for code, _ in failures}
 
     def test_unknown_recording_detected(self):
         m, rows = self.make()
         rows.append(("ghost", "train"))
-        assert UNKNOWN_RECORDING in validate_split(rows, m).codes()
+        assert UNKNOWN_RECORDING in {code for code, _ in validate_split(rows, m)}
 
     def test_invalid_split_name_detected(self):
         m, rows = self.make()
         rows[0] = (rows[0][0], "holdout")
-        assert INVALID_SPLIT_NAME in validate_split(rows, m).codes()
+        assert INVALID_SPLIT_NAME in {code for code, _ in validate_split(rows, m)}
 
     def test_class_absent_from_split_detected(self):
         m, rows = self.make()
         # force every "b" recording into train
         rows = [(rid, "train" if rid.startswith("b") else split)
                 for rid, split in rows]
-        assert MISSING_CLASS in validate_split(rows, m).codes()
+        assert MISSING_CLASS in {code for code, _ in validate_split(rows, m)}
 
 
 class TestNormalization:

@@ -416,8 +416,8 @@ class TestEffectiveConfig:
         assert not np.array_equal(fb, mel_filterbank(replace(cfg, f_max=16000.0), 32000))
 
     def test_band_collapse_rejected(self):
-        with pytest.raises(DegenerateBandError,
-                           match="data rate 64 leaves no usable band above f_min=50.0"):
+        with pytest.raises(DegenerateBandError, match="data rate 64, model rate 32000: "
+                                                      "no usable band above f_min=50.0"):
             mel_filterbank(DEFAULT_FEATURE_CONFIG, 64)
 
     def test_non_positive_rate_rejected(self):
