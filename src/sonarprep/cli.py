@@ -39,7 +39,7 @@ from .nn import (DEFAULT_ARCHITECTURE, apply_checkpoint, init_model,
                  load_checkpoint, save_checkpoint)
 from .trainer import TrainConfig, FeatureSets, build_feature_sets, history_csv, run_seeds
 from .trainer import sweep as run_sweep
-from .evaluation import (aggregate_cams, aggregate_runs, evaluate,
+from .evaluation import (aggregate_cams, evaluate,
                          render_confusion_csv, render_confusion_rownorm_csv,
                          render_sweep_table, write_cam_report)
 
@@ -532,28 +532,24 @@ def train(config_path, features_dir, out):
                          for name in SPLIT_NAMES),
                        n_classes=len(classes))
     _refuse_other_front_end(features_dir, made, front_end, front_end)
-    results = run_seeds(cfg.train, data, cfg.data_rate)
-    summary = {"seeds": [], "classes": classes}
+    record, results = run_seeds(cfg.train, data, cfg.data_rate)
     for result in results:
         save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params)
         write_text(out / f"history_seed{result.seed}.csv", history_csv(result.history))
-        summary["seeds"].append({
-            "seed": result.seed,
-            "best_epoch": result.history.best_epoch,
-            "stopped_epoch": result.history.stopped_epoch,
-            "test_accuracy": result.metrics.accuracy,
-        })
         _echo(f"seed {result.seed}: test accuracy {result.metrics.accuracy:.4f} "
               f"(best epoch {result.history.best_epoch})")
-    aggregate = aggregate_runs([r.metrics for r in results])
-    summary["mean_accuracy"] = aggregate.mean_accuracy
-    summary["std_accuracy"] = aggregate.std_accuracy
-    write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", {
+        "classes": classes,
+        "mean_accuracy": record["mean_accuracy"],
+        "std_accuracy": record["std_accuracy"],
+        "seeds": [{"seed": r.seed, "best_epoch": r.history.best_epoch,
+                   "stopped_epoch": r.history.stopped_epoch, "test_accuracy": accuracy}
+                  for r, accuracy in zip(results, record["accuracies"])]})
     write_text(out / "confusion_mean.csv",
-               render_confusion_csv(aggregate.mean_confusion, classes))
+               render_confusion_csv(record["mean_confusion"], classes))
     _write_run_record(out, "train", _settings_record(cfg))
     _echo(f"mean test accuracy "
-          f"{aggregate.mean_accuracy:.4f} +/- {aggregate.std_accuracy:.4f}")
+          f"{record['mean_accuracy']:.4f} +/- {record['std_accuracy']:.4f}")
 
 
 @main.command("eval")

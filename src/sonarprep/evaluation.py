@@ -124,8 +124,11 @@ def format_mean_std(mean: float, std: float) -> str:
 
 def render_sweep_table(cells: list[dict]) -> str:
     """CSV with one row per data rate and one column per model rate, from
-    the cell records of ``sweep_raw.json``."""
-    by_rates = {(cell["data_rate"], cell["model_rate"]): cell for cell in cells}
+    the cell records of ``sweep_raw.json``, no two of which share both rates."""
+    rates = [(cell["data_rate"], cell["model_rate"]) for cell in cells]
+    by_rates = dict(zip(rates, cells))
+    if len(by_rates) < len(rates):
+        raise ValueError(f"two cells at (data rate, model rate) {max(rates, key=rates.count)}")
     data_rates = sorted({rd for rd, _ in by_rates})
     model_rates = sorted({rm for _, rm in by_rates})
     lines = ["data_rate_hz," + ",".join(str(rm) for rm in model_rates)]
@@ -146,6 +149,8 @@ def render_confusion_csv(confusion: np.ndarray, classes) -> str:
 
 def _confusion_table(classes, cells) -> str:
     """CSV text: a header of the class names, then one row of cells per true class."""
+    if [len(row) for row in cells] != [len(classes)] * len(classes):
+        raise ValueError(f"need one row of {len(classes)} cells per class")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["true\\pred", *classes])

@@ -171,8 +171,10 @@ class SeedResult:
     metrics: Metrics
 
 
-def run_seeds(cfg: TrainConfig, data: FeatureSets, data_rate: int) -> list[SeedResult]:
-    """Independent train/evaluate runs, one fresh default network per seed."""
+def run_seeds(cfg: TrainConfig, data: FeatureSets,
+              data_rate: int) -> tuple[dict, list[SeedResult]]:
+    """Independent train/evaluate runs, one fresh default network per seed.
+    Returns the cell's ``sweep_raw.json`` record and each seed's result."""
     results = []
     for seed in cfg.seeds:
         model = init_model(DEFAULT_ARCHITECTURE, data.n_classes, seed, dtype=np.float32)
@@ -180,7 +182,18 @@ def run_seeds(cfg: TrainConfig, data: FeatureSets, data_rate: int) -> list[SeedR
         metrics = evaluate(model, *data.test)
         results.append(SeedResult(seed=seed, model=model, history=history,
                                   metrics=metrics))
-    return results
+    aggregate = aggregate_runs([r.metrics for r in results])
+    return {
+        "data_rate": data_rate,
+        "model_rate": cfg.feature.model_rate,
+        "mask_width": scaled_mask_width(cfg.augment.base_time_mask_width, data_rate,
+                                        cfg.feature.model_rate),
+        "n_frames": data.train[0].shape[1],
+        "accuracies": [r.metrics.accuracy for r in results],
+        "mean_accuracy": aggregate.mean_accuracy,
+        "std_accuracy": aggregate.std_accuracy,
+        "mean_confusion": aggregate.mean_confusion.tolist(),
+    }, results
 
 
 def history_csv(history: RunHistory) -> str:
@@ -311,39 +324,25 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
     The recording-level split is drawn once and reused for every cell.
     Every cell's feature config and filterbank is built before any audio is
     read. The corpus is then featurized once per data rate, on ``jobs``
-    threads, with every model rate's rescaled config; each cell also
-    rescales the time-mask budget and runs the usual multi-seed training.
-    Returns the ``sweep_raw.json`` record (the class labels and one cell
-    record per (data rate, model rate), sorted by data rate, then model
-    rate) and, in the same order, each cell's :attr:`FeatureSets.outside`.
+    threads, with every model rate's rescaled config; each cell is one
+    :func:`run_seeds` call. Returns the ``sweep_raw.json`` record (the class
+    labels and each cell's record, sorted by data rate, then model rate)
+    and, in the same order, each cell's :attr:`FeatureSets.outside`.
     """
     counts = segment_counts(manifest, seconds)
     assignment = stratified_split(manifest, counts, split_spec)
-    features = {rm: scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))}
+    features = [scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))]
     data_rates = sorted(set(data_rates))
     for data_rate in data_rates:
-        for cell_feature in features.values():
+        for cell_feature in features:
             mel_filterbank(cell_feature, data_rate)
     cells, outside = [], []
     for data_rate in data_rates:
         feature_sets = build_feature_sets(manifest, load_waveform, assignment,
-                                          data_rate, list(features.values()),
-                                          seconds, jobs=jobs)
-        for model_rate, cell_feature in features.items():
+                                          data_rate, features, seconds, jobs=jobs)
+        for cell_feature in features:
             outside.append(feature_sets[0][0].outside)
             # popped, so each cell's arrays are freed once it has trained
-            results = run_seeds(replace(cfg, feature=cell_feature),
-                                feature_sets.pop(0)[0], data_rate)
-            aggregate = aggregate_runs([r.metrics for r in results])
-            cells.append({
-                "data_rate": data_rate,
-                "model_rate": model_rate,
-                "mask_width": scaled_mask_width(cfg.augment.base_time_mask_width,
-                                                data_rate, cell_feature.model_rate),
-                "n_frames": item_shape(cell_feature, seconds, data_rate)[0],
-                "accuracies": [r.metrics.accuracy for r in results],
-                "mean_accuracy": aggregate.mean_accuracy,
-                "std_accuracy": aggregate.std_accuracy,
-                "mean_confusion": aggregate.mean_confusion.tolist(),
-            })
+            cells.append(run_seeds(replace(cfg, feature=cell_feature),
+                                   feature_sets.pop(0)[0], data_rate)[0])
     return {"classes": list(manifest.classes), "cells": cells}, outside

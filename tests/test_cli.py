@@ -566,6 +566,37 @@ class TestPipelineCommands:
         assert (out / "confusion_4000_8000.csv").exists()
         assert (out / "confusion_4000_8000_rownorm.csv").exists()
 
+    def run_report(self, runner, tmp_path, classes, cells):
+        raw_path = tmp_path / "sweep_raw.json"
+        raw_path.write_text(json.dumps({"classes": classes, "cells": cells}))
+        return runner.invoke(main, ["report", "--raw", str(raw_path),
+                                    "--out", str(tmp_path / "report")])
+
+    @staticmethod
+    def cell(mean_confusion, accuracy=0.9):
+        return {"data_rate": 8000, "model_rate": 8000, "mask_width": 64,
+                "n_frames": 501, "accuracies": [accuracy], "mean_accuracy": accuracy,
+                "std_accuracy": 0.0, "mean_confusion": mean_confusion}
+
+    def test_report_refuses_a_confusion_matrix_of_another_class_count(self, pipeline,
+                                                                     tmp_path):
+        _, runner = pipeline
+        result = self.run_report(runner, tmp_path, ["a", "b"],
+                                 [self.cell([[3, 1, 0], [1, 3, 0], [0, 0, 4]])])
+        assert_clean_failure(result)
+        assert "not a sweep record" in result.output
+        assert "need one row of 2 cells per class" in result.output
+        assert not (tmp_path / "report").exists()
+
+    def test_report_refuses_two_cells_at_the_same_rates(self, pipeline, tmp_path):
+        _, runner = pipeline
+        result = self.run_report(runner, tmp_path, ["a", "b"],
+                                 [self.cell([[4, 1], [0, 5]], accuracy=0.5),
+                                  self.cell([[5, 0], [1, 4]], accuracy=0.9)])
+        assert_clean_failure(result)
+        assert "two cells at (data rate, model rate) (8000, 8000)" in result.output
+        assert not (tmp_path / "report").exists()
+
     def test_sweep_command_single_cell(self, pipeline, tmp_path):
         root, runner = pipeline
         out = tmp_path / "sweeps"
@@ -588,6 +619,13 @@ class TestPipelineCommands:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "report" / "sweep_table.csv").read_bytes() == \
             (out / "sweep_table.csv").read_bytes()
+        # ``train`` ran the same cell on the same corpus, split and config
+        summary = json.loads((root / "runs" / "summary.json").read_text())
+        assert cell["accuracies"] == [s["test_accuracy"] for s in summary["seeds"]]
+        assert (cell["mean_accuracy"], cell["std_accuracy"]) == \
+            (summary["mean_accuracy"], summary["std_accuracy"])
+        assert (tmp_path / "report" / "confusion_8000_8000.csv").read_bytes() == \
+            (root / "runs" / "confusion_mean.csv").read_bytes()
 
 
 def test_recording_ids_with_commas_survive_the_split_file(tmp_path):

@@ -1,5 +1,6 @@
 """Training loop behavior: early stopping, weight restore, determinism."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from sonarprep.augment import AugmentConfig
 from sonarprep.datasplit import SPLIT_NAMES, NormStats, SplitSpec, normalize
 from sonarprep.dsp import (DegenerateBandError, FeatureConfig, features_for_segment,
                            mel_filterbank, resample, scale_config, segment)
+from sonarprep.evaluation import aggregate_runs
 from sonarprep.nn import Architecture, Conv, Dense, GlobalAvgPool, MaxPool, Relu, init_model
 from sonarprep.trainer import (EmptyDatasetError, FeatureSets, TrainConfig,
                                build_feature_sets, history_csv, one_hot,
@@ -184,7 +186,7 @@ class TestRunSeeds:
     def test_one_result_per_seed_with_metrics(self):
         cfg = tiny_config(seeds=(0, 1))
         data = tiny_data()
-        results = run_seeds(cfg, data, 8000)
+        _, results = run_seeds(cfg, data, 8000)
         assert [r.seed for r in results] == [0, 1]
         for r in results:
             assert 0.0 <= r.metrics.accuracy <= 1.0
@@ -193,6 +195,24 @@ class TestRunSeeds:
         p0 = results[0].model.params["conv0.weight"]
         p1 = results[1].model.params["conv0.weight"]
         assert not np.array_equal(p0, p1)
+
+    def test_record_describes_the_cell_its_seeds_made(self):
+        """Features made at 4 kHz for an 8 kHz model: the record names both
+        rates, the scaled mask width, and its seeds' aggregated metrics."""
+        cfg = tiny_config(seeds=(0, 1))
+        record, results = run_seeds(cfg, tiny_data(), 4000)
+        aggregate = aggregate_runs([r.metrics for r in results])
+        assert record == {
+            "data_rate": 4000,
+            "model_rate": 8000,
+            "mask_width": 1,  # base width 2, scaled by 4000 / 8000
+            "n_frames": 8,
+            "accuracies": [r.metrics.accuracy for r in results],
+            "mean_accuracy": aggregate.mean_accuracy,
+            "std_accuracy": aggregate.std_accuracy,
+            "mean_confusion": aggregate.mean_confusion.tolist(),
+        }
+        assert json.loads(json.dumps(record)) == record
 
 
 class TestHistoryCsv:
