@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import partial, wraps
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -286,6 +286,7 @@ def _warn_clamped_band(data_rate: int, feature: FeatureConfig) -> None:
 
 def _guarded(fn):
     """Convert package and file-system errors into exit-code-1 CLI failures."""
+    @wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -293,8 +294,6 @@ def _guarded(fn):
             raise click.ClickException(f"missing input: {exc}") from exc
         except (SonarprepError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -336,28 +335,32 @@ def _read_wav(corpus_root: Path, entry: ManifestEntry):
 
 
 def _load_classes(features_dir: Path) -> tuple[list[str], dict]:
-    """Class names from ``classes.json``, at least two distinct, non-empty
-    names, and its front-end record: the :meth:`RunConfig.front_end` of the
-    ``featurize`` run that made the features, empty if it records none."""
+    """The :func:`_parse_classes` of ``classes.json``."""
     path = features_dir / "classes.json"
     try:
-        record = json.loads(path.read_text())
-        made = record.get("front_end", {})
-        classes = record["classes"]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return _parse_classes(json.loads(path.read_text()), path)
+    except ValueError as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
+
+
+def _parse_classes(record, source) -> tuple[list[str], dict]:
+    """A classes record's names, at least two distinct, non-empty ones, and its
+    front end: the :meth:`RunConfig.front_end` that made the features, or ``{}``."""
+    if not isinstance(record, dict) or "classes" not in record:
+        raise SonarprepError(f"{source}: not an object with a 'classes' key")
+    classes, made = record["classes"], record.get("front_end", {})
     if not (isinstance(classes, list) and all(isinstance(c, str) and c for c in classes)
             and len(set(classes)) == len(classes)):
-        raise SonarprepError(f"{path}: classes must be a list of distinct, non-empty "
+        raise SonarprepError(f"{source}: classes must be a list of distinct, non-empty "
                              f"names, not {classes!r}")
-    require_two_classes(classes, path)
+    require_two_classes(classes, source)
     if not isinstance(made, dict):
-        raise SonarprepError(f"{path}: front_end must be an object, not {made!r}")
+        raise SonarprepError(f"{source}: front_end must be an object, not {made!r}")
     return classes, made
 
 
-def _refuse_other_front_end(features_dir: Path, made: dict, front_end: dict,
-                            keys) -> None:
+def _refuse_other_front_end(features_dir: Path, made: dict, front_end: dict, keys,
+                            source: str = "the config sets") -> None:
     """Refuse features whose front-end record differs from ``front_end`` in
     any of ``keys``; a key the record lacks differs."""
     differ = [key for key in keys if made.get(key) != front_end[key]]
@@ -365,7 +368,7 @@ def _refuse_other_front_end(features_dir: Path, made: dict, front_end: dict,
         raise SonarprepError(
             f"{features_dir}: features made with "
             + ", ".join(f"{key} = {made.get(key)}" for key in differ)
-            + "; the config sets " + ", ".join(f"{key} = {front_end[key]}" for key in differ))
+            + f"; {source} " + ", ".join(f"{key} = {front_end[key]}" for key in differ))
 
 
 def _load_split(features_dir: Path, name: str, n_classes: int,
@@ -386,12 +389,17 @@ def _load_split(features_dir: Path, name: str, n_classes: int,
 
 
 def _load_test_run(model_path: Path, features_dir: Path):
-    """The classes, test archive and checkpoint model that eval and gradcam read."""
-    classes, _ = _load_classes(features_dir)
-    features, labels = _load_split(features_dir, "test", len(classes))
-    model = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, len(classes), seed=0),
-                             load_checkpoint(model_path))
-    return classes, features, labels, model
+    """The classes, test archive and checkpoint model that eval and gradcam read;
+    the classes and front end that the checkpoint's header holds must be the features'."""
+    classes, made = _load_classes(features_dir)
+    header, tensors = load_checkpoint(model_path)
+    names, front_end = _parse_classes({"classes": classes, "front_end": made, **header},
+                                      model_path)
+    _refuse_other_front_end(features_dir, {"classes": classes, **made},
+                            {"classes": names, **front_end}, ["classes", *front_end],
+                            f"{model_path} was trained with")
+    model = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, len(classes), seed=0), tensors)
+    return (classes, *_load_split(features_dir, "test", len(classes)), model)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +542,8 @@ def train(config_path, features_dir, out):
     _refuse_other_front_end(features_dir, made, front_end, front_end)
     record, results = run_seeds(cfg.train, data, cfg.data_rate)
     for result in results:
-        save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params)
+        save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params,
+                        {"classes": classes, "front_end": made})
         write_text(out / f"history_seed{result.seed}.csv", history_csv(result.history))
         _echo(f"seed {result.seed}: test accuracy {result.metrics.accuracy:.4f} "
               f"(best epoch {result.history.best_epoch})")

@@ -22,8 +22,8 @@ actual training runs.
 
 from __future__ import annotations
 
+import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -577,55 +577,51 @@ def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"SPNN1"
+CHECKPOINT_MAGIC = b"SPNN2"
 
 
-def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
-    """Atomically write named tensors as float32 in a little-endian binary format."""
+def save_checkpoint(path, params: dict[str, np.ndarray], header: dict | None = None) -> None:
+    """Atomically write the magic, a ``<I`` length, the sorted JSON of ``header``
+    plus a ``tensors`` table of ``[name, shape]``, then each tensor's ``<f4`` values."""
+    table = [[name, list(np.shape(tensor))] for name, tensor in params.items()]
+    text = json.dumps({**(header or {}), "tensors": table}, sort_keys=True).encode("utf-8")
     with atomic_open(path) as f:
-        f.write(CHECKPOINT_MAGIC + struct.pack("<I", len(params)))
-        for name, tensor in params.items():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack(f"<I{len(encoded)}sI{tensor.ndim}I", len(encoded), encoded,
-                                tensor.ndim, *tensor.shape))
+        f.write(CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text)
+        for tensor in params.values():
             f.write(np.asarray(tensor).astype("<f4").tobytes())
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read back the tensors written by :func:`save_checkpoint`."""
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the named tensors written by :func:`save_checkpoint`."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:5] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError("bad magic: not a checkpoint")
-    pos = 5
+        raise CheckpointFormatError("bad magic: not an SPNN2 checkpoint (an SPNN1 checkpoint "
+                                    "from an earlier release must be trained again)")
+    pos = 9 + int.from_bytes(data[5:9], "little")
+    if pos > len(data):
+        raise CheckpointFormatError("checkpoint header runs past the end of the file")
     tensors: dict[str, np.ndarray] = {}
-    try:
-        (count,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            name = data[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (rank,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{rank}I", data, pos)
-            pos += 4 * rank
-            size = math.prod(shape)
-            n_bytes = size * 4
-            if pos + n_bytes > len(data):
+    try:  # a header that is no object, or has no table, fails its pop
+        header = json.loads(data[9:pos].decode("utf-8"))
+        for name, shape in header.pop("tensors"):
+            if not (isinstance(name, str) and isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)):
+                raise CheckpointFormatError(f"tensor table entry {[name, shape]} is not "
+                                            f"[name, list of sizes]")
+            if name in tensors:
+                raise CheckpointFormatError(f"tensor {name!r} appears twice")
+            end = pos + 4 * math.prod(shape)
+            if end > len(data):
                 raise CheckpointFormatError(f"tensor {name!r} truncated")
-            tensors[name] = np.frombuffer(
-                data, dtype="<f4", count=size, offset=pos
-            ).reshape(shape).copy()
-            pos += n_bytes
-    except struct.error as exc:
-        raise CheckpointFormatError("checkpoint truncated in a header") from exc
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}") from exc
+            tensors[name] = np.frombuffer(data, "<f4", (end - pos) // 4, pos).reshape(shape).copy()
+            pos = end
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
+        raise CheckpointFormatError(f"checkpoint header is not UTF-8 JSON of an object "
+                                    f"with a table of tensors numpy can hold: {exc!r}") from exc
     if pos != len(data):
         raise CheckpointFormatError(f"{len(data) - pos} trailing bytes after last tensor")
-    return tensors
+    return header, tensors
 
 
 def apply_checkpoint(model: ModelState, tensors: dict[str, np.ndarray]) -> ModelState:

@@ -79,15 +79,26 @@ PINNED = (
     "feats/run.json",         # the config hash, seeds and versions
     "runs/run.json",          # the same for train: it names no checkpoint
 )
-# Not pinned: runs/model_seed0.spnn (float32 products, another order per
-# kernel), runs/history_seed0.csv (losses of those weights), and
-# runs/summary.json and runs/confusion_mean.csv (accuracies and counts of
-# those weights, which move when a segment sits on a decision boundary).
+# Pinned up to the first tensor value: the magic, the header length and the
+# JSON header, which holds the tensor table and the classes.json record.
+PINNED_HEADERS = ("runs/model_seed0.spnn",)
+# Not pinned: the tensor values of runs/model_seed0.spnn (float32 products,
+# another order per kernel), runs/history_seed0.csv (losses of those
+# weights), and runs/summary.json and runs/confusion_mean.csv (accuracies
+# and counts of those weights, which move when a segment sits on a decision
+# boundary).
+
+
+def header_bytes(data: bytes) -> bytes:
+    """A checkpoint's bytes before its first tensor value."""
+    return data[:9 + int.from_bytes(data[5:9], "little")]
 
 
 def digests(out: Path) -> dict[str, str]:
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in PINNED}
+    found = {name: (out / name).read_bytes() for name in PINNED}
+    found.update({f"{name} header": header_bytes((out / name).read_bytes())
+                  for name in PINNED_HEADERS})
+    return {name: hashlib.sha256(data).hexdigest() for name, data in found.items()}
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")

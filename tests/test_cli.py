@@ -468,7 +468,7 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("command", ["eval", "gradcam"])
     def test_run_record_hashes_inputs(self, pipeline, tmp_path, command):
         root, runner = pipeline
-        params = load_checkpoint(root / "runs" / "model_seed0.spnn")
+        _, params = load_checkpoint(root / "runs" / "model_seed0.spnn")
         records = []
         for shift in (0, 1):
             model = tmp_path / f"model{shift}.spnn"
@@ -1083,13 +1083,108 @@ class TestErrorSurface:
         """A shape of (2**32 - 1, 2**32 - 1) elements wraps a 64-bit count."""
         root, runner = pipeline
         model = tmp_path / "model.spnn"
-        model.write_bytes(b"SPNN1" + struct.pack("<II1sI2I", 1, 1, b"w", 2,
-                                                 2**32 - 1, 2**32 - 1))
+        header = json.dumps({"tensors": [["w", [2**32 - 1, 2**32 - 1]]]}).encode()
+        model.write_bytes(b"SPNN2" + struct.pack("<I", len(header)) + header)
         result = runner.invoke(main, [
             command, "--model", str(model), "--features", str(root / "feats"),
             "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
         assert "tensor 'w' truncated" in result.output
+
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_checkpoint_of_another_front_end_refused(self, pipeline, tmp_path, command):
+        """A checkpoint trained on 8 kHz features (items 501x24) would take
+        the same corpus featurized at 2 kHz (items 126x24): global pooling
+        takes any size."""
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        result = runner.invoke(main, [
+            "featurize", "--config", str(root / "run.cfg"), "--data-rate", "2k",
+            "--manifest", str(root / "manifest.csv"), "--split-file", str(root / "split.csv"),
+            "--corpus-root", str(root / "corpus"), "--out", str(feats)])
+        assert result.exit_code == 0, result.output
+        model = root / "runs" / "model_seed0.spnn"
+        result = runner.invoke(main, [command, "--model", str(model), "--features",
+                                      str(feats), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert error == (f"Error: {feats}: features made with data.rate = 2000; "
+                         f"{model} was trained with data.rate = 8000")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("classes", [["cargo", "tanker"], ["bravo", "alpha"]],
+                             ids=["other-names", "other-order"])
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_checkpoint_of_other_classes_refused(self, pipeline, tmp_path, monkeypatch,
+                                                 command, classes):
+        """Features of an otherwise identical corpus with other class names,
+        or the same names in another order, are refused before any archive
+        is read."""
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        record = json.loads((feats / "classes.json").read_text())
+        (feats / "classes.json").write_text(json.dumps({**record, "classes": classes}))
+        reads, load_split = [], cli._load_split
+        monkeypatch.setattr(cli, "_load_split",
+                            lambda *args: reads.append(args) or load_split(*args))
+        model = root / "runs" / "model_seed0.spnn"
+        result = runner.invoke(main, [command, "--model", str(model), "--features",
+                                      str(feats), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert error == (f"Error: {feats}: features made with classes = {classes}; "
+                         f"{model} was trained with classes = ['alpha', 'bravo']")
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_checkpoint_without_header_record_is_checked_by_shapes(self, pipeline, tmp_path,
+                                                                   command):
+        """A checkpoint whose header holds neither classes nor a front end,
+        as ``save_checkpoint(path, params)`` writes it, gives the same
+        outputs as the one ``train`` wrote."""
+        root, runner = pipeline
+        header, params = load_checkpoint(root / "runs" / "model_seed0.spnn")
+        assert set(header) == {"classes", "front_end"}
+        model = tmp_path / "model.spnn"
+        save_checkpoint(model, params)
+        outputs = []
+        for path in (root / "runs" / "model_seed0.spnn", model):
+            out = tmp_path / path.stem
+            result = runner.invoke(main, [command, "--model", str(path), "--features",
+                                          str(root / "feats"), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "run.json"})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("header,payload", [
+        (b"[]", b""),
+        (b'{"tensors": [["w", [-1]]]}', b""),
+        (b'{"tensors": [["w", [true]]]}', bytes(4)),
+        (b'{"classes": 5, "tensors": []}', b""),
+    ], ids=["not-an-object", "size-negative", "size-bool", "classes-not-a-list"])
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_malformed_checkpoint_header(self, pipeline, tmp_path, command, header,
+                                         payload):
+        root, runner = pipeline
+        model = tmp_path / "model.spnn"
+        model.write_bytes(b"SPNN2" + struct.pack("<I", len(header)) + header + payload)
+        result = runner.invoke(main, [command, "--model", str(model), "--features",
+                                      str(root / "feats"), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_header_length_past_the_end(self, pipeline, tmp_path):
+        root, runner = pipeline
+        model = tmp_path / "model.spnn"
+        data = (root / "runs" / "model_seed0.spnn").read_bytes()
+        model.write_bytes(data[:5] + struct.pack("<I", len(data)) + data[9:])
+        result = runner.invoke(main, ["eval", "--model", str(model), "--features",
+                                      str(root / "feats"), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert "header runs past the end of the file" in result.output
 
     @pytest.mark.parametrize("command,split", [
         ("eval", "test"), ("gradcam", "test"), ("train", "train")])

@@ -1,10 +1,13 @@
 """Network layers checked against finite differences and hand-worked values."""
 
+import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sonarprep.nn
 from sonarprep.errors import ShapeMismatchError
@@ -733,15 +736,55 @@ class TestGradCam:
             grad_cam(m, np.zeros((1, 1, 6, 5)))
 
 
+def raw_checkpoint(header: bytes, payload: bytes = b"", length: int | None = None) -> bytes:
+    """An SPNN2 file built by hand: magic, header length, header, payload."""
+    length = len(header) if length is None else length
+    return b"SPNN2" + length.to_bytes(4, "little") + header + payload
+
+
+def load_or_refuse(path):
+    """Load a checkpoint, or take ``CheckpointFormatError`` as its refusal."""
+    try:
+        return load_checkpoint(path)
+    except CheckpointFormatError:
+        return None
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**40) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+SIZES = st.one_of(st.integers(-1, 3), st.just(1.5), st.just(True), JSON_VALUES)
+TABLES = st.lists(st.one_of(st.tuples(st.sampled_from(["w", "b"]),
+                                      st.lists(SIZES, max_size=3)).map(list), JSON_VALUES),
+                  max_size=3)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
         path = tmp_path / "m.spnn"
         save_checkpoint(path, m.params)
-        tensors = load_checkpoint(path)
+        header, tensors = load_checkpoint(path)
         assert set(tensors) == set(m.params)
         for k in tensors:
             np.testing.assert_array_equal(tensors[k], m.params[k])
+
+    def test_header_round_trip(self, tmp_path):
+        """The caller's header comes back as it was written; the tensor
+        table is read and not returned."""
+        path = tmp_path / "m.spnn"
+        header = {"classes": ["alpha", "bravo"], "front_end": {"data.rate": 8000}}
+        save_checkpoint(path, {"w": np.ones((2, 3))}, header)
+        data = path.read_bytes()
+        text = json.dumps({**header, "tensors": [["w", [2, 3]]]}, sort_keys=True).encode()
+        assert data == raw_checkpoint(text, np.ones(6, "<f4").tobytes())
+        loaded, tensors = load_checkpoint(path)
+        assert loaded == header and list(tensors) == ["w"]
+        save_checkpoint(path, {"w": np.ones((2, 3))})
+        assert load_checkpoint(path)[0] == {}
 
     def test_apply_restores_forward_pass(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=3)
@@ -750,7 +793,8 @@ class TestCheckpoint:
         path = tmp_path / "m.spnn"
         save_checkpoint(path, m.params)
         fresh = init_model(DEFAULT_ARCHITECTURE, 4, seed=99)
-        fresh = apply_checkpoint(fresh, load_checkpoint(path))
+        header, tensors = load_checkpoint(path)
+        fresh = apply_checkpoint(fresh, tensors)
         np.testing.assert_allclose(forward(fresh, x), want, rtol=0, atol=1e-6)
 
     def test_three_channel_first_conv_aggregated_on_load(self, tmp_path):
@@ -760,8 +804,8 @@ class TestCheckpoint:
         donor["conv0.weight"] = rng.normal(size=(16, 3, 3, 3)).astype(np.float32)
         path = tmp_path / "m.spnn"
         save_checkpoint(path, donor)
-        loaded = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=1),
-                                  load_checkpoint(path))
+        header, tensors = load_checkpoint(path)
+        loaded = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=1), tensors)
         np.testing.assert_allclose(
             loaded.params["conv0.weight"],
             donor["conv0.weight"].sum(axis=1, keepdims=True), rtol=1e-6)
@@ -769,14 +813,14 @@ class TestCheckpoint:
     def test_failed_write_leaves_no_checkpoint(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
         tensors = dict(m.params)
-        tensors[7] = np.zeros(2)  # a name that cannot be encoded, after the others
+        tensors["zz"] = np.array(["x", "y"])  # no float32 values, after the others
         path = tmp_path / "m.spnn"
-        with pytest.raises(AttributeError):
+        with pytest.raises(ValueError):
             save_checkpoint(path, tensors)
         assert not path.exists()
         save_checkpoint(path, m.params)
         before = path.read_bytes()
-        with pytest.raises(AttributeError):  # a failed rewrite keeps the earlier file
+        with pytest.raises(ValueError):  # a failed rewrite keeps the earlier file
             save_checkpoint(path, tensors)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.spnn"]
@@ -785,6 +829,12 @@ class TestCheckpoint:
         path = tmp_path / "m.spnn"
         path.write_bytes(b"JUNK!" + b"\x00" * 32)
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_earlier_release_checkpoint_must_be_trained_again(self, tmp_path):
+        path = tmp_path / "m.spnn"
+        path.write_bytes(b"SPNN1" + struct.pack("<II1sI1I", 1, 1, b"w", 1, 1) + bytes(4))
+        with pytest.raises(CheckpointFormatError, match="SPNN1 .* trained again"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -800,19 +850,84 @@ class TestCheckpoint:
         path = tmp_path / "m.spnn"
         save_checkpoint(path, m.params)
         data = bytearray(path.read_bytes())
-        data[13] = 0xFF  # magic (5) + count (4) + name length (4)
+        data[data.index(b"conv0.weight")] = 0xFF  # the first name's first byte
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointFormatError, match="not UTF-8"):
             load_checkpoint(path)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        """Two table entries with one name would leave the first tensor unread."""
+        path = tmp_path / "m.spnn"
+        path.write_bytes(raw_checkpoint(b'{"tensors": [["w", [1]], ["w", [1]]]}',
+                                        np.array([1, 2], "<f4").tobytes()))
+        with pytest.raises(CheckpointFormatError, match="tensor 'w' appears twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [
+        raw_checkpoint(b"[]"),
+        raw_checkpoint(b'"tensors"'),
+        raw_checkpoint(b'{"classes": ["a", "b"]}'),
+        raw_checkpoint(b'{"tensors": {"w": [1]}}', bytes(4)),
+        raw_checkpoint(b'{"tensors": [["w"]]}'),
+        raw_checkpoint(b'{"tensors": [[1, [1]]]}', bytes(4)),
+        raw_checkpoint(b'{"tensors": [["w", 1]]}', bytes(4)),
+        raw_checkpoint(b'{"tensors": [["w", [-1]]]}'),
+        raw_checkpoint(b'{"tensors": [["w", [1.5]]]}', bytes(6)),
+        raw_checkpoint(b'{"tensors": [["w", [true]]]}', bytes(4)),
+        raw_checkpoint(b'{"tensors": [["w", [1]]]}', bytes(4), length=99),
+        raw_checkpoint(b'{"tensors": [["w", [0, 1180591620717411303424]]]}'),
+        raw_checkpoint(b'{"tensors": [["w", [' + b", ".join([b"1"] * 65) + b"]]]}", bytes(4)),
+        raw_checkpoint(b"[" * 100_000),
+        raw_checkpoint(b'{"tensors": [["\xff", [1]]]}', bytes(4)),
+        b"SPNN2", b"SPNN2\x01\x00",
+    ], ids=["list", "string", "no-tensors", "table-object", "entry-without-shape",
+            "name-not-string", "shape-not-list", "size-negative", "size-float",
+            "size-bool", "length-past-end", "size-beyond-numpy", "rank-65",
+            "deep-nesting", "name-not-utf8", "no-length", "short-length"])
+    def test_malformed_header_rejected(self, tmp_path, blob):
+        path = tmp_path / "m.spnn"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_fuzzed_checkpoints_load_or_raise_one_error(self, tmp_path):
+        """Flipped and cut bytes of a valid file, and headers built by hand
+        (not an object, no table, sizes of -1, 1.5 or true, a length past
+        the end), load or raise ``CheckpointFormatError`` and nothing else."""
+        path = tmp_path / "m.spnn"
+        save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(4)}, {"classes": ["a", "b"]})
+        valid = path.read_bytes()
+
+        @settings(max_examples=300, deadline=None)
+        @given(flips=st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                              max_size=3),
+               cut=st.integers(0, len(valid)))
+        def flipped(flips, cut):
+            data = bytearray(valid)
+            for index, value in flips:
+                data[index] = value
+            path.write_bytes(bytes(data[:cut]))
+            load_or_refuse(path)
+
+        @settings(max_examples=300, deadline=None)
+        @given(header=st.one_of(JSON_VALUES, st.fixed_dictionaries({"tensors": TABLES})),
+               payload=st.binary(max_size=40), shift=st.integers(-3, 3))
+        def built(header, payload, shift):
+            text = json.dumps(header).encode()
+            path.write_bytes(raw_checkpoint(text, payload, max(0, len(text) + shift)))
+            load_or_refuse(path)
+
+        flipped()
+        built()
 
     def test_missing_tensor_rejected(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
         partial = dict(list(m.params.items())[:-1])
         path = tmp_path / "m.spnn"
         save_checkpoint(path, partial)
+        header, tensors = load_checkpoint(path)
         with pytest.raises(CheckpointFormatError):
-            apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=0),
-                             load_checkpoint(path))
+            apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=0), tensors)
 
     def test_shape_conflict_rejected(self, tmp_path):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
@@ -820,6 +935,6 @@ class TestCheckpoint:
         bad["dense6.weight"] = np.zeros((32, 7), dtype=np.float32)
         path = tmp_path / "m.spnn"
         save_checkpoint(path, bad)
+        header, tensors = load_checkpoint(path)
         with pytest.raises(ShapeMismatchError):
-            apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=0),
-                             load_checkpoint(path))
+            apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=0), tensors)
