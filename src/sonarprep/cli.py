@@ -334,72 +334,70 @@ def _read_wav(corpus_root: Path, entry: ManifestEntry):
                      source_id=entry.recording_id)
 
 
-def _load_classes(features_dir: Path) -> tuple[list[str], dict]:
-    """The :func:`_parse_classes` of ``classes.json``."""
+def _provenance(record: dict, source) -> dict:
+    """The classes and :meth:`RunConfig.front_end` that a ``classes.json`` record
+    or a checkpoint header holds, as one flat dict ``{"classes": [...], "data.rate":
+    ..., ...}``, or ``{}``; the classes are at least two distinct, non-empty names."""
+    front_end = record.get("front_end", {})
+    if not isinstance(front_end, dict):
+        raise SonarprepError(f"{source}: front_end must be an object, not {front_end!r}")
+    made = {"classes": record["classes"], **front_end} if "classes" in record else front_end
+    if "classes" in made:
+        classes = made["classes"]
+        if not (isinstance(classes, list) and all(isinstance(c, str) and c for c in classes)
+                and len(set(classes)) == len(classes)):
+            raise SonarprepError(f"{source}: classes must be a list of distinct, non-empty "
+                                 f"names, not {classes!r}")
+        require_two_classes(classes, source)
+    return made
+
+
+def _load_features(features_dir: Path, splits, wanted: dict, source: str,
+                   shape: tuple[int, int] | None = None):
+    """The :func:`_provenance` of ``classes.json`` and the (features, labels) of
+    each named split archive. Features whose record differs from ``wanted`` in
+    any key, or lacks one, are refused, naming ``source``, before any archive is
+    read; given a ``(frames, mels)`` shape, items of another are refused."""
     path = features_dir / "classes.json"
     try:
-        return _parse_classes(json.loads(path.read_text()), path)
+        record = json.loads(path.read_text())
     except ValueError as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
-
-
-def _parse_classes(record, source) -> tuple[list[str], dict]:
-    """A classes record's names, at least two distinct, non-empty ones, and its
-    front end: the :meth:`RunConfig.front_end` that made the features, or ``{}``."""
     if not isinstance(record, dict) or "classes" not in record:
-        raise SonarprepError(f"{source}: not an object with a 'classes' key")
-    classes, made = record["classes"], record.get("front_end", {})
-    if not (isinstance(classes, list) and all(isinstance(c, str) and c for c in classes)
-            and len(set(classes)) == len(classes)):
-        raise SonarprepError(f"{source}: classes must be a list of distinct, non-empty "
-                             f"names, not {classes!r}")
-    require_two_classes(classes, source)
-    if not isinstance(made, dict):
-        raise SonarprepError(f"{source}: front_end must be an object, not {made!r}")
-    return classes, made
-
-
-def _refuse_other_front_end(features_dir: Path, made: dict, front_end: dict, keys,
-                            source: str = "the config sets") -> None:
-    """Refuse features whose front-end record differs from ``front_end`` in
-    any of ``keys``; a key the record lacks differs."""
-    differ = [key for key in keys if made.get(key) != front_end[key]]
+        raise SonarprepError(f"{path}: not an object with a 'classes' key")
+    made = _provenance(record, path)
+    differ = [key for key in wanted if made.get(key) != wanted[key]]
     if differ:
         raise SonarprepError(
             f"{features_dir}: features made with "
             + ", ".join(f"{key} = {made.get(key)}" for key in differ)
-            + f"; {source} " + ", ".join(f"{key} = {front_end[key]}" for key in differ))
-
-
-def _load_split(features_dir: Path, name: str, n_classes: int,
-                shape: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of one split archive written by ``featurize``;
-    given a ``(frames, mels)`` shape, refuse items of another."""
-    path = features_dir / f"{name}.sprf"
-    values, labels = read_feature_archive(path)
-    if not labels.size:
-        raise SonarprepError(f"{path}: archive holds no segments")
-    if shape and values.shape[1:] != shape:
-        raise SonarprepError(f"{path}: items of shape {values.shape[1:]}, but the "
-                             f"config makes {shape}")
-    if labels.max() >= n_classes:
-        raise ArchiveFormatError(f"{path}: labels outside 0..{n_classes - 1} "
-                                 f"of classes.json")
-    return values, labels
+            + f"; {source} " + ", ".join(f"{key} = {wanted[key]}" for key in differ))
+    n_classes, arrays = len(made["classes"]), []
+    for name in splits:
+        path = features_dir / f"{name}.sprf"
+        values, labels = read_feature_archive(path)
+        if not labels.size:
+            raise SonarprepError(f"{path}: archive holds no segments")
+        if shape and values.shape[1:] != shape:
+            raise SonarprepError(f"{path}: items of shape {values.shape[1:]}, but the "
+                                 f"config makes {shape}")
+        if labels.max() >= n_classes:
+            raise ArchiveFormatError(f"{path}: labels outside 0..{n_classes - 1} "
+                                     f"of classes.json")
+        arrays.append((values, labels))
+    return made, arrays
 
 
 def _load_test_run(model_path: Path, features_dir: Path):
     """The classes, test archive and checkpoint model that eval and gradcam read;
     the classes and front end that the checkpoint's header holds must be the features'."""
-    classes, made = _load_classes(features_dir)
     header, tensors = load_checkpoint(model_path)
-    names, front_end = _parse_classes({"classes": classes, "front_end": made, **header},
-                                      model_path)
-    _refuse_other_front_end(features_dir, {"classes": classes, **made},
-                            {"classes": names, **front_end}, ["classes", *front_end],
-                            f"{model_path} was trained with")
-    model = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, len(classes), seed=0), tensors)
-    return (classes, *_load_split(features_dir, "test", len(classes)), model)
+    made, [(features, labels)] = _load_features(features_dir, ["test"],
+                                                _provenance(header, model_path),
+                                                f"{model_path} was trained with")
+    model = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, len(made["classes"]), seed=0),
+                             tensors)
+    return made["classes"], features, labels, model
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +528,11 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
 def train(config_path, features_dir, out):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
-    classes, made = _load_classes(features_dir)
-    front_end = cfg.front_end()
-    # the rates before any archive is read; a value that changes the item
-    # shape is then named by the refusal of the first archive it misfits
-    _refuse_other_front_end(features_dir, made, front_end, ("data.rate", "feature.model_rate"))
-    shape = item_shape(cfg.train.feature, cfg.segment_seconds, cfg.data_rate)
-    data = FeatureSets(*(_load_split(features_dir, name, len(classes), shape)
-                         for name in SPLIT_NAMES),
-                       n_classes=len(classes))
-    _refuse_other_front_end(features_dir, made, front_end, front_end)
+    made, splits = _load_features(features_dir, SPLIT_NAMES, cfg.front_end(), "the config sets",
+                                  item_shape(cfg.train.feature, cfg.segment_seconds,
+                                             cfg.data_rate))
+    classes = made.pop("classes")
+    data = FeatureSets(*splits, n_classes=len(classes))
     record, results = run_seeds(cfg.train, data, cfg.data_rate)
     for result in results:
         save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params,

@@ -419,6 +419,8 @@ def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
             refuse("archive truncated in a header")
         if count and not shape[0] * shape[1]:
             refuse(f"items of shape {shape} hold no cells")
+        if 12 + 4 * shape[0] * shape[1] > np.iinfo(np.intc).max:  # numpy's record limit
+            refuse(f"items of shape {shape} are too large to read")
         item = np.dtype([("head", "<u4", 3), ("values", "<f4", shape)])  # frames, mels, label
         size = 9 + count * item.itemsize
         n_fit = min(count, (file_size - 9) // item.itemsize)

@@ -593,34 +593,36 @@ def save_checkpoint(path, params: dict[str, np.ndarray], header: dict | None = N
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the named tensors written by :func:`save_checkpoint`."""
+    def refuse(problem: str):
+        raise CheckpointFormatError(f"{path}: {problem}")
+
     with open(path, "rb") as f:
         data = f.read()
     if data[:5] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError("bad magic: not an SPNN2 checkpoint (an SPNN1 checkpoint "
-                                    "from an earlier release must be trained again)")
+        refuse("bad magic: not an SPNN2 checkpoint (an SPNN1 checkpoint from an earlier "
+               "release must be trained again)")
     pos = 9 + int.from_bytes(data[5:9], "little")
     if pos > len(data):
-        raise CheckpointFormatError("checkpoint header runs past the end of the file")
+        refuse("checkpoint header runs past the end of the file")
     tensors: dict[str, np.ndarray] = {}
     try:  # a header that is no object, or has no table, fails its pop
         header = json.loads(data[9:pos].decode("utf-8"))
         for name, shape in header.pop("tensors"):
             if not (isinstance(name, str) and isinstance(shape, list)
                     and all(type(d) is int and d >= 0 for d in shape)):
-                raise CheckpointFormatError(f"tensor table entry {[name, shape]} is not "
-                                            f"[name, list of sizes]")
+                refuse(f"tensor table entry {[name, shape]} is not [name, list of sizes]")
             if name in tensors:
-                raise CheckpointFormatError(f"tensor {name!r} appears twice")
+                refuse(f"tensor {name!r} appears twice")
             end = pos + 4 * math.prod(shape)
             if end > len(data):
-                raise CheckpointFormatError(f"tensor {name!r} truncated")
+                refuse(f"tensor {name!r} truncated")
             tensors[name] = np.frombuffer(data, "<f4", (end - pos) // 4, pos).reshape(shape).copy()
             pos = end
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
-        raise CheckpointFormatError(f"checkpoint header is not UTF-8 JSON of an object "
-                                    f"with a table of tensors numpy can hold: {exc!r}") from exc
+        refuse(f"checkpoint header is not UTF-8 JSON of an object with a table of tensors "
+               f"numpy can hold: {exc!r}")
     if pos != len(data):
-        raise CheckpointFormatError(f"{len(data) - pos} trailing bytes after last tensor")
+        refuse(f"{len(data) - pos} trailing bytes after last tensor")
     return header, tensors
 
 

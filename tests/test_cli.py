@@ -995,21 +995,26 @@ class TestErrorSurface:
         assert str(feats) in error and "2000" in error and "32000" in error
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("line,shape", [
-        ("feature.n_mels = 16", (501, 16)), ("feature.hop_length = 160", (251, 24))],
+    @pytest.mark.parametrize("key,made,config", [
+        ("feature.n_mels", 24, 16), ("feature.hop_length", 80, 160)],
         ids=["n_mels", "hop_length"])
     def test_train_refuses_features_its_config_did_not_make(self, pipeline, tmp_path,
-                                                           line, shape):
-        """Features of 501x24 under a config that makes another shape."""
+                                                           monkeypatch, key, made, config):
+        """Features of 501x24 under a config that makes another shape are
+        refused by the key that differs, before any archive is read."""
         root, runner = pipeline
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMOKE_CONFIG + line + "\n")
+        cfg.write_text(SMOKE_CONFIG + f"{key} = {config}\n")
+        reads, read = [], cli.read_feature_archive
+        monkeypatch.setattr(cli, "read_feature_archive",
+                            lambda path: reads.append(path) or read(path))
         result = runner.invoke(main, ["train", "--config", str(cfg), "--features",
                                       str(root / "feats"), "--out", str(tmp_path / "runs")])
         assert_clean_failure(result)
         error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
-        assert str(root / "feats" / "train.sprf") in error
-        assert "(501, 24)" in error and str(shape) in error
+        assert error == (f"Error: {root / 'feats'}: features made with {key} = {made}; "
+                         f"the config sets {key} = {config}")
+        assert reads == []
         assert not (tmp_path / "runs").exists()
 
     def test_train_refuses_a_split_archive_of_another_shape(self, pipeline, tmp_path):
@@ -1125,9 +1130,9 @@ class TestErrorSurface:
         shutil.copytree(root / "feats", feats)
         record = json.loads((feats / "classes.json").read_text())
         (feats / "classes.json").write_text(json.dumps({**record, "classes": classes}))
-        reads, load_split = [], cli._load_split
-        monkeypatch.setattr(cli, "_load_split",
-                            lambda *args: reads.append(args) or load_split(*args))
+        reads, read = [], cli.read_feature_archive
+        monkeypatch.setattr(cli, "read_feature_archive",
+                            lambda path: reads.append(path) or read(path))
         model = root / "runs" / "model_seed0.spnn"
         result = runner.invoke(main, [command, "--model", str(model), "--features",
                                       str(feats), "--out", str(tmp_path / "out")])
@@ -1174,6 +1179,7 @@ class TestErrorSurface:
         result = runner.invoke(main, [command, "--model", str(model), "--features",
                                       str(root / "feats"), "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
+        assert result.output.startswith(f"Error: {model}: ")
         assert not (tmp_path / "out").exists()
 
     def test_checkpoint_header_length_past_the_end(self, pipeline, tmp_path):
@@ -1184,7 +1190,7 @@ class TestErrorSurface:
         result = runner.invoke(main, ["eval", "--model", str(model), "--features",
                                       str(root / "feats"), "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
-        assert "header runs past the end of the file" in result.output
+        assert f"Error: {model}: checkpoint header runs past the end of the file" in result.output
 
     @pytest.mark.parametrize("command,split", [
         ("eval", "test"), ("gradcam", "test"), ("train", "train")])
@@ -1199,6 +1205,23 @@ class TestErrorSurface:
                                       "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
         assert f"{split}.sprf: items of shape (0, 24) hold no cells" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,split", [
+        ("eval", "test"), ("gradcam", "test"), ("train", "train")])
+    def test_archive_items_too_large_to_read(self, pipeline, tmp_path, command, split):
+        """An item header of 70000 x 70000 cells, past numpy's 2 GiB record."""
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        (feats / f"{split}.sprf").write_bytes(b"SPRF1" + struct.pack("<IIII", 1, 70000, 70000, 0))
+        source = (["--config", str(root / "run.cfg")] if command == "train"
+                  else ["--model", str(root / "runs" / "model_seed0.spnn")])
+        result = runner.invoke(main, [command, *source, "--features", str(feats),
+                                      "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert (f"Error: {feats / split}.sprf: items of shape (70000, 70000) are too large "
+                f"to read") in result.output
         assert not (tmp_path / "out").exists()
 
     def test_ingest_refuses_a_directory_named_like_a_wav(self, pipeline, tmp_path):

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sonarprep import dsp
@@ -515,14 +516,55 @@ class TestArchive:
         (packed_archive(tail=b"JUNK"), "4 trailing bytes"),
         (packed_archive((0, 8, 0, []), (0, 8, 1, [])), r"shape \(0, 8\) hold no cells"),
         (packed_archive((5, 0, 0, [])), r"shape \(5, 0\) hold no cells"),
+        (packed_archive((70000, 70000, 0, [])), r"shape \(70000, 70000\) are too large"),
+        (packed_archive((1, 2**29 - 3, 0, [])), r"shape \(1, 536870909\) are too large"),
+        (packed_archive((1, 2**29 - 4, 0, [])), "truncated: 21 of 2147483653 bytes"),
     ], ids=["ragged-grows", "ragged-shrinks", "missing-item", "truncated-item",
             "truncated-header", "no-count", "trailing", "trailing-after-empty",
-            "no-frames", "no-mels"])
+            "no-frames", "no-mels", "item-past-numpy", "item-just-past-numpy",
+            "largest-item-numpy-holds"])
     def test_malformed_archive_rejected(self, tmp_path, blob, problem):
         path = tmp_path / "x.sprf"
         path.write_bytes(blob)
         with pytest.raises(ArchiveFormatError, match=f"x.sprf: .*{problem}"):
             read_feature_archive(path)
+
+    def test_fuzzed_archives_load_or_raise_one_error(self, tmp_path):
+        """Flipped and cut bytes of a valid archive, and headers packed by hand
+        with counts, sizes and labels up to 2**32 - 1, load or raise
+        ``ArchiveFormatError`` and nothing else."""
+        path = tmp_path / "x.sprf"
+        write_feature_archive(path, np.ones((3, 4, 2)), [0, 1, 2])
+        valid = path.read_bytes()
+
+        def load_or_refuse(blob):
+            path.write_bytes(blob)
+            try:
+                read_feature_archive(path)
+            except ArchiveFormatError:
+                pass
+
+        @settings(max_examples=300, deadline=None)
+        @given(flips=st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                              max_size=3),
+               cut=st.integers(0, len(valid)))
+        def flipped(flips, cut):
+            data = bytearray(valid)
+            for index, value in flips:
+                data[index] = value
+            load_or_refuse(bytes(data[:cut]))
+
+        sizes = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+
+        @settings(max_examples=300, deadline=None)
+        @given(count=sizes, heads=st.lists(st.tuples(sizes, sizes, sizes), max_size=3),
+               payload=st.binary(max_size=40))
+        def packed(count, heads, payload):
+            load_or_refuse(b"SPRF1" + struct.pack("<I", count)
+                           + b"".join(struct.pack("<III", *head) + payload for head in heads))
+
+        flipped()
+        packed()
 
     def test_failed_write_leaves_no_archive(self, tmp_path):
         path = tmp_path / "x.sprf"
