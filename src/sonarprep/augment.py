@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import SonarprepError
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,19 @@ def mixup(x: np.ndarray, batch_targets, pairs: tuple[np.ndarray, np.ndarray]):
         x = x.astype(np.float64)
     y = np.asarray(batch_targets, dtype=x.dtype)
     if y.ndim != 2:
-        raise ShapeMismatchError("targets must be a [batch x classes] matrix")
+        raise SonarprepError("targets must be a [batch x classes] matrix")
     if x.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
+        raise SonarprepError(
             f"{x.shape[0]} inputs but {y.shape[0]} target rows"
         )
     if np.any(np.abs(y.sum(axis=1) - 1.0) > 1e-6):
         raise ValueError("each target row must sum to 1")
     lam, partners = np.asarray(pairs[0], dtype=x.dtype), np.asarray(pairs[1])
     if lam.shape != (len(x),) or partners.shape != (len(x),):
-        raise ShapeMismatchError(f"{len(x)} inputs but {lam.size} lambdas "
-                                 f"and {partners.size} partners")
+        raise SonarprepError(f"{len(x)} inputs but {lam.size} lambdas "
+                             f"and {partners.size} partners")
     if len(x) and (partners.min() < 0 or partners.max() >= len(x)):
-        raise ShapeMismatchError("partner indices fall outside the batch")
+        raise SonarprepError("partner indices fall outside the batch")
     lam_x = lam.reshape((-1,) + (1,) * (x.ndim - 1))
     mixed_x = lam_x * x + (1.0 - lam_x) * x[partners]
     mixed_y = lam[:, None] * y + (1.0 - lam[:, None]) * y[partners]

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial, wraps
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,9 +29,8 @@ from .errors import SonarprepError
 from .files import write_json, write_text
 from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_duration,
                     write_manifest)
-from .dsp import (DEFAULT_FEATURE_CONFIG, ArchiveFormatError, FeatureConfig,
-                  item_shape, read_feature_archive, scale_config, segment_length,
-                  write_feature_archive)
+from .dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig, item_shape, read_feature_archive,
+                  scale_config, segment_length, write_feature_archive)
 from .augment import AugmentConfig
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_two_classes,
                         segment_counts, stratified_split, validate_split,
@@ -44,23 +44,6 @@ from .evaluation import (aggregate_cams, evaluate,
                          render_sweep_table, write_cam_report)
 
 ENV_SEED = "SONARPREP_SEED"
-
-
-class ConfigParseError(SonarprepError):
-    """A config line could not be parsed."""
-
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-
-
-class UnknownKeyError(SonarprepError):
-    """A config line names a key this tool does not know."""
-
-
-class OutOfRangeError(SonarprepError):
-    """A config value parses but falls outside its allowed range."""
 
 
 def _finite(text: str) -> float:
@@ -177,12 +160,24 @@ _CONFIG_KEYS = {
 }
 
 
-def _read_text(path) -> str:
-    """Text of a config, manifest or split file, or an error naming the file."""
+@contextmanager
+def _naming(path):
+    """Prefix ``path`` to the message of a refusal raised in the block."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
+    except SonarprepError as exc:
+        raise SonarprepError(f"{path}: {exc}") from exc
+
+
+def _parse_file(path, parse):
+    """``parse`` of the text of a config, manifest or split file; every
+    refusal names the file once."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise SonarprepError(f"{path}: not a text file ({exc})") from exc
+    with _naming(path):
+        return parse(text)
 
 
 def _stage(staged: dict, key: str, value: str, where: str) -> None:
@@ -191,29 +186,29 @@ def _stage(staged: dict, key: str, value: str, where: str) -> None:
     try:
         staged[target][name] = (caster(value), where)
     except (ValueError, TypeError) as exc:
-        raise OutOfRangeError(f"{where}: {key} = {value!r}: {exc}") from exc
+        raise SonarprepError(f"{where}: {key} = {value!r}: {exc}") from exc
 
 
-def _read_config_lines(path) -> list[tuple[str, str, int]]:
+def _read_config_lines(text: str) -> list[tuple[str, str, int]]:
     entries = []
-    for lineno, raw_line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigParseError("expected 'section.key = value'",
-                                   lineno, len(raw_line) + 1)
+            raise SonarprepError(f"line {lineno}, column {len(raw_line) + 1}: "
+                                 f"expected 'section.key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key or "." not in key:
-            raise ConfigParseError(f"malformed key {key!r}", lineno,
-                                   raw_line.find("=") + 1)
+            raise SonarprepError(f"line {lineno}, column {raw_line.find('=') + 1}: "
+                                 f"malformed key {key!r}")
         if key not in _CONFIG_KEYS:
-            raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
+            raise SonarprepError(f"line {lineno}: unknown key {key!r}")
         if not value:
-            raise ConfigParseError(f"empty value for {key!r}", lineno,
-                                   raw_line.find("=") + 2)
+            raise SonarprepError(f"line {lineno}, column {raw_line.find('=') + 2}: "
+                                 f"empty value for {key!r}")
         entries.append((key, value, lineno))
     return entries
 
@@ -232,13 +227,13 @@ def load_config(path=None, env: dict | None = None,
     # target -> field -> (value, origin)
     staged: dict[str, dict] = {t: {} for t in ("run", "feature", "augment", "train", "split")}
     if path is not None:
-        for key, value, lineno in _read_config_lines(path):
+        for key, value, lineno in _parse_file(path, _read_config_lines):
             _stage(staged, key, value, f"line {lineno}")
     if ENV_SEED in env:
         try:
             seed = int(env[ENV_SEED])
         except ValueError as exc:
-            raise OutOfRangeError(f"{ENV_SEED} must be an integer") from exc
+            raise SonarprepError(f"{ENV_SEED} must be an integer") from exc
         seeds, _ = staged["train"].get("seeds", (TrainConfig.seeds, None))
         staged["split"]["seed"] = (seed, ENV_SEED)
         staged["train"]["seeds"] = (tuple(seed + i for i in range(len(seeds))), ENV_SEED)
@@ -253,7 +248,7 @@ def load_config(path=None, env: dict | None = None,
             return make(**values, **derived)
         except ValueError as exc:
             origins = dict.fromkeys(where for _, where in staged[target].values())
-            raise OutOfRangeError(f"{', '.join(origins)}: {exc}") from exc
+            raise SonarprepError(f"{', '.join(origins)}: {exc}") from exc
 
     run = build("run", RunConfig)
     feature = build("feature", partial(replace, DEFAULT_FEATURE_CONFIG))
@@ -330,8 +325,9 @@ def _write_run_record(out_dir: Path, command: str, details: dict) -> None:
 
 
 def _read_wav(corpus_root: Path, entry: ManifestEntry):
-    return parse_wav((corpus_root / entry.file_path).read_bytes(),
-                     source_id=entry.recording_id)
+    path = corpus_root / entry.file_path
+    with _naming(path):
+        return parse_wav(path.read_bytes(), source_id=entry.recording_id)
 
 
 def _provenance(record: dict, source) -> dict:
@@ -382,8 +378,8 @@ def _load_features(features_dir: Path, splits, wanted: dict, source: str,
             raise SonarprepError(f"{path}: items of shape {values.shape[1:]}, but the "
                                  f"config makes {shape}")
         if labels.max() >= n_classes:
-            raise ArchiveFormatError(f"{path}: labels outside 0..{n_classes - 1} "
-                                     f"of classes.json")
+            raise SonarprepError(f"{path}: labels outside 0..{n_classes - 1} "
+                                 f"of classes.json")
         arrays.append((values, labels))
     return made, arrays
 
@@ -395,8 +391,9 @@ def _load_test_run(model_path: Path, features_dir: Path):
     made, [(features, labels)] = _load_features(features_dir, ["test"],
                                                 _provenance(header, model_path),
                                                 f"{model_path} was trained with")
-    model = apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, len(made["classes"]), seed=0),
-                             tensors)
+    model = init_model(DEFAULT_ARCHITECTURE, len(made["classes"]), seed=0)
+    with _naming(model_path):
+        apply_checkpoint(model, tensors)
     return made["classes"], features, labels, model
 
 
@@ -423,11 +420,13 @@ def ingest(corpus_root: Path, out: Path):
     for class_dir in sorted(p for p in corpus_root.iterdir() if p.is_dir()):
         for wav_path in sorted(class_dir.rglob("*.wav")):
             file_path = wav_path.relative_to(corpus_root)
+            with _naming(wav_path):
+                duration = wav_duration(wav_path)
             entries.append(ManifestEntry(
                 recording_id=file_path.with_suffix("").as_posix(),
                 class_label=class_dir.name,
                 file_path=str(file_path),
-                duration_seconds=wav_duration(wav_path),
+                duration_seconds=duration,
             ))
     manifest = Manifest(entries)
     write_text(out, write_manifest(manifest))
@@ -459,9 +458,9 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
     cfg = load_config(config_path, flags={
         "--ratios": ("split.ratios", ratios), "--seed": ("split.seed", seed),
         "--segment-seconds": ("data.segment_seconds", segment_seconds)})
-    manifest = load_manifest(_read_text(manifest_path))
+    manifest = _parse_file(manifest_path, load_manifest)
     if do_validate:
-        rows, _ = read_split_rows(_read_text(split_file))
+        rows, _ = _parse_file(split_file, read_split_rows)
         failures = validate_split(rows, manifest)
         for code, detail in failures:
             _echo(f"FAIL {code}: {detail}")
@@ -493,9 +492,9 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     """Resample, segment, and write normalized log-mel archives per split."""
     cfg = load_config(config_path, flags={"--data-rate": ("data.rate", data_rate),
                                           "--jobs": ("data.jobs", jobs)})
-    manifest = load_manifest(_read_text(manifest_path))
+    manifest = _parse_file(manifest_path, load_manifest)
     require_two_classes(manifest.classes, manifest_path)
-    rows, _ = read_split_rows(_read_text(split_file))
+    rows, _ = _parse_file(split_file, read_split_rows)
     failures = validate_split(rows, manifest)
     if failures:
         raise click.ClickException(
@@ -613,7 +612,7 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, 
     cfg = load_config(config_path, flags={
         "--data-rates": ("sweep.data_rates", data_rates),
         "--model-rates": ("sweep.model_rates", model_rates)})
-    manifest = load_manifest(_read_text(manifest_path))
+    manifest = _parse_file(manifest_path, load_manifest)
     if not cfg.sweep_data_rates or not cfg.sweep_model_rates:
         raise click.ClickException("sweep needs --data-rates and --model-rates "
                                    "(or sweep.* config keys)")

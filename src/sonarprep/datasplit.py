@@ -30,32 +30,11 @@ INVALID_SPLIT_NAME = "InvalidSplitName"
 MISSING_CLASS = "MissingClassInSplit"
 
 
-class TooFewRecordingsError(SonarprepError):
-    """The manifest has no recordings, or a class has fewer than three, so
-    one per split is impossible."""
-
-
-class TooFewClassesError(SonarprepError):
-    """Fewer than two classes, so there is nothing to classify."""
-
-
 def require_two_classes(classes, source) -> None:
     """Refuse a class list that no classifier can be trained on."""
     if len(classes) < 2:
-        raise TooFewClassesError(f"{source} has {len(classes)} class(es) {list(classes)}, "
-                                 f"need at least two")
-
-
-class EmptyTrainingSetError(SonarprepError):
-    """No training spectrograms were provided for normalization stats."""
-
-
-class DegenerateStatsError(SonarprepError):
-    """Normalization stats have min >= max."""
-
-
-class SplitFormatError(SonarprepError):
-    """A split file is malformed."""
+        raise SonarprepError(f"{source} has {len(classes)} class(es) {list(classes)}, "
+                             f"need at least two")
 
 
 @dataclass(frozen=True)
@@ -126,14 +105,14 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
     if missing:
         raise ValueError(f"no segment count for recordings: {missing[:5]}")
     if not manifest.entries:
-        raise TooFewRecordingsError("manifest has no recordings")
+        raise SonarprepError("manifest has no recordings")
     require_two_classes(manifest.classes, "manifest")
     by_class: dict[str, list[str]] = {label: [] for label in manifest.classes}
     for e in manifest.entries:
         by_class[e.class_label].append(e.recording_id)
     for label, recs in by_class.items():
         if len(recs) < len(SPLIT_NAMES):
-            raise TooFewRecordingsError(
+            raise SonarprepError(
                 f"class {label!r} has {len(recs)} recordings, need at least "
                 f"{len(SPLIT_NAMES)} for one per split"
             )
@@ -223,7 +202,7 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
     seed = None
     lines = io.StringIO(text, newline="")
     if lines.readline().strip() != "recording_id,split":
-        raise SplitFormatError("split file must start with header 'recording_id,split'")
+        raise SonarprepError("split file must start with header 'recording_id,split'")
     lineno = 1
     for line in lines:
         lineno += 1
@@ -236,13 +215,13 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
                 try:
                     seed = int(body[5:])
                 except ValueError:
-                    raise SplitFormatError(f"split file line {lineno}: seed "
-                                           f"{body[5:]!r} is not an integer") from None
+                    raise SonarprepError(f"split file line {lineno}: seed "
+                                         f"{body[5:]!r} is not an integer") from None
             continue
         record = csv.reader(chain([line], lines))  # pulls more lines only inside quotes
         parts = next(record)
         if len(parts) != 2:
-            raise SplitFormatError(f"split file line {lineno}: expected 'recording_id,split'")
+            raise SonarprepError(f"split file line {lineno}: expected 'recording_id,split'")
         rows.append((parts[0], parts[1]))
         lineno += record.line_num - 1
     return rows, seed
@@ -251,7 +230,7 @@ def read_split_rows(text: str) -> tuple[list[tuple[str, str]], int | None]:
 def compute_norm_stats(values: np.ndarray) -> NormStats:
     """Global scalar min and max over every entry of the training features."""
     if not values.size:
-        raise EmptyTrainingSetError("cannot compute stats from zero spectrograms")
+        raise SonarprepError("cannot compute stats from zero spectrograms")
     return NormStats(float(values.min()), float(values.max()))
 
 
@@ -259,7 +238,7 @@ def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     """Min-max scale so the training extrema map to [0, 1]; no clamping,
     so validation or test values outside the training range may exceed it."""
     if stats.degenerate:
-        raise DegenerateStatsError(
+        raise SonarprepError(
             f"stats are degenerate: min={stats.global_min}, max={stats.global_max}"
         )
     span = stats.global_max - stats.global_min

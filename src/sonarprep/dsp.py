@@ -31,30 +31,6 @@ KAISER_BETA = 8.555          # shape of the window on the resampling sinc
 FILTER_ZERO_CROSSINGS = 64   # sinc half-width, in zero crossings
 
 
-class InvalidRateError(SonarprepError):
-    """A sampling rate is zero or negative."""
-
-
-class NonPositiveResultError(SonarprepError):
-    """Config scaling produced a window or hop below one sample."""
-
-
-class ConfigMismatchError(SonarprepError):
-    """A feature config cannot be applied to the given segment or model rate."""
-
-
-class DegenerateBandError(SonarprepError):
-    """The mel band is too narrow to carve out distinct filters."""
-
-
-class DimensionMismatchError(SonarprepError):
-    """Spectrogram and filterbank shapes do not line up."""
-
-
-class ArchiveFormatError(SonarprepError):
-    """A feature archive file is malformed."""
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     """STFT/mel parameters tied to the sampling rate they were designed for."""
@@ -68,7 +44,7 @@ class FeatureConfig:
 
     def __post_init__(self):
         if self.model_rate <= 0:
-            raise InvalidRateError("model_rate must be positive")
+            raise SonarprepError("model_rate must be positive")
         if not (self.win_length >= self.hop_length > 0):
             raise ValueError("need win_length >= hop_length > 0")
         if self.win_length % 2:
@@ -189,7 +165,7 @@ def resample_signal(x: np.ndarray, source_rate: int, target_rate: int) -> np.nda
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Resample a waveform, returning the input untouched when rates match."""
     if int(target_rate) <= 0:
-        raise InvalidRateError(f"target rate {target_rate} must be positive")
+        raise SonarprepError(f"target rate {target_rate} must be positive")
     target_rate = int(target_rate)
     if target_rate == w.rate:
         return w
@@ -224,19 +200,19 @@ def segment(w: Waveform, seconds: float) -> np.ndarray:
 def scale_config(base: FeatureConfig, model_rate: int) -> FeatureConfig:
     """Rescale window, hop, and upper cutoff to a new model sampling rate."""
     if int(model_rate) <= 0:
-        raise InvalidRateError(f"model rate {model_rate} must be positive")
+        raise SonarprepError(f"model rate {model_rate} must be positive")
     rho = Fraction(int(model_rate), base.model_rate)
     win = int(round(base.win_length * rho))
     hop = int(round(base.hop_length * rho))
     if hop < 1 or win < 1:
-        raise NonPositiveResultError(
+        raise SonarprepError(
             f"scaling {base.win_length}/{base.hop_length} by {rho} collapses the frame grid"
         )
     try:
         return replace(base, model_rate=int(model_rate), win_length=win,
                        hop_length=hop, f_max=float(base.f_max * rho))
     except ValueError as exc:
-        raise ConfigMismatchError(
+        raise SonarprepError(
             f"cannot scale the feature config to model rate {model_rate}: {exc}"
         ) from exc
 
@@ -281,7 +257,7 @@ def _stft_blocks(samples: np.ndarray, cfg: FeatureConfig):
     win, hop = cfg.win_length, cfg.hop_length
     pad = win // 2
     if pad > x.size - 1:
-        raise ConfigMismatchError(
+        raise SonarprepError(
             f"window {win} too long to reflect-pad a {x.size}-sample segment"
         )
     xp = np.pad(x, pad, mode="reflect")
@@ -326,17 +302,17 @@ def mel_filterbank(cfg: FeatureConfig, rate: int) -> np.ndarray:
 
     Window and hop stay in samples as designed for the model; the mel band
     is read against the bin frequencies at ``rate``, with f_max clamped to
-    its Nyquist. A :class:`DegenerateBandError` names both rates.
+    its Nyquist. Its refusals name both rates.
     """
     if int(rate) <= 0:
-        raise InvalidRateError(f"data rate {rate} must be positive")
+        raise SonarprepError(f"data rate {rate} must be positive")
     cell = f"data rate {rate}, model rate {cfg.model_rate}"
     f_max = min(cfg.f_max, rate / 2)
     if not cfg.f_min < f_max:
-        raise DegenerateBandError(f"{cell}: no usable band above f_min={cfg.f_min}")
+        raise SonarprepError(f"{cell}: no usable band above f_min={cfg.f_min}")
     edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(f_max), cfg.n_mels + 2))
     if np.any(np.diff(edges) <= 0):
-        raise DegenerateBandError(f"{cell}: mel band too narrow: filter edges collapse")
+        raise SonarprepError(f"{cell}: mel band too narrow: filter edges collapse")
     freqs = (np.arange(cfg.win_length // 2 + 1) * int(rate) / cfg.win_length)[:, None]
     lower, center, upper = edges[:-2], edges[1:-1], edges[2:]
     rising = (freqs - lower) / (center - lower)
@@ -344,7 +320,7 @@ def mel_filterbank(cfg: FeatureConfig, rate: int) -> np.ndarray:
     fb = np.clip(np.minimum(rising, falling), 0.0, None)
     peaks = fb.max(axis=0)
     if np.any(peaks <= 0):
-        raise DegenerateBandError(f"{cell}: a mel filter has no support on the FFT bin grid")
+        raise SonarprepError(f"{cell}: a mel filter has no support on the FFT bin grid")
     return fb / peaks
 
 
@@ -353,7 +329,7 @@ def log_mel(power: np.ndarray, fb: np.ndarray) -> np.ndarray:
     giving a [n_frames x n_mels] matrix."""
     power = np.asarray(power)
     if power.ndim != 2 or fb.ndim != 2 or power.shape[1] != fb.shape[0]:
-        raise DimensionMismatchError(
+        raise SonarprepError(
             f"power {power.shape} incompatible with filterbank {fb.shape}"
         )
     return 10.0 * np.log10(np.maximum(power @ fb, LOG_FLOOR))
@@ -385,7 +361,7 @@ def write_feature_archive(path, values: np.ndarray, labels) -> None:
     """Write a [n x frames x mels] array and its n labels, one item at a
     time and atomically, to the little-endian binary archive format."""
     if values.ndim != 3 or len(labels) != values.shape[0]:
-        raise ArchiveFormatError(
+        raise SonarprepError(
             f"need [n x frames x mels] values and n labels, got {values.shape} "
             f"and {len(labels)} labels")
     _, n_frames, n_mels = values.shape
@@ -405,7 +381,7 @@ def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
     it, so a read holds one copy of them.
     """
     def refuse(problem: str):
-        raise ArchiveFormatError(f"{path}: {problem}")
+        raise SonarprepError(f"{path}: {problem}")
 
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size

@@ -1,9 +1,6 @@
-"""Shared exception hierarchy."""
+"""The package's one exception type."""
 
 
 class SonarprepError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class ShapeMismatchError(SonarprepError):
-    """Operands have incompatible shapes."""
+    """Every refusal this package raises; its message is the CLI's ``Error:``
+    line, so it says what went wrong and, where a file is at fault, which."""

@@ -19,10 +19,6 @@ from .files import write_json
 from .nn import ModelState, grad_cam, infer
 
 
-class EmptyTestSetError(SonarprepError):
-    """Evaluation needs at least one sample."""
-
-
 @dataclass
 class Metrics:
     accuracy: float
@@ -69,7 +65,7 @@ def evaluate(model: ModelState, features: np.ndarray, labels: np.ndarray) -> Met
     """Accuracy, per-class recall, and the confusion matrix on a test set."""
     labels = np.asarray(labels)
     if features.shape[0] == 0 or labels.size == 0:
-        raise EmptyTestSetError("test set is empty")
+        raise SonarprepError("test set is empty")
     return metrics_from_predictions(labels, predict(model, features), model.n_classes)
 
 
@@ -96,7 +92,7 @@ def aggregate_cams(model: ModelState, features: np.ndarray,
     """
     labels = np.asarray(labels)
     if features.shape[0] == 0:
-        raise EmptyTestSetError("no samples to aggregate maps over")
+        raise SonarprepError("no samples to aggregate maps over")
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ValueError("labels out of range")
     maps = counts = None

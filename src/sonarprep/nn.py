@@ -29,28 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SonarprepError, ShapeMismatchError
+from .errors import SonarprepError
 from .files import atomic_open
-
-
-class ShapeComposeError(SonarprepError):
-    """The layer stack does not compose into a valid network."""
-
-
-class NoCacheError(SonarprepError):
-    """Class activation maps need a convolution layer to read from."""
-
-
-class InvalidTargetError(SonarprepError):
-    """Soft targets must each sum to one."""
-
-
-class WrongChannelCountError(SonarprepError):
-    """Kernel aggregation expects exactly three input channels."""
-
-
-class CheckpointFormatError(SonarprepError):
-    """A checkpoint file is malformed or incomplete."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +110,7 @@ def init_model(arch: Architecture, n_classes: int, seed: int,
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Conv):
             if not spatial:
-                raise ShapeComposeError(f"layer {i}: convolution after flattening")
+                raise SonarprepError(f"layer {i}: convolution after flattening")
             fan_in = channels * layer.kernel ** 2
             fan_out = layer.out_channels * layer.kernel ** 2
             limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -142,17 +122,17 @@ def init_model(arch: Architecture, n_classes: int, seed: int,
             channels = layer.out_channels
         elif isinstance(layer, MaxPool):
             if not spatial:
-                raise ShapeComposeError(f"layer {i}: pooling after flattening")
+                raise SonarprepError(f"layer {i}: pooling after flattening")
             if layer.size < 1:
-                raise ShapeComposeError(f"layer {i}: pool size must be >= 1")
+                raise SonarprepError(f"layer {i}: pool size must be >= 1")
         elif isinstance(layer, GlobalAvgPool):
             if not spatial:
-                raise ShapeComposeError(f"layer {i}: repeated flattening")
+                raise SonarprepError(f"layer {i}: repeated flattening")
             spatial = False
             features = channels
         elif isinstance(layer, Dense):
             if spatial:
-                raise ShapeComposeError(
+                raise SonarprepError(
                     f"layer {i}: dense layers need global pooling after convolutions"
                 )
             out = layer.out_features if layer.out_features is not None else n_classes
@@ -164,11 +144,11 @@ def init_model(arch: Architecture, n_classes: int, seed: int,
         elif isinstance(layer, Relu):
             pass
         else:
-            raise ShapeComposeError(f"layer {i}: unknown layer {layer!r}")
+            raise SonarprepError(f"layer {i}: unknown layer {layer!r}")
     if not arch.layers or not isinstance(arch.layers[-1], Dense):
-        raise ShapeComposeError("the final layer must be dense")
+        raise SonarprepError("the final layer must be dense")
     if spatial or features != n_classes:
-        raise ShapeComposeError(
+        raise SonarprepError(
             f"network emits {features} outputs but {n_classes} classes were requested"
         )
     return ModelState(arch=arch, n_classes=n_classes, params=params,
@@ -179,7 +159,7 @@ def aggregate_input_channels(weights: np.ndarray) -> np.ndarray:
     """Collapse 3-channel first-layer kernels to 1 channel by summing."""
     w = np.asarray(weights)
     if w.ndim != 4 or w.shape[1] != 3:
-        raise WrongChannelCountError(
+        raise SonarprepError(
             f"expected kernels shaped [out, 3, k, k], got {w.shape}"
         )
     return w.sum(axis=1, keepdims=True)
@@ -202,7 +182,7 @@ def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     out_h = height + 2 * pad - k + 1
     out_w = width + 2 * pad - k + 1
     if out_h < 1 or out_w < 1:
-        raise ShapeMismatchError(f"input {height}x{width} smaller than kernel {k}")
+        raise SonarprepError(f"input {height}x{width} smaller than kernel {k}")
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     if in_ch == 1:
         taps = np.empty((k * k, batch, out_h, out_w), dtype=x.dtype)
@@ -273,7 +253,7 @@ def _maxpool_forward(x: np.ndarray, size: int, positions: bool = True):
     batch, height, width, channels = x.shape
     out_h, out_w = height // size, width // size
     if out_h == 0 or out_w == 0:
-        raise ShapeMismatchError(f"input {height}x{width} too small for pool {size}")
+        raise SonarprepError(f"input {height}x{width} too small for pool {size}")
     rows, cols = out_h * size, out_w * size
     # Comparisons are strict, so ties keep the earlier position. Each later
     # candidate position exceeds every earlier one, so a running maximum of
@@ -348,7 +328,7 @@ def forward(model: ModelState, batch: np.ndarray,
     """
     x = np.asarray(batch).astype(model.dtype, copy=False)
     if x.ndim != 4 or x.shape[1] != model.arch.in_channels:
-        raise ShapeMismatchError(
+        raise SonarprepError(
             f"expected [batch, {model.arch.in_channels}, H, W], got {x.shape}"
         )
     x = x.transpose(0, 2, 3, 1)
@@ -425,10 +405,10 @@ def cross_entropy_soft(logits: np.ndarray, targets: np.ndarray):
     z = np.asarray(logits)
     y = np.asarray(targets)
     if z.shape != y.shape or z.ndim != 2:
-        raise ShapeMismatchError(f"logits {z.shape} vs targets {y.shape}")
+        raise SonarprepError(f"logits {z.shape} vs targets {y.shape}")
     row_sums = y.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise InvalidTargetError("target rows must sum to 1")
+        raise SonarprepError("target rows must sum to 1")
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
@@ -511,10 +491,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bias2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         if name not in grads:
-            raise ShapeMismatchError(f"no gradient for parameter {name!r}")
+            raise SonarprepError(f"no gradient for parameter {name!r}")
         g = np.asarray(grads[name]).astype(p.dtype, copy=False)
         if g.shape != p.shape:
-            raise ShapeMismatchError(
+            raise SonarprepError(
                 f"gradient for {name!r} has shape {g.shape}, expected {p.shape}"
             )
         m, v = state.m[name], state.v[name]
@@ -556,10 +536,10 @@ def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     """
     convs = [i for i, layer in enumerate(model.arch.layers) if isinstance(layer, Conv)]
     if not convs:
-        raise NoCacheError("architecture has no convolution layer to map")
+        raise SonarprepError("architecture has no convolution layer to map")
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[0] != 1:
-        raise ShapeMismatchError(f"expected a single input [1, C, H, W], got {x.shape}")
+        raise SonarprepError(f"expected a single input [1, C, H, W], got {x.shape}")
     cache: list = []
     logits = forward(model, x, cache, keep_from=convs[-1] + 1)
     predicted = int(np.argmax(logits[0]))
@@ -594,7 +574,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], header: dict | None = N
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the named tensors written by :func:`save_checkpoint`."""
     def refuse(problem: str):
-        raise CheckpointFormatError(f"{path}: {problem}")
+        raise SonarprepError(f"{path}: {problem}")
 
     with open(path, "rb") as f:
         data = f.read()
@@ -634,7 +614,7 @@ def apply_checkpoint(model: ModelState, tensors: dict[str, np.ndarray]) -> Model
     """
     for name, p in model.params.items():
         if name not in tensors:
-            raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
+            raise SonarprepError(f"checkpoint is missing tensor {name!r}")
         t = tensors[name]
         if t.shape == p.shape:
             loaded = t
@@ -642,7 +622,7 @@ def apply_checkpoint(model: ModelState, tensors: dict[str, np.ndarray]) -> Model
               and t.shape[0] == p.shape[0] and t.shape[2:] == p.shape[2:]):
             loaded = aggregate_input_channels(t)
         else:
-            raise ShapeMismatchError(
+            raise SonarprepError(
                 f"tensor {name!r} has shape {t.shape}, model expects {p.shape}"
             )
         p[...] = loaded.astype(model.dtype)

@@ -28,14 +28,6 @@ from .nn import (AdamState, DEFAULT_ARCHITECTURE, ModelState, adam_step,
 from .evaluation import Metrics, aggregate_runs, evaluate
 
 
-class EmptyDatasetError(SonarprepError):
-    """A training or validation split has no samples."""
-
-
-class DivergedError(SonarprepError):
-    """An epoch's training or validation loss is not finite."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-5
@@ -96,7 +88,7 @@ def _augment_batch(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
 
 
 # a diverging run overflows; the epoch's non-finite loss then raises
-# DivergedError, so numpy's warnings would only repeat it
+# SonarprepError, so numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
           data_rate: int, seed: int = 0) -> tuple[ModelState, RunHistory]:
@@ -105,9 +97,9 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
     train_x, train_y = train_set
     val_x, val_y = val_set
     if train_x.shape[0] == 0:
-        raise EmptyDatasetError("training split is empty")
+        raise SonarprepError("training split is empty")
     if val_x.shape[0] == 0:
-        raise EmptyDatasetError("validation split is empty")
+        raise SonarprepError("validation split is empty")
     n = train_x.shape[0]
     time_width = scaled_mask_width(cfg.augment.base_time_mask_width, data_rate,
                                    cfg.feature.model_rate)
@@ -132,9 +124,9 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
         train_loss = epoch_loss / n
         val_loss, val_acc = validation_pass(model, val_x, val_y)
         if not np.isfinite([train_loss, val_loss]).all():
-            raise DivergedError(f"seed {seed}: training diverged in epoch {epoch} "
-                                f"(train loss {train_loss}, val loss {val_loss}); "
-                                f"try a lower train.lr")
+            raise SonarprepError(f"seed {seed}: training diverged in epoch {epoch} "
+                                 f"(train loss {train_loss}, val loss {val_loss}); "
+                                 f"try a lower train.lr")
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         history.val_acc.append(val_acc)
@@ -296,7 +288,7 @@ def build_feature_sets(manifest: Manifest,
         append(map(featurize_recording, manifest.entries))
     for name, split_labels in labels.items():
         if not split_labels:
-            raise EmptyDatasetError(f"{name} split produced no segments")
+            raise SonarprepError(f"{name} split produced no segments")
         labels[name] = np.array(split_labels, dtype=np.int64)
     results = []
     for split in splits:

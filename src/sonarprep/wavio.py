@@ -19,42 +19,6 @@ import numpy as np
 from .errors import SonarprepError
 
 
-class WavError(SonarprepError):
-    """Problem with a RIFF/WAVE byte stream."""
-
-
-class MalformedHeaderError(WavError):
-    """Magic numbers or chunk structure are invalid."""
-
-
-class UnsupportedEncodingError(WavError):
-    """Sample format other than 16-bit PCM or 32-bit float, or > 2 channels."""
-
-
-class TruncatedDataError(WavError):
-    """Data chunk shorter than declared, or contains no whole frame."""
-
-
-class NonFiniteSamplesError(WavError):
-    """Float samples contain NaN or infinity."""
-
-
-class ManifestError(SonarprepError):
-    """Problem with a dataset manifest."""
-
-
-class DuplicateRecordingError(ManifestError):
-    """The same recording_id appears more than once."""
-
-
-class MissingFieldError(ManifestError):
-    """A manifest row lacks a required field or has a malformed one."""
-
-
-class NonPositiveDurationError(ManifestError):
-    """A manifest row declares a duration that is not a positive finite number."""
-
-
 _PCM = 1
 _IEEE_FLOAT = 3
 _EXTENSIBLE = 0xFFFE
@@ -80,7 +44,7 @@ class Waveform:
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
         if not np.isfinite(self.samples).all():
-            raise NonFiniteSamplesError("waveform contains non-finite samples")
+            raise SonarprepError("waveform contains non-finite samples")
         if int(self.rate) <= 0:
             raise ValueError("sampling rate must be positive")
         self.rate = int(self.rate)
@@ -90,15 +54,15 @@ def _extensible_format(data, body: int, size: int, bits: int) -> int:
     """The plain format tag that a WAVE_FORMAT_EXTENSIBLE fmt chunk at
     ``body`` stands for: its sub-format GUID's PCM or IEEE-float code."""
     if size < 40 or body + 40 > len(data):
-        raise MalformedHeaderError("extensible fmt chunk too short")
+        raise SonarprepError("extensible fmt chunk too short")
     valid_bits, _channel_mask, code, tail = struct.unpack_from("<HIH14s", data, body + 18)
     if tail != _SUBTYPE_GUID_TAIL or code not in (_PCM, _IEEE_FLOAT):
         guid = bytes(data[body + 24:body + 40]).hex()
-        raise UnsupportedEncodingError(f"extensible sub-format {guid} not supported "
-                                       f"(PCM or IEEE float only)")
+        raise SonarprepError(f"extensible sub-format {guid} not supported "
+                             f"(PCM or IEEE float only)")
     if valid_bits != bits:
-        raise UnsupportedEncodingError(f"{valid_bits} valid bits in {bits}-bit samples "
-                                       f"not supported")
+        raise SonarprepError(f"{valid_bits} valid bits in {bits}-bit samples "
+                             f"not supported")
     return code
 
 
@@ -106,7 +70,7 @@ def _wav_layout(data) -> tuple[tuple, int, int]:
     """Walk the RIFF chunks of ``data`` (bytes or any buffer) to the fmt
     fields and the offset and size of a data chunk this module can decode."""
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedHeaderError("not a RIFF/WAVE container")
+        raise SonarprepError("not a RIFF/WAVE container")
     fmt = offset = None
     pos = 12
     while pos + 8 <= len(data):
@@ -115,40 +79,40 @@ def _wav_layout(data) -> tuple[tuple, int, int]:
         body = pos + 8
         if chunk_id == b"fmt ":
             if size < 16 or body + 16 > len(data):
-                raise MalformedHeaderError("fmt chunk too short")
+                raise SonarprepError("fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", data, body)
             if fmt[0] == _EXTENSIBLE:
                 fmt = (_extensible_format(data, body, size, fmt[5]),) + fmt[1:]
         elif chunk_id == b"data":
             if fmt is None:
-                raise MalformedHeaderError("data chunk precedes fmt chunk")
+                raise SonarprepError("data chunk precedes fmt chunk")
             if body + size > len(data):
-                raise TruncatedDataError(f"data chunk declares {size} bytes, "
-                                         f"only {len(data) - body} present")
+                raise SonarprepError(f"data chunk declares {size} bytes, "
+                                     f"only {len(data) - body} present")
             offset = body
             break
         if body + size > len(data):
-            raise MalformedHeaderError(f"chunk {chunk_id!r} overruns the file")
+            raise SonarprepError(f"chunk {chunk_id!r} overruns the file")
         pos = body + size + (size & 1)  # chunks are word-aligned
     if fmt is None:
-        raise MalformedHeaderError("missing fmt chunk")
+        raise SonarprepError("missing fmt chunk")
     if offset is None:
-        raise MalformedHeaderError("missing data chunk")
+        raise SonarprepError("missing data chunk")
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if audio_format not in (_PCM, _IEEE_FLOAT):
-        raise UnsupportedEncodingError(f"audio format tag {audio_format} not supported")
+        raise SonarprepError(f"audio format tag {audio_format} not supported")
     if audio_format == _PCM and bits != 16:
-        raise UnsupportedEncodingError(f"{bits}-bit PCM not supported (16-bit only)")
+        raise SonarprepError(f"{bits}-bit PCM not supported (16-bit only)")
     if audio_format == _IEEE_FLOAT and bits != 32:
-        raise UnsupportedEncodingError(f"{bits}-bit float not supported (32-bit only)")
+        raise SonarprepError(f"{bits}-bit float not supported (32-bit only)")
     if channels not in (1, 2):
-        raise UnsupportedEncodingError(f"{channels} channels not supported (mono/stereo only)")
+        raise SonarprepError(f"{channels} channels not supported (mono/stereo only)")
     if rate == 0:
-        raise MalformedHeaderError("declared sample rate is zero")
+        raise SonarprepError("declared sample rate is zero")
     if size % (channels * bits // 8):
-        raise TruncatedDataError("data chunk ends inside a sample frame")
+        raise SonarprepError("data chunk ends inside a sample frame")
     if not size:
-        raise TruncatedDataError("data chunk holds no samples")
+        raise SonarprepError("data chunk holds no samples")
     return fmt, offset, size
 
 
@@ -175,7 +139,7 @@ def wav_duration(path) -> float:
     headers; no sample is decoded."""
     with open(path, "rb") as f:
         if not f.seek(0, io.SEEK_END):  # mmap refuses an empty file
-            raise MalformedHeaderError("not a RIFF/WAVE container")
+            raise SonarprepError("not a RIFF/WAVE container")
         with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as view:
             (_, channels, rate, _, _, bits), _, size = _wav_layout(view)
     return size // (channels * bits // 8) / rate
@@ -203,13 +167,13 @@ class Manifest:
         seen = set()
         for e in self.entries:
             if not e.recording_id or not e.class_label or not e.file_path:
-                raise MissingFieldError(f"entry {e!r} has an empty field")
+                raise SonarprepError(f"entry {e!r} has an empty field")
             if not 0 < e.duration_seconds < np.inf:
-                raise NonPositiveDurationError(
+                raise SonarprepError(
                     f"recording {e.recording_id!r} has duration {e.duration_seconds}"
                 )
             if e.recording_id in seen:
-                raise DuplicateRecordingError(f"duplicate recording_id {e.recording_id!r}")
+                raise SonarprepError(f"duplicate recording_id {e.recording_id!r}")
             seen.add(e.recording_id)
         self.classes = tuple(sorted({e.class_label for e in self.entries}))
 
@@ -226,9 +190,9 @@ def load_manifest(text: str) -> Manifest:
     try:
         header = next(reader)
     except StopIteration:
-        raise MissingFieldError("manifest is empty") from None
+        raise SonarprepError("manifest is empty") from None
     if tuple(header) != MANIFEST_FIELDS:
-        raise MissingFieldError(
+        raise SonarprepError(
             f"manifest header must be {','.join(MANIFEST_FIELDS)}, got {','.join(header)}"
         )
     entries = []
@@ -236,12 +200,12 @@ def load_manifest(text: str) -> Manifest:
         if not row:
             continue
         if len(row) != len(MANIFEST_FIELDS):
-            raise MissingFieldError(f"line {lineno}: expected 4 fields, got {len(row)}")
+            raise SonarprepError(f"line {lineno}: expected 4 fields, got {len(row)}")
         rec_id, label, path, dur_text = row
         try:
             duration = float(dur_text)
         except ValueError:
-            raise MissingFieldError(
+            raise SonarprepError(
                 f"line {lineno}: duration_seconds {dur_text!r} is not numeric"
             ) from None
         entries.append(ManifestEntry(rec_id, label, path, duration))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sonarprep.augment import (AugmentConfig, Mask, apply_masks,
                                draw_masks, make_mix_pairs, mixup,
                                sample_lambda, scaled_mask_width, spec_augment)
-from sonarprep.errors import ShapeMismatchError
+from sonarprep.errors import SonarprepError
 
 
 class TestMaskWidth:
@@ -193,9 +193,9 @@ class TestMixup:
     def test_partner_index_out_of_range(self):
         x = np.ones((2, 2, 2))
         y = np.eye(2)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SonarprepError, match="partner indices fall outside the batch"):
             mixup(x, y, (np.array([0.5, 0.5]), np.array([5, 0])))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SonarprepError, match="partner indices fall outside the batch"):
             mixup(x, y, (np.array([0.5, 0.5]), np.array([-1, 0])))
 
     @pytest.mark.parametrize("lam,partners", [
@@ -204,7 +204,7 @@ class TestMixup:
     def test_one_lambda_and_one_partner_per_element(self, lam, partners):
         x = np.ones((2, 2, 2))
         y = np.eye(2)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SonarprepError, match=r"2 inputs but \d lambdas and \d partners"):
             mixup(x, y, (np.array(lam), np.array(partners)))
 
 

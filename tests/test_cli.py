@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sonarprep.cli import (ConfigParseError, OutOfRangeError, UnknownKeyError,
-                           load_config, main, parse_rate)
+from sonarprep.cli import load_config, main, parse_rate
 from sonarprep.datasplit import read_split_rows
+from sonarprep.errors import SonarprepError
 from sonarprep.dsp import write_feature_archive
 from sonarprep import cli, nn, trainer
 from sonarprep.nn import load_checkpoint, save_checkpoint
@@ -100,26 +100,35 @@ class TestLoadConfig:
         for line in ("trian.lr = 0.1\n", "augment.data_rate = 2k\n",
                      "paths.manifest = m.csv\n"):
             p.write_text(line)
-            with pytest.raises(UnknownKeyError):
+            with pytest.raises(SonarprepError, match=f"line 1: unknown key '{line.split()[0]}'"):
                 load_config(p, env={})
 
     def test_parse_error_reports_line(self, tmp_path):
+        """Each parse refusal is one ``Error:`` line naming the config, the
+        line and the column. ``split`` reads its config before its manifest,
+        so the config stands in for the manifest too."""
         p = tmp_path / "c.cfg"
-        p.write_text("data.rate = 8k\ntrain.lr 0.01\n")
-        with pytest.raises(ConfigParseError) as err:
-            load_config(p, env={})
-        assert err.value.line == 2
+        for line, error in [
+                ("train.lr 0.01", "line 2, column 14: expected 'section.key = value'"),
+                ("lr = 0.01", "line 2, column 4: malformed key 'lr'"),
+                ("train.lr = ", "line 2, column 11: empty value for 'train.lr'")]:
+            p.write_text(f"data.rate = 8k\n{line}\n")
+            result = CliRunner().invoke(main, ["split", "--config", str(p), "--manifest",
+                                               str(p), "--out", str(tmp_path / "split.csv")])
+            assert_clean_failure(result)
+            assert result.output == f"Error: {p}: {error}\n"
 
     def test_out_of_range_value(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("train.batch_size = 0\n")
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SonarprepError, match="line 1: batch_size, max_epochs, and "
+                                                 "patience must be positive"):
             load_config(p, env={})
 
     def test_uncastable_value(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("train.max_epochs = soon\n")
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SonarprepError, match="line 1: train.max_epochs = 'soon': "):
             load_config(p, env={})
 
     def test_env_seed_rebases_all_seeds(self, tmp_path):
@@ -130,7 +139,7 @@ class TestLoadConfig:
         assert cfg.train.seeds == (40, 41, 42)
 
     def test_env_seed_must_be_integer(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SonarprepError, match="SONARPREP_SEED must be an integer"):
             load_config(None, env={"SONARPREP_SEED": "lucky"})
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -156,21 +165,21 @@ class TestLoadConfig:
     def test_non_finite_rejected(self, tmp_path, line):
         p = tmp_path / "c.cfg"
         p.write_text(line + "\n")
-        with pytest.raises(OutOfRangeError, match="line 1"):
+        with pytest.raises(SonarprepError, match=re.escape(f"line 1: {line.split()[0]} = ")):
             load_config(p, env={})
 
     def test_segment_must_be_whole_samples_at_sweep_rates(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("data.rate = 8k\ndata.segment_seconds = 0.001\n")
         assert load_config(p, env={}).segment_seconds == 0.001  # 8 samples
-        with pytest.raises(OutOfRangeError, match="22050 Hz"):  # 22.05 samples
+        with pytest.raises(SonarprepError, match="22050 Hz"):  # 22.05 samples
             load_config(p, env={}, flags={"--data-rates": ("sweep.data_rates", "8k,22.05k")})
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, value):
         p = tmp_path / "c.cfg"
         p.write_text(f"data.jobs = {value}\n")
-        with pytest.raises(OutOfRangeError, match="line 1"):
+        with pytest.raises(SonarprepError, match=f"line 1: data.jobs = '{value}': must be pos"):
             load_config(p, env={})
 
 
@@ -839,21 +848,38 @@ class TestErrorSurface:
 
     @pytest.mark.parametrize("flag,problem", [("--config", "byte-0xff"),
                                               ("--manifest", "byte-0xff"),
-                                              ("--config", "directory")])
+                                              ("--config", "directory"),
+                                              ("--config", "malformed"),
+                                              ("--manifest", "malformed"),
+                                              ("--split-file", "malformed")])
     def test_unreadable_text_input_names_file(self, pipeline, tmp_path, flag, problem):
+        """A config, manifest or split file that is no text, or whose content
+        is refused, is named once, at the start of the one ``Error:`` line."""
         root, runner = pipeline
         bad = tmp_path / "bad.txt"
+        malformed = {"--config": ("data.rate = 8k\nfeature.n_mels 24\n",
+                                  "line 2, column 18: expected 'section.key = value'"),
+                     "--manifest": ("recording_id,class_label,file_path,duration_seconds\n"
+                                    "a,alpha\n", "line 2: expected 4 fields, got 2"),
+                     "--split-file": ("recording_id,split\nalpha/alpha00\n",
+                                      "split file line 2: expected 'recording_id,split'")}
         if problem == "directory":
             bad.mkdir()
+        elif problem == "malformed":
+            bad.write_text(malformed[flag][0])
         else:
             bad.write_bytes(b"data.rate = 8k\n\xff\n")
         inputs = {"--config": str(root / "run.cfg"), "--manifest": str(root / "manifest.csv")}
         inputs[flag] = str(bad)
+        output = (["--validate"] if flag == "--split-file"
+                  else ["--out", str(tmp_path / "split.csv")])
         result = runner.invoke(main, [
-            "split", *(arg for item in inputs.items() for arg in item),
-            "--out", str(tmp_path / "split.csv")])
+            "split", *(arg for item in inputs.items() for arg in item), *output])
         assert_clean_failure(result)
-        assert str(bad) in result.output
+        assert result.output.startswith(f"Error: {bad}: ")
+        assert not result.output.startswith(f"Error: {bad}: {bad}")
+        if problem == "malformed":
+            assert result.output == f"Error: {bad}: {malformed[flag][1]}\n"
         assert not (tmp_path / "split.csv").exists()
 
     def test_featurize_refuses_split_without_segments(self, pipeline, tmp_path):
@@ -1164,6 +1190,20 @@ class TestErrorSurface:
                             if p.name != "run.json"})
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_checkpoint_of_other_shapes_names_the_model(self, pipeline, tmp_path, command):
+        """A header-less checkpoint of a 4-class model, on 2-class features,
+        is refused by tensor shape on one line that names the checkpoint."""
+        root, runner = pipeline
+        model = tmp_path / "four.spnn"
+        save_checkpoint(model, nn.init_model(nn.DEFAULT_ARCHITECTURE, 4, seed=0).params)
+        result = runner.invoke(main, [command, "--model", str(model), "--features",
+                                      str(root / "feats"), "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert result.output == (f"Error: {model}: tensor 'dense6.weight' has shape (32, 4), "
+                                 f"model expects (32, 2)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("header,payload", [
         (b"[]", b""),
         (b'{"tensors": [["w", [-1]]]}', b""),
@@ -1223,6 +1263,34 @@ class TestErrorSurface:
         assert (f"Error: {feats / split}.sprf: items of shape (70000, 70000) are too large "
                 f"to read") in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "featurize", "sweep"])
+    def test_wav_refusal_names_the_wav(self, pipeline, tmp_path, command):
+        """A WAV whose data chunk claims more bytes than the file holds is
+        named on the one ``Error:`` line, whether its header or its samples
+        are read."""
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        wav = corpus / "alpha" / "alpha00.wav"
+        data = bytearray(wav.read_bytes())
+        at = data.index(b"data") + 4
+        data[at:at + 4] = struct.pack("<I", 433983499)
+        wav.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        args = {"ingest": [],
+                "featurize": ["--config", str(root / "run.cfg"), "--split-file",
+                              str(root / "split.csv")],
+                "sweep": ["--config", str(root / "run.cfg"), "--data-rates", "8k",
+                          "--model-rates", "8k"]}[command]
+        if command != "ingest":
+            args += ["--manifest", str(root / "manifest.csv")]
+        result = runner.invoke(main, [command, "--corpus-root", str(corpus), *args,
+                                      "--out", str(out)])
+        assert_clean_failure(result)
+        assert result.output.endswith(f"Error: {wav}: data chunk declares 433983499 bytes, "
+                                      f"only {len(data) - at - 4} present\n")
+        assert not out.exists()
 
     def test_ingest_refuses_a_directory_named_like_a_wav(self, pipeline, tmp_path):
         root, runner = pipeline

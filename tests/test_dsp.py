@@ -17,11 +17,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sonarprep import dsp
+from sonarprep.errors import SonarprepError
 from sonarprep.wavio import Waveform
-from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, LOG_FLOOR, ArchiveFormatError,
-                           ConfigMismatchError, DegenerateBandError,
-                           DimensionMismatchError, FeatureConfig,
-                           InvalidRateError, NonPositiveResultError,
+from sonarprep.dsp import (DEFAULT_FEATURE_CONFIG, LOG_FLOOR, FeatureConfig,
                            features_for_segment, frame_count,
                            hz_to_mel, log_mel,
                            mel_filterbank, mel_to_hz, read_feature_archive,
@@ -149,9 +147,9 @@ class TestResample:
 
     def test_invalid_rates(self):
         w = Waveform(samples=np.ones(10), rate=8000)
-        with pytest.raises(InvalidRateError):
+        with pytest.raises(SonarprepError, match="target rate 0 must be positive"):
             resample(w, 0)
-        with pytest.raises(InvalidRateError):
+        with pytest.raises(SonarprepError, match="target rate -5 must be positive"):
             resample(w, -5)
 
 
@@ -196,7 +194,7 @@ class TestConfigScaling:
         assert scale_config(DEFAULT_FEATURE_CONFIG, 32000) == DEFAULT_FEATURE_CONFIG
 
     def test_degenerate_target_rejected(self):
-        with pytest.raises(NonPositiveResultError):
+        with pytest.raises(SonarprepError, match="collapses the frame grid"):
             scale_config(DEFAULT_FEATURE_CONFIG, 4)
 
     def test_odd_window_rejected(self):
@@ -205,7 +203,7 @@ class TestConfigScaling:
 
     def test_scaling_to_odd_window_names_model_rate(self):
         base = FeatureConfig(8000, win_length=256, hop_length=80, f_max=3500)
-        with pytest.raises(ConfigMismatchError, match="model rate 8100"):
+        with pytest.raises(SonarprepError, match="model rate 8100"):
             scale_config(base, 8100)  # 256 * 8100 / 8000 rounds to 259
 
     def test_five_second_frame_count_invariant(self):
@@ -337,7 +335,7 @@ class TestStft:
     def test_signal_too_short_to_pad(self):
         cfg = FeatureConfig(8000, win_length=64, hop_length=16, n_mels=8,
                             f_min=50, f_max=3500)
-        with pytest.raises(ConfigMismatchError):
+        with pytest.raises(SonarprepError, match="window 64 too long to reflect-pad a 16-sample"):
             stft_power(np.zeros(16), cfg)
 
 
@@ -379,7 +377,7 @@ class TestMel:
 
     def test_collapsed_band_rejected(self):
         cfg = FeatureConfig(32000, f_min=1000.0, f_max=1000.5, n_mels=64)
-        with pytest.raises(DegenerateBandError):
+        with pytest.raises(SonarprepError, match="a mel filter has no support on the FFT"):
             mel_filterbank(cfg, cfg.model_rate)
 
     def test_log_floor_applies_to_silence(self):
@@ -394,7 +392,7 @@ class TestMel:
         cfg = FeatureConfig(8000, win_length=64, hop_length=16, n_mels=8,
                             f_min=50, f_max=3500)
         fb = mel_filterbank(cfg, cfg.model_rate)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(SonarprepError, match=r"power \(4, 99\) incompatible with filterbank"):
             log_mel(np.zeros((4, 99)), fb)
 
 
@@ -417,12 +415,12 @@ class TestEffectiveConfig:
         assert not np.array_equal(fb, mel_filterbank(replace(cfg, f_max=16000.0), 32000))
 
     def test_band_collapse_rejected(self):
-        with pytest.raises(DegenerateBandError, match="data rate 64, model rate 32000: "
-                                                      "no usable band above f_min=50.0"):
+        with pytest.raises(SonarprepError, match="data rate 64, model rate 32000: "
+                                                 "no usable band above f_min=50.0"):
             mel_filterbank(DEFAULT_FEATURE_CONFIG, 64)
 
     def test_non_positive_rate_rejected(self):
-        with pytest.raises(InvalidRateError, match="data rate 0 must be positive"):
+        with pytest.raises(SonarprepError, match="data rate 0 must be positive"):
             mel_filterbank(DEFAULT_FEATURE_CONFIG, 0)
 
     def test_mismatched_rate_feature_shape(self):
@@ -494,7 +492,7 @@ class TestArchive:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.sprf"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
-        with pytest.raises(ArchiveFormatError, match="x.sprf"):
+        with pytest.raises(SonarprepError, match="x.sprf: bad magic: not a feature archive"):
             read_feature_archive(path)
 
     def test_truncation_detected(self, tmp_path):
@@ -502,7 +500,7 @@ class TestArchive:
         write_feature_archive(path, np.ones((1, 4, 4), dtype=np.float32), [1])
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
-        with pytest.raises(ArchiveFormatError, match="x.sprf"):
+        with pytest.raises(SonarprepError, match="x.sprf: archive truncated: 77 of 85 bytes"):
             read_feature_archive(path)
 
     @pytest.mark.parametrize("blob,problem", [
@@ -526,13 +524,13 @@ class TestArchive:
     def test_malformed_archive_rejected(self, tmp_path, blob, problem):
         path = tmp_path / "x.sprf"
         path.write_bytes(blob)
-        with pytest.raises(ArchiveFormatError, match=f"x.sprf: .*{problem}"):
+        with pytest.raises(SonarprepError, match=f"x.sprf: .*{problem}"):
             read_feature_archive(path)
 
     def test_fuzzed_archives_load_or_raise_one_error(self, tmp_path):
         """Flipped and cut bytes of a valid archive, and headers packed by hand
-        with counts, sizes and labels up to 2**32 - 1, load or raise
-        ``ArchiveFormatError`` and nothing else."""
+        with counts, sizes and labels up to 2**32 - 1, load or raise one
+        ``SonarprepError`` whose message starts with the archive's path."""
         path = tmp_path / "x.sprf"
         write_feature_archive(path, np.ones((3, 4, 2)), [0, 1, 2])
         valid = path.read_bytes()
@@ -541,8 +539,8 @@ class TestArchive:
             path.write_bytes(blob)
             try:
                 read_feature_archive(path)
-            except ArchiveFormatError:
-                pass
+            except SonarprepError as exc:
+                assert str(exc).startswith(f"{path}: "), exc
 
         @settings(max_examples=300, deadline=None)
         @given(flips=st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
@@ -579,5 +577,5 @@ class TestArchive:
         assert [p.name for p in tmp_path.iterdir()] == ["x.sprf"]
 
     def test_writer_needs_one_label_per_item(self, tmp_path):
-        with pytest.raises(ArchiveFormatError):
+        with pytest.raises(SonarprepError, match=r"n labels, got \(2, 3, 2\) and 1 labels"):
             write_feature_archive(tmp_path / "x.sprf", np.zeros((2, 3, 2)), [0])

@@ -14,7 +14,8 @@ from sonarprep.dsp import read_feature_archive
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, Architecture, Conv, Dense,
                           GlobalAvgPool, Relu, backward, cam_from_activations,
                           forward, init_model)
-from sonarprep.evaluation import (EmptyTestSetError, Metrics,
+from sonarprep.errors import SonarprepError
+from sonarprep.evaluation import (Metrics,
                                   aggregate_cams, aggregate_runs,
                                   confusion_matrix, evaluate, format_mean_std,
                                   metrics_from_predictions, predict,
@@ -241,7 +242,7 @@ class TestCamAggregation:
 
     def test_empty_input_rejected(self):
         m = zero_logit_model()
-        with pytest.raises(EmptyTestSetError):
+        with pytest.raises(SonarprepError, match="no samples to aggregate maps over"):
             aggregate_cams(m, np.zeros((0, 8, 6)), np.zeros(0, dtype=int))
 
     def test_report_files(self, tmp_path):

@@ -10,12 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sonarprep.nn
-from sonarprep.errors import ShapeMismatchError
+from sonarprep.errors import SonarprepError
 from sonarprep.nn import (DEFAULT_ARCHITECTURE, AdamState, Architecture,
-                          CheckpointFormatError, Conv, Dense, GlobalAvgPool,
-                          InvalidTargetError, MaxPool, NoCacheError, Relu,
-                          ShapeComposeError,
-                          WrongChannelCountError, adam_step,
+                          Conv, Dense, GlobalAvgPool, MaxPool, Relu, adam_step,
                           aggregate_input_channels, apply_checkpoint, backward,
                           cam_from_activations, cross_entropy_soft, forward,
                           grad_cam, gradients, infer, init_model,
@@ -170,7 +167,7 @@ class TestForward:
 
     def test_wrong_input_channels_rejected(self):
         m = init_model(DEFAULT_ARCHITECTURE, 4, seed=0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SonarprepError, match=r"expected \[batch, 1, H, W\], got \(1, 3,"):
             forward(m, np.zeros((1, 3, 8, 8)))
 
 
@@ -199,12 +196,12 @@ class TestInit:
 
     def test_spatial_layer_after_flatten_rejected(self):
         arch = Architecture((GlobalAvgPool(), Conv(4), Dense()))
-        with pytest.raises(ShapeComposeError):
+        with pytest.raises(SonarprepError, match="layer 1: convolution after flattening"):
             init_model(arch, 2, seed=0)
 
     def test_missing_final_dense_rejected(self):
         arch = Architecture((Conv(4), Relu(), GlobalAvgPool()))
-        with pytest.raises(ShapeComposeError):
+        with pytest.raises(SonarprepError, match="the final layer must be dense"):
             init_model(arch, 2, seed=0)
 
 
@@ -592,7 +589,7 @@ class TestLoss:
 
     def test_bad_target_rows_rejected(self):
         logits = np.zeros((1, 3))
-        with pytest.raises(InvalidTargetError):
+        with pytest.raises(SonarprepError, match="target rows must sum to 1"):
             cross_entropy_soft(logits, np.array([[0.5, 0.4, 0.0]]))
 
 
@@ -637,7 +634,7 @@ class TestAdam:
     def test_missing_grad_rejected(self):
         params = {"w": np.ones(2)}
         state = AdamState.for_params(params, lr=0.1)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SonarprepError, match="no gradient for parameter 'w'"):
             adam_step(params, {}, state)
 
 
@@ -666,7 +663,7 @@ class TestChannelAggregation:
                                    rtol=0, atol=1e-12)
 
     def test_wrong_channel_count_rejected(self):
-        with pytest.raises(WrongChannelCountError):
+        with pytest.raises(SonarprepError, match=r"expected kernels shaped \[out, 3, k, k\]"):
             aggregate_input_channels(np.zeros((4, 2, 3, 3)))
 
 
@@ -732,7 +729,7 @@ class TestGradCam:
     def test_no_conv_architecture_rejected(self):
         arch = Architecture((GlobalAvgPool(), Dense()))
         m = init_model(arch, 2, seed=0)
-        with pytest.raises(NoCacheError):
+        with pytest.raises(SonarprepError, match="no convolution layer to map"):
             grad_cam(m, np.zeros((1, 1, 6, 5)))
 
 
@@ -743,10 +740,12 @@ def raw_checkpoint(header: bytes, payload: bytes = b"", length: int | None = Non
 
 
 def load_or_refuse(path):
-    """Load a checkpoint, or take ``CheckpointFormatError`` as its refusal."""
+    """Load a checkpoint, or take a ``SonarprepError`` that names the file as
+    its refusal."""
     try:
         return load_checkpoint(path)
-    except CheckpointFormatError:
+    except SonarprepError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
         return None
 
 
@@ -828,13 +827,13 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.spnn"
         path.write_bytes(b"JUNK!" + b"\x00" * 32)
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(SonarprepError, match="m.spnn: bad magic: not an SPNN2 checkpoint"):
             load_checkpoint(path)
 
     def test_earlier_release_checkpoint_must_be_trained_again(self, tmp_path):
         path = tmp_path / "m.spnn"
         path.write_bytes(b"SPNN1" + struct.pack("<II1sI1I", 1, 1, b"w", 1, 1) + bytes(4))
-        with pytest.raises(CheckpointFormatError, match="SPNN1 .* trained again"):
+        with pytest.raises(SonarprepError, match="SPNN1 .* trained again"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -842,7 +841,7 @@ class TestCheckpoint:
         path = tmp_path / "m.spnn"
         save_checkpoint(path, m.params)
         path.write_bytes(path.read_bytes() + b"JUNK")
-        with pytest.raises(CheckpointFormatError, match="4 trailing bytes"):
+        with pytest.raises(SonarprepError, match="4 trailing bytes"):
             load_checkpoint(path)
 
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
@@ -852,7 +851,7 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[data.index(b"conv0.weight")] = 0xFF  # the first name's first byte
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointFormatError, match="not UTF-8"):
+        with pytest.raises(SonarprepError, match="not UTF-8"):
             load_checkpoint(path)
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
@@ -860,40 +859,47 @@ class TestCheckpoint:
         path = tmp_path / "m.spnn"
         path.write_bytes(raw_checkpoint(b'{"tensors": [["w", [1]], ["w", [1]]]}',
                                         np.array([1, 2], "<f4").tobytes()))
-        with pytest.raises(CheckpointFormatError, match="tensor 'w' appears twice"):
+        with pytest.raises(SonarprepError, match="tensor 'w' appears twice"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("blob", [
-        raw_checkpoint(b"[]"),
-        raw_checkpoint(b'"tensors"'),
-        raw_checkpoint(b'{"classes": ["a", "b"]}'),
-        raw_checkpoint(b'{"tensors": {"w": [1]}}', bytes(4)),
-        raw_checkpoint(b'{"tensors": [["w"]]}'),
-        raw_checkpoint(b'{"tensors": [[1, [1]]]}', bytes(4)),
-        raw_checkpoint(b'{"tensors": [["w", 1]]}', bytes(4)),
-        raw_checkpoint(b'{"tensors": [["w", [-1]]]}'),
-        raw_checkpoint(b'{"tensors": [["w", [1.5]]]}', bytes(6)),
-        raw_checkpoint(b'{"tensors": [["w", [true]]]}', bytes(4)),
-        raw_checkpoint(b'{"tensors": [["w", [1]]]}', bytes(4), length=99),
-        raw_checkpoint(b'{"tensors": [["w", [0, 1180591620717411303424]]]}'),
-        raw_checkpoint(b'{"tensors": [["w", [' + b", ".join([b"1"] * 65) + b"]]]}", bytes(4)),
-        raw_checkpoint(b"[" * 100_000),
-        raw_checkpoint(b'{"tensors": [["\xff", [1]]]}', bytes(4)),
-        b"SPNN2", b"SPNN2\x01\x00",
+    @pytest.mark.parametrize("blob,problem", [
+        (raw_checkpoint(b"[]"), "numpy can hold: TypeError"),
+        (raw_checkpoint(b'"tensors"'), "numpy can hold: AttributeError"),
+        (raw_checkpoint(b'{"classes": ["a", "b"]}'), "numpy can hold: KeyError('tensors')"),
+        (raw_checkpoint(b'{"tensors": {"w": [1]}}', bytes(4)), "not enough values to unpack"),
+        (raw_checkpoint(b'{"tensors": [["w"]]}'), "not enough values to unpack"),
+        (raw_checkpoint(b'{"tensors": [[1, [1]]]}', bytes(4)), "entry [1, [1]] is not [name"),
+        (raw_checkpoint(b'{"tensors": [["w", 1]]}', bytes(4)), "entry ['w', 1] is not [name"),
+        (raw_checkpoint(b'{"tensors": [["w", [-1]]]}'), "entry ['w', [-1]] is not [name"),
+        (raw_checkpoint(b'{"tensors": [["w", [1.5]]]}', bytes(6)),
+         "entry ['w', [1.5]] is not [name"),
+        (raw_checkpoint(b'{"tensors": [["w", [true]]]}', bytes(4)),
+         "entry ['w', [True]] is not [name"),
+        (raw_checkpoint(b'{"tensors": [["w", [1]]]}', bytes(4), length=99),
+         "header runs past the end"),
+        (raw_checkpoint(b'{"tensors": [["w", [0, 1180591620717411303424]]]}'),
+         "numpy can hold: ValueError"),
+        (raw_checkpoint(b'{"tensors": [["w", [' + b", ".join([b"1"] * 65) + b"]]]}", bytes(4)),
+         "numpy can hold: ValueError"),
+        (raw_checkpoint(b"[" * 100_000), "numpy can hold: RecursionError"),
+        (raw_checkpoint(b'{"tensors": [["\xff", [1]]]}', bytes(4)),
+         "numpy can hold: UnicodeDecodeError"),
+        (b"SPNN2", "header runs past the end"), (b"SPNN2\x01\x00", "header runs past the end"),
     ], ids=["list", "string", "no-tensors", "table-object", "entry-without-shape",
             "name-not-string", "shape-not-list", "size-negative", "size-float",
             "size-bool", "length-past-end", "size-beyond-numpy", "rank-65",
             "deep-nesting", "name-not-utf8", "no-length", "short-length"])
-    def test_malformed_header_rejected(self, tmp_path, blob):
+    def test_malformed_header_rejected(self, tmp_path, blob, problem):
         path = tmp_path / "m.spnn"
         path.write_bytes(blob)
-        with pytest.raises(CheckpointFormatError):
+        match = f"{re.escape(str(path))}: .*{re.escape(problem)}"
+        with pytest.raises(SonarprepError, match=match):
             load_checkpoint(path)
 
     def test_fuzzed_checkpoints_load_or_raise_one_error(self, tmp_path):
         """Flipped and cut bytes of a valid file, and headers built by hand
         (not an object, no table, sizes of -1, 1.5 or true, a length past
-        the end), load or raise ``CheckpointFormatError`` and nothing else."""
+        the end), load or raise one ``SonarprepError`` that names the file."""
         path = tmp_path / "m.spnn"
         save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(4)}, {"classes": ["a", "b"]})
         valid = path.read_bytes()
@@ -926,7 +932,7 @@ class TestCheckpoint:
         path = tmp_path / "m.spnn"
         save_checkpoint(path, partial)
         header, tensors = load_checkpoint(path)
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(SonarprepError, match="checkpoint is missing tensor 'dense6.bias'"):
             apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=0), tensors)
 
     def test_shape_conflict_rejected(self, tmp_path):
@@ -936,5 +942,5 @@ class TestCheckpoint:
         path = tmp_path / "m.spnn"
         save_checkpoint(path, bad)
         header, tensors = load_checkpoint(path)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SonarprepError, match=r"tensor 'dense6.weight' has shape \(32, 7\)"):
             apply_checkpoint(init_model(DEFAULT_ARCHITECTURE, 4, seed=0), tensors)

@@ -10,11 +10,12 @@ import pytest
 import sonarprep.trainer as trainer_mod
 from sonarprep.augment import AugmentConfig
 from sonarprep.datasplit import SPLIT_NAMES, NormStats, SplitSpec, normalize
-from sonarprep.dsp import (DegenerateBandError, FeatureConfig, features_for_segment,
-                           mel_filterbank, resample, scale_config, segment)
+from sonarprep.dsp import (FeatureConfig, features_for_segment, mel_filterbank, resample,
+                           scale_config, segment)
+from sonarprep.errors import SonarprepError
 from sonarprep.evaluation import aggregate_runs
 from sonarprep.nn import Architecture, Conv, Dense, GlobalAvgPool, MaxPool, Relu, init_model
-from sonarprep.trainer import (EmptyDatasetError, FeatureSets, TrainConfig,
+from sonarprep.trainer import (FeatureSets, TrainConfig,
                                build_feature_sets, history_csv, one_hot,
                                run_seeds, sweep, train, validation_pass)
 from sonarprep.wavio import Manifest, ManifestEntry, Waveform
@@ -176,9 +177,9 @@ class TestTrainLoop:
         data = tiny_data()
         empty = (np.zeros((0, 8, 6), dtype=np.float32), np.zeros(0, dtype=int))
         model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(SonarprepError, match="training split is empty"):
             train(cfg, empty, data.val, model, 8000, seed=0)
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(SonarprepError, match="validation split is empty"):
             train(cfg, data.train, empty, model, 8000, seed=0)
 
 
@@ -463,7 +464,7 @@ class TestSweep:
         load, calls = counting(loader)
         feature = FeatureConfig(8000, win_length=256, hop_length=80, n_mels=64,
                                 f_min=50, f_max=3500)
-        with pytest.raises(DegenerateBandError, match="data rate 32000, model rate 8000"):
+        with pytest.raises(SonarprepError, match="data rate 32000, model rate 8000"):
             sweep((4000, 32000), (8000,), tiny_config(feature=feature), manifest, load,
                   split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0), seconds=5.0)
         assert calls == []

@@ -2,6 +2,7 @@
 plus manifest handling."""
 
 import io
+import re
 import struct
 import tracemalloc
 import wave
@@ -11,11 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from synthdata import as_extensible, subformat_guid
-from sonarprep.wavio import (PCM16_SCALE, DuplicateRecordingError,
-                             MalformedHeaderError, Manifest, ManifestEntry,
-                             MissingFieldError, NonFiniteSamplesError,
-                             NonPositiveDurationError, TruncatedDataError,
-                             UnsupportedEncodingError, load_manifest, parse_wav,
+from sonarprep.errors import SonarprepError
+from sonarprep.wavio import (PCM16_SCALE, Manifest, ManifestEntry, load_manifest, parse_wav,
                              wav_duration, write_manifest)
 
 
@@ -73,40 +71,40 @@ VALID_WAVS = {
                                                            8000)),
 }
 
-MALFORMED_WAVS = {
-    "not-riff": (lambda: b"OGGS" + b"\x00" * 64, MalformedHeaderError),
+MALFORMED_WAVS = {  # name -> (bytes, a fragment of the refusal's message)
+    "not-riff": (lambda: b"OGGS" + b"\x00" * 64, "not a RIFF/WAVE container"),
     "truncated-data": (lambda: stdlib_wav_bytes(np.zeros(100, np.int16), 8000)[:-10],
-                       TruncatedDataError),
+                       "data chunk declares 200 bytes, only 190 present"),
     "data-before-fmt": (lambda: riff((b"data", b"\x00\x00"), fmt_chunk()),
-                        MalformedHeaderError),
-    "8-bit-pcm": (lambda: stdlib_wav_with(1, 1, b"\x80" * 16), UnsupportedEncodingError),
-    "4-channels": (lambda: stdlib_wav_with(4, 2, b"\x00" * 32), UnsupportedEncodingError),
+                        "data chunk precedes fmt chunk"),
+    "8-bit-pcm": (lambda: stdlib_wav_with(1, 1, b"\x80" * 16), "8-bit PCM not supported"),
+    "4-channels": (lambda: stdlib_wav_with(4, 2, b"\x00" * 32), "4 channels not supported"),
     "empty-data": (lambda: stdlib_wav_bytes(np.zeros(0, np.int16), 8000),
-                   TruncatedDataError),
-    "missing-fmt": (lambda: riff((b"LIST", b"info")), MalformedHeaderError),
-    "missing-data": (lambda: riff(fmt_chunk()), MalformedHeaderError),
+                   "data chunk holds no samples"),
+    "missing-fmt": (lambda: riff((b"LIST", b"info")), "missing fmt chunk"),
+    "missing-data": (lambda: riff(fmt_chunk()), "missing data chunk"),
     "short-fmt": (lambda: riff((b"fmt ", bytes(8)), (b"data", bytes(2))),
-                  MalformedHeaderError),
+                  "fmt chunk too short"),
     "chunk-overruns": (lambda: riff(fmt_chunk()) + b"LIST" + struct.pack("<I", 99),
-                       MalformedHeaderError),
+                       "chunk b'LIST' overruns the file"),
     "16-bit-float": (lambda: riff(fmt_chunk(tag=3), (b"data", bytes(2))),
-                     UnsupportedEncodingError),
+                     "16-bit float not supported"),
     "adpcm": (lambda: riff(fmt_chunk(tag=2), (b"data", bytes(2))),
-              UnsupportedEncodingError),
+              "audio format tag 2 not supported"),
     "zero-rate": (lambda: riff(fmt_chunk(rate=0), (b"data", bytes(2))),
-                  MalformedHeaderError),
+                  "declared sample rate is zero"),
     "partial-frame": (lambda: riff(fmt_chunk(channels=2), (b"data", bytes(2))),
-                      TruncatedDataError),
+                      "data chunk ends inside a sample frame"),
     "extensible-adpcm": (lambda: as_extensible(silence(), guid=subformat_guid(2)),
-                         UnsupportedEncodingError),
+                         "sub-format 0200000000001000800000aa00389b71 not supported"),
     "extensible-foreign-guid": (lambda: as_extensible(silence(), guid=bytes(range(1, 17))),
-                                UnsupportedEncodingError),
+                                "sub-format 0102030405060708090a0b0c0d0e0f10 not supported"),
     "extensible-12-valid-bits": (lambda: as_extensible(silence(), valid_bits=12),
-                                 UnsupportedEncodingError),
+                                 "12 valid bits in 16-bit samples not supported"),
     "extensible-short-fmt": (lambda: riff((b"fmt ", struct.pack("<HHIIHHH", 0xFFFE, 1, 8000,
                                                                 16000, 2, 16, 0)),
                                           (b"data", bytes(2))),
-                             MalformedHeaderError),
+                             "extensible fmt chunk too short"),
 }
 
 # each a plain twin of a VALID_WAVS entry, in a WAVE_FORMAT_EXTENSIBLE fmt chunk
@@ -180,34 +178,34 @@ class TestParse:
 
 class TestParseErrors:
     def test_not_riff(self):
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(SonarprepError, match="not a RIFF/WAVE container"):
             parse_wav(b"OGGS" + b"\x00" * 64)
 
     def test_truncated_data_chunk(self):
         blob = stdlib_wav_bytes(np.zeros(100, dtype=np.int16), 8000)
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(SonarprepError, match="data chunk declares 200 bytes, only 190"):
             parse_wav(blob[:-10])
 
     def test_data_before_fmt(self):
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(SonarprepError, match="data chunk precedes fmt chunk"):
             parse_wav(riff((b"data", b"\x00\x00"), fmt_chunk()))
 
     def test_unsupported_bit_depth(self):
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(SonarprepError, match=r"8-bit PCM not supported \(16-bit only\)"):
             parse_wav(stdlib_wav_with(1, 1, b"\x80" * 16))
 
     def test_too_many_channels(self):
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(SonarprepError, match="4 channels not supported"):
             parse_wav(stdlib_wav_with(4, 2, b"\x00" * 32))
 
     def test_empty_data(self):
         blob = stdlib_wav_bytes(np.zeros(0, dtype=np.int16), 8000)
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(SonarprepError, match="data chunk holds no samples"):
             parse_wav(blob)
 
     def test_nan_float_samples(self):
         x = np.array([0.0, np.nan], dtype=np.float32)
-        with pytest.raises(NonFiniteSamplesError):
+        with pytest.raises(SonarprepError, match="waveform contains non-finite samples"):
             parse_wav(float32_wav_bytes(x, 8000))
 
 
@@ -224,26 +222,26 @@ class TestDuration:
 
     @pytest.mark.parametrize("name", MALFORMED_WAVS)
     def test_refuses_what_parse_refuses(self, tmp_path, name):
-        build, error = MALFORMED_WAVS[name]
+        build, problem = MALFORMED_WAVS[name]
         path = tmp_path / "x.wav"
         path.write_bytes(build())
-        with pytest.raises(error) as parsed:
+        with pytest.raises(SonarprepError, match=re.escape(problem)) as parsed:
             parse_wav(path.read_bytes())
-        with pytest.raises(error) as walked:
+        with pytest.raises(SonarprepError, match=re.escape(problem)) as walked:
             wav_duration(path)
         assert str(walked.value) == str(parsed.value)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"")
-        with pytest.raises(MalformedHeaderError, match="not a RIFF/WAVE container"):
+        with pytest.raises(SonarprepError, match="not a RIFF/WAVE container"):
             wav_duration(path)
 
     def test_non_finite_samples_have_a_duration(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(float32_wav_bytes(np.array([0.0, np.nan, np.inf]), 8000))
         assert wav_duration(path) == 3 / 8000
-        with pytest.raises(NonFiniteSamplesError):
+        with pytest.raises(SonarprepError, match="waveform contains non-finite samples"):
             parse_wav(path.read_bytes())
 
 
@@ -276,25 +274,25 @@ class TestManifest:
             assert a.duration_seconds == b.duration_seconds
 
     def test_duplicate_recording_id_rejected(self):
-        with pytest.raises(DuplicateRecordingError):
+        with pytest.raises(SonarprepError, match="duplicate recording_id 'x'"):
             Manifest([ManifestEntry("x", "a", "a/x.wav", 1.0),
                       ManifestEntry("x", "b", "b/x.wav", 2.0)])
 
     def test_blank_field_rejected(self):
-        with pytest.raises(MissingFieldError):
+        with pytest.raises(SonarprepError, match="has an empty field"):
             Manifest([ManifestEntry("", "a", "a/x.wav", 1.0)])
 
     def test_non_positive_duration_rejected(self):
-        with pytest.raises(NonPositiveDurationError):
+        with pytest.raises(SonarprepError, match="recording 'x' has duration 0.0"):
             Manifest([ManifestEntry("x", "a", "a/x.wav", 0.0)])
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
     def test_non_finite_duration_rejected(self, duration):
-        with pytest.raises(NonPositiveDurationError, match="'x'"):
+        with pytest.raises(SonarprepError, match=f"recording 'x' has duration {duration}"):
             Manifest([ManifestEntry("x", "a", "a/x.wav", duration)])
 
     def test_wrong_header_rejected(self):
-        with pytest.raises(MissingFieldError):
+        with pytest.raises(SonarprepError, match="manifest header must be recording_id,"):
             load_manifest("id,label,path,duration\nx,a,a/x.wav,1.0\n")
 
     def test_label_indices_follow_sorted_classes(self):
