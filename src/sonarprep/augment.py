@@ -8,6 +8,7 @@ a spectrogram with half the frames sees masks of half the width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -39,10 +40,21 @@ class Mask(NamedTuple):
 
 
 def scaled_mask_width(base_width: int, data_rate: int, model_rate: int) -> int:
-    """Time-mask width budget scaled by the data/model rate ratio."""
+    """Time-mask width budget scaled by the data/model rate ratio, rounded exactly."""
     if data_rate <= 0 or model_rate <= 0:
         raise ValueError("rates must be positive")
-    return max(0, int(round(base_width * data_rate / model_rate)))
+    return max(0, round(Fraction(base_width * data_rate, model_rate)))
+
+
+def drawable_time_width(cfg: AugmentConfig, data_rate: int, model_rate: int) -> int:
+    """:func:`scaled_mask_width` of ``cfg``; drawn masks wider than int64 are refused by key."""
+    width = scaled_mask_width(cfg.base_time_mask_width, data_rate, model_rate)
+    if cfg.n_time_masks and width > 2**63 - 1:
+        raise SonarprepError(f"augment.base_time_mask_width scales to {width} at data rate "
+                             f"{data_rate}, model rate {model_rate}, above 2**63 - 1")
+    if cfg.n_freq_masks and cfg.freq_mask_width > 2**63 - 1:
+        raise SonarprepError(f"augment.freq_mask_width {cfg.freq_mask_width} is above 2**63 - 1")
+    return width
 
 
 def draw_masks(n_frames: int, n_mels: int, cfg: AugmentConfig, time_width: int,
@@ -81,8 +93,6 @@ def spec_augment(values: np.ndarray, cfg: AugmentConfig, time_width: int,
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
     """Draw a mixing coefficient from Beta(alpha, alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     return float(rng.beta(alpha, alpha))
 
 

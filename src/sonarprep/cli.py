@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from functools import partial, wraps
@@ -32,9 +33,9 @@ from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_durat
 from .dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig, item_shape, read_feature_archive,
                   scale_config, segment_length, write_feature_archive)
 from .augment import AugmentConfig
-from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_two_classes,
-                        segment_counts, stratified_split, validate_split,
-                        write_split_file)
+from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_splittable,
+                        require_two_classes, segment_counts, stratified_split,
+                        validate_split, write_split_file)
 from .nn import (DEFAULT_ARCHITECTURE, apply_checkpoint, init_model,
                  load_checkpoint, save_checkpoint)
 from .trainer import TrainConfig, FeatureSets, build_feature_sets, history_csv, run_seeds
@@ -170,12 +171,13 @@ def _naming(path):
 
 
 def _parse_file(path, parse):
-    """``parse`` of the text of a config, manifest or split file; every
-    refusal names the file once."""
+    """``parse`` of the text of a config, manifest, split, ``classes.json`` or
+    ``sweep_raw.json`` file; every refusal names the file once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (IsADirectoryError, UnicodeDecodeError) as exc:
-        raise SonarprepError(f"{path}: not a text file ({exc})") from exc
+        raise SonarprepError(f"{path}: not a text file ({getattr(exc, 'strerror', exc)})") \
+            from exc
     with _naming(path):
         return parse(text)
 
@@ -189,7 +191,7 @@ def _stage(staged: dict, key: str, value: str, where: str) -> None:
         raise SonarprepError(f"{where}: {key} = {value!r}: {exc}") from exc
 
 
-def _read_config_lines(text: str) -> list[tuple[str, str, int]]:
+def _read_config_lines(staged: dict, text: str) -> None:
     entries = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -210,7 +212,8 @@ def _read_config_lines(text: str) -> list[tuple[str, str, int]]:
             raise SonarprepError(f"line {lineno}, column {raw_line.find('=') + 2}: "
                                  f"empty value for {key!r}")
         entries.append((key, value, lineno))
-    return entries
+    for key, value, lineno in entries:  # cast once every line has parsed
+        _stage(staged, key, value, f"line {lineno}")
 
 
 def load_config(path=None, env: dict | None = None,
@@ -227,8 +230,7 @@ def load_config(path=None, env: dict | None = None,
     # target -> field -> (value, origin)
     staged: dict[str, dict] = {t: {} for t in ("run", "feature", "augment", "train", "split")}
     if path is not None:
-        for key, value, lineno in _parse_file(path, _read_config_lines):
-            _stage(staged, key, value, f"line {lineno}")
+        _parse_file(path, partial(_read_config_lines, staged))
     if ENV_SEED in env:
         try:
             seed = int(env[ENV_SEED])
@@ -242,13 +244,18 @@ def load_config(path=None, env: dict | None = None,
             _stage(staged, key, value, flag)
 
     def build(target: str, make, **derived):
-        """Construct one object; its own checks name where its values came from."""
+        """Construct one object; its checks name where the values they name came from."""
         values = {name: value for name, (value, _) in staged[target].items()}
         try:
             return make(**values, **derived)
         except ValueError as exc:
-            origins = dict.fromkeys(where for _, where in staged[target].values())
-            raise SonarprepError(f"{', '.join(origins)}: {exc}") from exc
+            origins = {name: where for name, (_, where) in staged[target].items()}
+            named = dict.fromkeys([where for name, where in origins.items()
+                                   if re.search(rf"\b{name}\b", str(exc))] or origins.values())
+            lines = ", ".join(w for w in named if w.startswith("line "))
+            sources = [w for w in named if not w.startswith("line ")]
+            sources += [f"{path}: {lines}"] if lines else []
+            raise SonarprepError(f"{', '.join(sources)}: {exc}") from exc
 
     run = build("run", RunConfig)
     feature = build("feature", partial(replace, DEFAULT_FEATURE_CONFIG))
@@ -356,8 +363,8 @@ def _load_features(features_dir: Path, splits, wanted: dict, source: str,
     read; given a ``(frames, mels)`` shape, items of another are refused."""
     path = features_dir / "classes.json"
     try:
-        record = json.loads(path.read_text())
-    except ValueError as exc:
+        record = json.loads(_parse_file(path, str))
+    except (ValueError, RecursionError) as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
     if not isinstance(record, dict) or "classes" not in record:
         raise SonarprepError(f"{path}: not an object with a 'classes' key")
@@ -465,12 +472,13 @@ def split_cmd(config_path, manifest_path, ratios, seed, segment_seconds, out,
         for code, detail in failures:
             _echo(f"FAIL {code}: {detail}")
         if failures:
-            raise click.ClickException(f"split failed validation "
+            raise click.ClickException(f"{split_file}: split failed validation "
                                        f"({len(failures)} problems)")
         _echo("split OK")
         return
     counts = segment_counts(manifest, cfg.segment_seconds)
-    assignment = stratified_split(manifest, counts, cfg.split)
+    with _naming(manifest_path):
+        assignment = stratified_split(manifest, counts, cfg.split)
     write_text(out, write_split_file(assignment, cfg.split.seed))
     for name in SPLIT_NAMES:
         recs = [r for r, split_name in assignment.items() if split_name == name]
@@ -498,7 +506,7 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     failures = validate_split(rows, manifest)
     if failures:
         raise click.ClickException(
-            "split file failed validation: "
+            f"{split_file}: split file failed validation: "
             + "; ".join(f"{code}: {detail}" for code, detail in failures[:3])
         )
     _warn_clamped_band(cfg.data_rate, cfg.train.feature)
@@ -616,6 +624,8 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, 
     if not cfg.sweep_data_rates or not cfg.sweep_model_rates:
         raise click.ClickException("sweep needs --data-rates and --model-rates "
                                    "(or sweep.* config keys)")
+    with _naming(manifest_path):
+        require_splittable(manifest)
     for data_rate in sorted(set(cfg.sweep_data_rates)):
         for model_rate in sorted(set(cfg.sweep_model_rates)):
             _warn_clamped_band(data_rate, scale_config(cfg.train.feature, model_rate))
@@ -641,7 +651,7 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, 
 def report(raw_path, out_dir):
     """Re-render the sweep table and confusion views from raw sweep output."""
     try:
-        raw = json.loads(raw_path.read_text())
+        raw = json.loads(_parse_file(raw_path, str))
         classes = raw["classes"]
         files = {"sweep_table.csv": render_sweep_table(raw["cells"])}
         for cell in raw["cells"]:
@@ -649,7 +659,7 @@ def report(raw_path, out_dir):
             conf = np.asarray(cell["mean_confusion"])
             files[f"{stem}.csv"] = render_confusion_csv(conf, classes)
             files[f"{stem}_rownorm.csv"] = render_confusion_rownorm_csv(conf, classes)
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise SonarprepError(f"{raw_path}: not a sweep record ({exc!r})") from exc
     for name, text in files.items():
         write_text(out_dir / name, text)

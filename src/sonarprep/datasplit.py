@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -35,6 +36,17 @@ def require_two_classes(classes, source) -> None:
     if len(classes) < 2:
         raise SonarprepError(f"{source} has {len(classes)} class(es) {list(classes)}, "
                              f"need at least two")
+
+
+def require_splittable(manifest: Manifest) -> None:
+    """Refuse a manifest of fewer than two classes or a class with fewer recordings than splits."""
+    if not manifest.entries:
+        raise SonarprepError("manifest has no recordings")
+    require_two_classes(manifest.classes, "manifest")
+    for label, size in sorted(Counter(e.class_label for e in manifest.entries).items()):
+        if size < len(SPLIT_NAMES):
+            raise SonarprepError(f"class {label!r} has {size} recordings, need at "
+                                 f"least {len(SPLIT_NAMES)} for one per split")
 
 
 @dataclass(frozen=True)
@@ -104,18 +116,10 @@ def stratified_split(manifest: Manifest, counts: dict[str, int],
     missing = [e.recording_id for e in manifest.entries if e.recording_id not in counts]
     if missing:
         raise ValueError(f"no segment count for recordings: {missing[:5]}")
-    if not manifest.entries:
-        raise SonarprepError("manifest has no recordings")
-    require_two_classes(manifest.classes, "manifest")
+    require_splittable(manifest)
     by_class: dict[str, list[str]] = {label: [] for label in manifest.classes}
     for e in manifest.entries:
         by_class[e.class_label].append(e.recording_id)
-    for label, recs in by_class.items():
-        if len(recs) < len(SPLIT_NAMES):
-            raise SonarprepError(
-                f"class {label!r} has {len(recs)} recordings, need at least "
-                f"{len(SPLIT_NAMES)} for one per split"
-            )
     rng = np.random.default_rng(spec.seed)
     assignment: dict[str, str] = {}
     seg_assigned = dict.fromkeys(SPLIT_NAMES, 0)

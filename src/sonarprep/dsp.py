@@ -43,8 +43,6 @@ class FeatureConfig:
     f_max: float = 14000.0
 
     def __post_init__(self):
-        if self.model_rate <= 0:
-            raise SonarprepError("model_rate must be positive")
         if not (self.win_length >= self.hop_length > 0):
             raise ValueError("need win_length >= hop_length > 0")
         if self.win_length % 2:
@@ -179,7 +177,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 def segment_length(seconds: float, rate: int) -> int:
     """Samples in one segment; seconds * rate must land on a whole number."""
     exact = seconds * rate
-    length = int(round(exact))
+    length = int(round(exact)) if np.isfinite(exact) else 0
     if length <= 0 or abs(exact - length) > 1e-9 * max(1.0, exact):
         raise ValueError(f"{seconds} s at {rate} Hz is {exact} samples, "
                          f"not a positive whole number")
@@ -199,8 +197,6 @@ def segment(w: Waveform, seconds: float) -> np.ndarray:
 
 def scale_config(base: FeatureConfig, model_rate: int) -> FeatureConfig:
     """Rescale window, hop, and upper cutoff to a new model sampling rate."""
-    if int(model_rate) <= 0:
-        raise SonarprepError(f"model rate {model_rate} must be positive")
     rho = Fraction(int(model_rate), base.model_rate)
     win = int(round(base.win_length * rho))
     hop = int(round(base.hop_length * rho))
@@ -227,8 +223,21 @@ def frame_count(n_samples: int, hop_length: int) -> int:
 
 
 def item_shape(cfg: FeatureConfig, seconds: float, rate: int) -> tuple[int, int]:
-    """``(frames, mels)`` of one segment's log-mel at data rate ``rate``."""
-    return frame_count(segment_length(seconds, rate), cfg.hop_length), cfg.n_mels
+    """``(frames, mels)`` of one segment's log-mel at data rate ``rate``; refuses what the
+    STFT or :func:`mel_filterbank` would, and segments or items too large for numpy."""
+    length = segment_length(seconds, rate)
+    frames = frame_count(length, cfg.hop_length)
+    cell = f"data rate {rate}, model rate {cfg.model_rate}"
+    if cfg.win_length // 2 >= length:
+        raise SonarprepError(f"{cell}: win_length {cfg.win_length} too long to reflect-pad "
+                             f"a {length}-sample segment")
+    if cfg.n_mels > 2 * (cfg.win_length // 2 + 1):  # a bin lies in at most two filters
+        raise SonarprepError(f"{cell}: n_mels {cfg.n_mels} exceeds twice the FFT bins, "
+                             f"so a mel filter has no support on the FFT bin grid")
+    if max(8 * length, 4 * frames * cfg.n_mels) > np.iinfo(np.intp).max:
+        raise SonarprepError(f"{cell}: segment_seconds {seconds:g} makes items larger "
+                             f"than numpy can hold")
+    return frames, cfg.n_mels
 
 
 # ---------------------------------------------------------------------------

@@ -99,58 +99,26 @@ def _param_name(index: int, layer) -> str:
 
 def init_model(arch: Architecture, n_classes: int, seed: int,
                dtype=np.float32) -> ModelState:
-    """Build a model with Xavier-uniform weights and zero biases."""
+    """Xavier-uniform weights and zero biases for each Conv and Dense, in layer order."""
     if n_classes < 2:
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    spatial = True
     channels = arch.in_channels
-    features = None
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Conv):
-            if not spatial:
-                raise SonarprepError(f"layer {i}: convolution after flattening")
-            fan_in = channels * layer.kernel ** 2
-            fan_out = layer.out_channels * layer.kernel ** 2
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            shape = (layer.out_channels, channels, layer.kernel, layer.kernel)
-            params[f"{_param_name(i, layer)}.weight"] = \
-                rng.uniform(-limit, limit, shape).astype(dtype)
-            params[f"{_param_name(i, layer)}.bias"] = \
-                np.zeros(layer.out_channels, dtype=dtype)
-            channels = layer.out_channels
-        elif isinstance(layer, MaxPool):
-            if not spatial:
-                raise SonarprepError(f"layer {i}: pooling after flattening")
-            if layer.size < 1:
-                raise SonarprepError(f"layer {i}: pool size must be >= 1")
-        elif isinstance(layer, GlobalAvgPool):
-            if not spatial:
-                raise SonarprepError(f"layer {i}: repeated flattening")
-            spatial = False
-            features = channels
+            out, k = layer.out_channels, layer.kernel
+            shape = (out, channels, k, k)
         elif isinstance(layer, Dense):
-            if spatial:
-                raise SonarprepError(
-                    f"layer {i}: dense layers need global pooling after convolutions"
-                )
-            out = layer.out_features if layer.out_features is not None else n_classes
-            limit = np.sqrt(6.0 / (features + out))
-            params[f"{_param_name(i, layer)}.weight"] = \
-                rng.uniform(-limit, limit, (features, out)).astype(dtype)
-            params[f"{_param_name(i, layer)}.bias"] = np.zeros(out, dtype=dtype)
-            features = out
-        elif isinstance(layer, Relu):
-            pass
+            out, k = (n_classes if layer.out_features is None else layer.out_features), 1
+            shape = (channels, out)
         else:
-            raise SonarprepError(f"layer {i}: unknown layer {layer!r}")
-    if not arch.layers or not isinstance(arch.layers[-1], Dense):
-        raise SonarprepError("the final layer must be dense")
-    if spatial or features != n_classes:
-        raise SonarprepError(
-            f"network emits {features} outputs but {n_classes} classes were requested"
-        )
+            continue
+        limit = np.sqrt(6.0 / ((channels + out) * k ** 2))  # fan_in + fan_out
+        name = _param_name(i, layer)
+        params[f"{name}.weight"] = rng.uniform(-limit, limit, shape).astype(dtype)
+        params[f"{name}.bias"] = np.zeros(out, dtype=dtype)
+        channels = out
     return ModelState(arch=arch, n_classes=n_classes, params=params,
                       dtype=np.dtype(dtype))
 
@@ -535,8 +503,6 @@ def grad_cam(model: ModelState, x: np.ndarray) -> tuple[np.ndarray, int]:
     and the predicted class; ties resolve to the lowest class index.
     """
     convs = [i for i, layer in enumerate(model.arch.layers) if isinstance(layer, Conv)]
-    if not convs:
-        raise SonarprepError("architecture has no convolution layer to map")
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[0] != 1:
         raise SonarprepError(f"expected a single input [1, C, H, W], got {x.shape}")

@@ -20,7 +20,7 @@ from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, Waveform
 from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, features_for_segment,
                   item_shape, mel_filterbank, resample, scale_config, segment)
-from .augment import AugmentConfig, make_mix_pairs, mixup, scaled_mask_width, spec_augment
+from .augment import AugmentConfig, drawable_time_width, make_mix_pairs, mixup, spec_augment
 from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
                         normalize, segment_counts, stratified_split)
 from .nn import (AdamState, DEFAULT_ARCHITECTURE, ModelState, adam_step,
@@ -101,8 +101,7 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
     if val_x.shape[0] == 0:
         raise SonarprepError("validation split is empty")
     n = train_x.shape[0]
-    time_width = scaled_mask_width(cfg.augment.base_time_mask_width, data_rate,
-                                   cfg.feature.model_rate)
+    time_width = drawable_time_width(cfg.augment, data_rate, cfg.feature.model_rate)
     optimizer = AdamState.for_params(model.params, lr=cfg.lr)
     history = RunHistory()
     best_loss = np.inf
@@ -178,8 +177,7 @@ def run_seeds(cfg: TrainConfig, data: FeatureSets,
     return {
         "data_rate": data_rate,
         "model_rate": cfg.feature.model_rate,
-        "mask_width": scaled_mask_width(cfg.augment.base_time_mask_width, data_rate,
-                                        cfg.feature.model_rate),
+        "mask_width": drawable_time_width(cfg.augment, data_rate, cfg.feature.model_rate),
         "n_frames": data.train[0].shape[1],
         "accuracies": [r.metrics.accuracy for r in results],
         "mean_accuracy": aggregate.mean_accuracy,
@@ -241,8 +239,8 @@ def build_feature_sets(manifest: Manifest,
     holds the output plus a recording per worker. Durations that understate
     the audio grow the array, and rows they overstate are cut at the end.
     """
-    banks = [mel_filterbank(cfg, data_rate) for cfg in feature_cfgs]
     shapes = [item_shape(cfg, seconds, data_rate) for cfg in feature_cfgs]
+    banks = [mel_filterbank(cfg, data_rate) for cfg in feature_cfgs]
 
     def featurize_recording(entry: ManifestEntry) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per config: the recording's float32 rows and each row's [min, max]."""
@@ -327,7 +325,9 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
     data_rates = sorted(set(data_rates))
     for data_rate in data_rates:
         for cell_feature in features:
+            item_shape(cell_feature, seconds, data_rate)
             mel_filterbank(cell_feature, data_rate)
+            drawable_time_width(cfg.augment, data_rate, cell_feature.model_rate)
     cells, outside = [], []
     for data_rate in data_rates:
         feature_sets = build_feature_sets(manifest, load_waveform, assignment,

@@ -742,7 +742,32 @@ class TestErrorSurface:
             "--split-file", str(root / "split.csv"),
             "--corpus-root", str(root / "corpus"), "--out", str(tmp_path / "out")])
         assert_clean_failure(result)
-        assert "line 5" in result.output and "win_length must be even" in result.output
+        assert result.output == f"Error: {cfg}: line 5: win_length must be even, got 255\n"
+
+    def test_config_value_refusal_names_config_and_line(self, pipeline, tmp_path):
+        root, runner = pipeline
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("data.rate = 8k", "data.rate = 0"))
+        result = runner.invoke(main, [
+            "split", "--config", str(cfg), "--manifest", str(root / "manifest.csv"),
+            "--out", str(tmp_path / "split.csv")])
+        assert_clean_failure(result)
+        assert result.output == f"Error: {cfg}: line 2: data.rate = '0': invalid rate '0'\n"
+
+    @pytest.mark.parametrize("text,where", [
+        ("feature.model_rate = 8k\nfeature.n_mels = 24\nfeature.f_max = 5000\n",
+         "{cfg}: line 1, line 3: need 0 <= f_min < f_max <= model_rate/2"),
+        ("data.segment_seconds = 0.0001\ndata.jobs = 2\n",
+         "--data-rate, {cfg}: line 1, line 2: 0.0001 s at 8000 Hz")],
+        ids=["keys-named", "no-key-named"])
+    def test_build_refusal_lists_the_lines_of_the_keys_it_names(self, tmp_path, text, where):
+        """A refusal that names keys lists their lines, and one that names none
+        every origin of its object; the config's path comes once, before its lines."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        with pytest.raises(SonarprepError) as refusal:
+            load_config(cfg, env={}, flags={"--data-rate": ("data.rate", "8k")})
+        assert str(refusal.value).startswith(where.format(cfg=cfg))
 
     def test_sweep_model_rate_with_odd_window(self, pipeline, tmp_path):
         root, runner = pipeline
@@ -877,10 +902,142 @@ class TestErrorSurface:
             "split", *(arg for item in inputs.items() for arg in item), *output])
         assert_clean_failure(result)
         assert result.output.startswith(f"Error: {bad}: ")
-        assert not result.output.startswith(f"Error: {bad}: {bad}")
+        assert result.output.count(str(bad)) == 1
         if problem == "malformed":
             assert result.output == f"Error: {bad}: {malformed[flag][1]}\n"
         assert not (tmp_path / "split.csv").exists()
+
+    @pytest.mark.parametrize("manifest_text,problem", [
+        ("", "manifest has no recordings"),
+        ("alpha/a1,alpha,alpha/a1.wav,15.0\n",
+         "manifest has 1 class(es) ['alpha'], need at least two"),
+        ("alpha/a1,alpha,alpha/a1.wav,15.0\nbravo/b1,bravo,bravo/b1.wav,15.0\n",
+         "class 'alpha' has 1 recordings, need at least 3 for one per split")],
+        ids=["header-only", "one-class", "class-too-small"])
+    @pytest.mark.parametrize("command", ["split", "sweep"])
+    def test_manifest_refusal_names_the_manifest(self, pipeline, tmp_path, monkeypatch,
+                                                 command, manifest_text, problem):
+        root, runner = pipeline
+        reads = []
+        monkeypatch.setattr(cli, "_read_wav", lambda *args: reads.append(args))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("recording_id,class_label,file_path,duration_seconds\n"
+                            + manifest_text)
+        args = {"split": [],
+                "sweep": ["--corpus-root", str(root / "corpus"), "--data-rates", "8k",
+                          "--model-rates", "8k"]}[command]
+        result = runner.invoke(main, [command, "--config", str(root / "run.cfg"),
+                                      "--manifest", str(manifest), *args,
+                                      "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert result.output == f"Error: {manifest}: {problem}\n"
+        assert reads == []
+
+    @pytest.mark.parametrize("command", ["split", "featurize"])
+    def test_failed_validation_names_the_split_file(self, pipeline, tmp_path, command):
+        root, runner = pipeline
+        split = tmp_path / "split.csv"
+        split.write_text("recording_id,split\n")
+        args = {"split": ["--validate"],
+                "featurize": ["--corpus-root", str(root / "corpus"),
+                              "--out", str(tmp_path / "out")]}[command]
+        result = runner.invoke(main, [command, "--manifest", str(root / "manifest.csv"),
+                                      "--split-file", str(split), *args])
+        assert_clean_failure(result)
+        error = result.output.splitlines()[-1]
+        assert error.startswith(f"Error: {split}: split ")
+        assert "failed validation" in error and error.count(str(split)) == 1
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gradcam"])
+    def test_classes_file_that_is_a_directory_is_named_once(self, pipeline, tmp_path,
+                                                           command):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        (feats / "classes.json").unlink()
+        (feats / "classes.json").mkdir()
+        args = (["--config", str(root / "run.cfg")] if command == "train"
+                else ["--model", str(root / "runs" / "model_seed0.spnn")])
+        result = runner.invoke(main, [command, *args, "--features", str(feats),
+                                      "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert result.output == (f"Error: {feats / 'classes.json'}: not a text file "
+                                 f"(Is a directory)\n")
+
+    def test_sweep_record_that_is_no_text_is_named_once(self, tmp_path):
+        raw = tmp_path / "sweep_raw.json"
+        raw.write_bytes(b'{"classes": ["\xff"]}')
+        result = CliRunner().invoke(main, ["report", "--raw", str(raw),
+                                           "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert result.output.startswith(f"Error: {raw}: not a text file (")
+        assert result.output.count(str(raw)) == 1
+
+    @pytest.mark.parametrize("command", ["report", "train"])
+    def test_deeply_nested_json_is_refused_naming_the_file(self, pipeline, tmp_path,
+                                                          command):
+        root, runner = pipeline
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats)
+        path = tmp_path / "sweep_raw.json" if command == "report" else feats / "classes.json"
+        path.write_text("[" * 100000)
+        args = (["--raw", str(path)] if command == "report"
+                else ["--config", str(root / "run.cfg"), "--features", str(feats)])
+        result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
+        assert_clean_failure(result)
+        assert result.output.startswith(f"Error: {path}: not a ")
+        assert "RecursionError" in result.output
+
+    @pytest.mark.parametrize("command,line,error", [
+        ("train", "augment.freq_mask_width = 100000000000000000000000",
+         "augment.freq_mask_width 100000000000000000000000 is above 2**63 - 1"),
+        ("train", "augment.base_time_mask_width = 100000000000000000000000",
+         "augment.base_time_mask_width scales to 100000000000000000000000 at data rate "
+         "8000, model rate 8000, above 2**63 - 1"),
+        ("sweep", "augment.base_time_mask_width = 100000000000000000000000",
+         "augment.base_time_mask_width scales to 100000000000000000000000 at data rate "
+         "8000, model rate 8000, above 2**63 - 1"),
+        ("featurize", "feature.n_mels = 1000000000000000000000",
+         "data rate 8000, model rate 8000: n_mels 1000000000000000000000 exceeds twice the "
+         "FFT bins, so a mel filter has no support on the FFT bin grid"),
+        ("featurize", "feature.win_length = 1000000000000000000000",
+         "data rate 8000, model rate 8000: win_length 1000000000000000000000 too long to "
+         "reflect-pad a 40000-sample segment"),
+        ("featurize", "data.segment_seconds = 1e300",
+         "data rate 8000, model rate 8000: segment_seconds 1e+300 makes items larger than "
+         "numpy can hold"),
+        ("sweep", "data.segment_seconds = 1e300",
+         "data rate 8000, model rate 8000: segment_seconds 1e+300 makes items larger than "
+         "numpy can hold")],
+        ids=["train-freq-mask", "train-time-mask", "sweep-time-mask", "featurize-n-mels",
+             "featurize-win-length", "featurize-segment", "sweep-segment"])
+    def test_oversized_setting_refused_before_audio_or_epochs(self, pipeline, tmp_path,
+                                                              monkeypatch, command, line,
+                                                              error):
+        """A setting too large for numpy is refused by key before any audio is
+        read or any epoch runs; the same config runs ``split`` as before."""
+        root, runner = pipeline
+        reads, steps = [], []
+        monkeypatch.setattr(cli, "_read_wav", lambda *args: reads.append(args))
+        monkeypatch.setattr(trainer, "gradients", lambda *args: steps.append(args))
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(SMOKE_CONFIG + line + "\n")
+        args = {"train": ["--features", str(root / "feats")],
+                "featurize": ["--manifest", str(root / "manifest.csv"),
+                              "--split-file", str(root / "split.csv"),
+                              "--corpus-root", str(root / "corpus")],
+                "sweep": ["--manifest", str(root / "manifest.csv"),
+                          "--corpus-root", str(root / "corpus"), "--data-rates", "8k",
+                          "--model-rates", "8k"]}[command]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg), *args, "--out", str(out)])
+        assert_clean_failure(result)
+        assert result.output == f"Error: {error}\n"
+        assert reads == [] and steps == []
+        assert not out.exists()
+        result = runner.invoke(main, ["split", "--config", str(cfg), "--manifest",
+                                      str(root / "manifest.csv"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
 
     def test_featurize_refuses_split_without_segments(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -1,0 +1,163 @@
+"""Fuzzed configs, manifests, split files and ``sweep_raw.json`` files, each
+run through a command that reads it and neither trains nor starts threads:
+the run succeeds, or exits 1 with exactly one ``Error:`` line, which starts
+with the file's path, and no traceback.
+
+Each input is fuzzed two ways: byte flips and cuts of a valid file, and files
+built by hand from lines that are each close to valid.
+"""
+
+import json
+
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from sonarprep.cli import _CONFIG_KEYS, main
+
+CONFIG = """\
+data.rate = 8k
+data.segment_seconds = 5.0
+feature.model_rate = 8k
+feature.win_length = 256
+feature.hop_length = 80
+feature.n_mels = 24
+feature.f_max = 3500
+train.seeds = 0
+split.ratios = 0.5,0.25,0.25
+split.seed = 7
+"""
+
+MANIFEST = "recording_id,class_label,file_path,duration_seconds\n" + "".join(
+    f"{label}/{label}{i},{label},{label}/{label}{i}.wav,{15.0 + i}\n"
+    for label in ("alpha", "bravo") for i in range(4))
+
+CELL = {"data_rate": 8000, "model_rate": 8000, "mask_width": 8, "n_frames": 501,
+        "accuracies": [0.5, 1.0], "mean_accuracy": 0.75, "std_accuracy": 0.25,
+        "mean_confusion": [[1.5, 0.5], [0.0, 2.0]]}
+SWEEP_RAW = json.dumps({"classes": ["alpha", "bravo"],
+                        "cells": [CELL, {**CELL, "model_rate": 16000}]}, indent=1)
+
+#: values near the edge of what a config, manifest or record holds
+EDGE_VALUES = ["0", "-1", "1", "2", str(2**63), str(2**64), "1e300", "1e305", "1e400",
+               "nan", "inf", "-inf", "0.5", "8k", "0.001", "1,2", "0.5,0.25,0.25", "true",
+               "", "\udcff", "é"]
+EDGES = st.sampled_from(EDGE_VALUES) | st.text(max_size=6)
+
+
+def encode(text: str) -> bytes:
+    """UTF-8, with lone surrogates standing for the raw bytes 0x80-0xff."""
+    return text.encode("utf-8", "surrogateescape")
+
+
+def flipped_and_cut(valid: bytes):
+    """A strategy of ``valid`` with up to three bytes changed and its tail cut."""
+    flips = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                     max_size=3)
+
+    def apply(flips_and_cut):
+        flips, cut = flips_and_cut
+        data = bytearray(valid)
+        for index, value in flips:
+            data[index] = value
+        return bytes(data[:cut])
+
+    return st.tuples(flips, st.integers(0, len(valid))).map(apply)
+
+
+def lines_of(line):
+    """A strategy of files of up to five lines, each drawn from ``line``."""
+    return st.lists(line, max_size=5).map(lambda lines: encode("".join(lines)))
+
+
+def check_run(args, path):
+    """Run one command; it succeeds or refuses in one line naming ``path``."""
+    result = CliRunner().invoke(main, args, env={"SONARPREP_SEED": None})
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        return
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+        (result.output, result.exception)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    assert errors[0].startswith(f"Error: {path}: "), errors[0]
+
+
+def fuzz(blobs, run):
+    """Write each blob drawn from ``blobs`` and check ``run`` on it."""
+    @settings(max_examples=150, deadline=None)
+    @given(blob=blobs)
+    def each(blob):
+        run(blob)
+    each()
+
+
+def test_fuzzed_configs_run_split_or_name_the_config(tmp_path):
+    cfg, manifest = tmp_path / "run.cfg", tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST)
+
+    def run(blob):
+        cfg.write_bytes(blob)
+        check_run(["split", "--config", str(cfg), "--manifest", str(manifest),
+                   "--out", str(tmp_path / "split.csv")], cfg)
+
+    keys = st.sampled_from(sorted(_CONFIG_KEYS)) | st.text(max_size=8)
+    line = st.builds(lambda key, value: f"{key} = {value}\n", keys, EDGES)
+    fuzz(flipped_and_cut(CONFIG.encode()) | lines_of(line), run)
+
+
+def test_fuzzed_manifests_split_or_name_the_manifest(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+
+    def run(blob):
+        manifest.write_bytes(blob)
+        check_run(["split", "--manifest", str(manifest),
+                   "--ratios", "0.5,0.25,0.25", "--out", str(tmp_path / "split.csv")],
+                  manifest)
+
+    header = "recording_id,class_label,file_path,duration_seconds\n"
+    row = st.builds(lambda rid, label, path, duration: f"{rid},{label},{path},{duration}\n",
+                    st.sampled_from(["r1", "r2", "r3", ""]) | st.text(max_size=4),
+                    st.sampled_from(["alpha", "bravo", ""]), st.just("a/r.wav") | EDGES,
+                    EDGES) | EDGES.map(lambda text: text + "\n")
+    built = st.lists(row, max_size=8).map(lambda rows: encode(header + "".join(rows)))
+    fuzz(flipped_and_cut(MANIFEST.encode()) | built, run)
+
+
+def test_fuzzed_split_files_validate_or_name_the_split_file(tmp_path):
+    manifest, split = tmp_path / "manifest.csv", tmp_path / "split.csv"
+    manifest.write_text(MANIFEST)
+    result = CliRunner().invoke(main, ["split", "--manifest", str(manifest), "--ratios",
+                                       "0.5,0.25,0.25", "--out", str(split)])
+    assert result.exit_code == 0, result.output
+    valid = split.read_bytes()
+
+    def run(blob):
+        split.write_bytes(blob)
+        check_run(["split", "--manifest", str(manifest), "--validate",
+                   "--split-file", str(split)], split)
+
+    ids = st.sampled_from([line.split(",")[0] for line in MANIFEST.splitlines()[1:]])
+    row = (st.builds(lambda rid, name: f"{rid},{name}\n", ids | EDGES,
+                     st.sampled_from(["train", "val", "test", "x"]) | EDGES)
+           | EDGES.map(lambda seed: f"# seed={seed}\n") | EDGES.map(lambda t: f'"{t}\n'))
+    built = st.lists(row, max_size=8).map(lambda rows: encode("recording_id,split\n"
+                                                              + "".join(rows)))
+    fuzz(flipped_and_cut(valid) | built, run)
+
+
+def test_fuzzed_sweep_records_report_or_name_the_record(tmp_path):
+    raw = tmp_path / "sweep_raw.json"
+
+    def run(blob):
+        raw.write_bytes(blob)
+        check_run(["report", "--raw", str(raw), "--out", str(tmp_path / "out")], raw)
+
+    scalars = (st.none() | st.booleans() | st.integers(-2, 2**64) | st.floats()
+               | st.sampled_from(["alpha", "", "1"]))
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+    cell = st.fixed_dictionaries({}, optional={key: values for key in CELL})
+    record = st.fixed_dictionaries({}, optional={
+        "classes": values | st.just(["alpha", "bravo"]),
+        "cells": st.lists(cell | values, max_size=3)})
+    built = record.map(lambda obj: json.dumps(obj).encode())
+    fuzz(flipped_and_cut(SWEEP_RAW.encode()) | built, run)

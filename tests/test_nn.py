@@ -1,5 +1,6 @@
 """Network layers checked against finite differences and hand-worked values."""
 
+import hashlib
 import json
 import re
 import struct
@@ -194,15 +195,27 @@ class TestInit:
         with pytest.raises(ValueError):
             init_model(DEFAULT_ARCHITECTURE, 1, seed=0)
 
-    def test_spatial_layer_after_flatten_rejected(self):
-        arch = Architecture((GlobalAvgPool(), Conv(4), Dense()))
-        with pytest.raises(SonarprepError, match="layer 1: convolution after flattening"):
-            init_model(arch, 2, seed=0)
-
-    def test_missing_final_dense_rejected(self):
-        arch = Architecture((Conv(4), Relu(), GlobalAvgPool()))
-        with pytest.raises(SonarprepError, match="the final layer must be dense"):
-            init_model(arch, 2, seed=0)
+    @pytest.mark.parametrize("arch, n_classes, dtype, digest", [
+        (DEFAULT_ARCHITECTURE, 4, np.float32,
+         "191ab8c6512ebb8f4037d0b5e4f54ebc0594c412ec3126d01f5f992a954afafc"),
+        (Architecture((Conv(3, 3), GlobalAvgPool(), Dense())), 3, np.float64,
+         "f8f22d11a38eb12f4aafec8fd4c108c3454707aa5adc486f2eebde408f56fdf3"),
+        (Architecture((Conv(2, 2), GlobalAvgPool(), Dense())), 3, np.float64,
+         "e2f91e365e4c952169c98071c1534cd9836320c049f15e4711fc6dc506604e27"),
+        (Architecture((Conv(2, 3), Relu(), GlobalAvgPool(), Dense())), 3, np.float64,
+         "5c61ffd27ef5700209b546fd41db8229682904b25f59e6909053270be841e32a"),
+        (Architecture((Conv(2, 3), MaxPool(2), GlobalAvgPool(), Dense())), 3, np.float64,
+         "5c61ffd27ef5700209b546fd41db8229682904b25f59e6909053270be841e32a"),
+    ], ids=["default", "padded-conv", "unpadded-conv", "relu", "maxpool"])
+    def test_draws_are_pinned(self, arch, n_classes, dtype, digest):
+        """Names, shapes, dtypes and bytes of seeds 0-2, as first recorded:
+        a rewrite that reorders or changes the draws fails here."""
+        h = hashlib.sha256()
+        for seed in range(3):
+            for name, p in init_model(arch, n_classes, seed=seed, dtype=dtype).params.items():
+                h.update(f"{name}{p.shape}{p.dtype.str}".encode())
+                h.update(p.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestGradients:
@@ -725,12 +738,6 @@ class TestGradCam:
         # the last conv keeps its output alone, not its im2col matrix
         assert kept[0][3].tobytes() == cache[3][1].tobytes()
         assert all(saved is not None for saved in kept[0][4:])
-
-    def test_no_conv_architecture_rejected(self):
-        arch = Architecture((GlobalAvgPool(), Dense()))
-        m = init_model(arch, 2, seed=0)
-        with pytest.raises(SonarprepError, match="no convolution layer to map"):
-            grad_cam(m, np.zeros((1, 1, 6, 5)))
 
 
 def raw_checkpoint(header: bytes, payload: bytes = b"", length: int | None = None) -> bytes:
