@@ -27,8 +27,8 @@ class AugmentConfig:
     def __post_init__(self):
         if self.base_time_mask_width < 0 or self.freq_mask_width < 0:
             raise ValueError("mask widths must be non-negative")
-        if self.n_time_masks < 0 or self.n_freq_masks < 0:
-            raise ValueError("mask counts must be non-negative")
+        if not (0 <= self.n_time_masks <= 1024 and 0 <= self.n_freq_masks <= 1024):
+            raise ValueError("n_time_masks and n_freq_masks must be 0..1024, drawn one by one")
         if self.mixup_alpha <= 0:
             raise ValueError("mixup_alpha must be positive")
 

@@ -31,7 +31,7 @@ from .files import write_json, write_text
 from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_duration,
                     write_manifest)
 from .dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig, item_shape, read_feature_archive,
-                  scale_config, segment_length, write_feature_archive)
+                  scale_config, segment_length)
 from .augment import AugmentConfig
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_splittable,
                         require_two_classes, segment_counts, stratified_split,
@@ -356,14 +356,14 @@ def _provenance(record: dict, source) -> dict:
 
 
 def _load_features(features_dir: Path, splits, wanted: dict, source: str,
-                   shape: tuple[int, int] | None = None):
-    """The :func:`_provenance` of ``classes.json`` and the (features, labels) of
-    each named split archive. Features whose record differs from ``wanted`` in
-    any key, or lacks one, are refused, naming ``source``, before any archive is
-    read; given a ``(frames, mels)`` shape, items of another are refused."""
+                   shape: tuple[int, int] | None = None, record: dict | None = None):
+    """The :func:`_provenance` of ``classes.json`` (or of a ``record`` given in its
+    place) and the (features, labels) of each named split archive. Features whose
+    record differs from ``wanted`` in any key, or lacks one, are refused, naming
+    ``source``, before any archive is read; so are items of another given shape."""
     path = features_dir / "classes.json"
     try:
-        record = json.loads(_parse_file(path, str))
+        record = record or json.loads(_parse_file(path, str))
     except (ValueError, RecursionError) as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
     if not isinstance(record, dict) or "classes" not in record:
@@ -501,24 +501,20 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     cfg = load_config(config_path, flags={"--data-rate": ("data.rate", data_rate),
                                           "--jobs": ("data.jobs", jobs)})
     manifest = _parse_file(manifest_path, load_manifest)
-    require_two_classes(manifest.classes, manifest_path)
+    with _naming(manifest_path):
+        require_splittable(manifest)
     rows, _ = _parse_file(split_file, read_split_rows)
     failures = validate_split(rows, manifest)
     if failures:
-        raise click.ClickException(
-            f"{split_file}: split file failed validation: "
-            + "; ".join(f"{code}: {detail}" for code, detail in failures[:3])
-        )
+        raise SonarprepError(f"{split_file}: split file failed validation: "
+                             + "; ".join(f"{code}: {detail}" for code, detail in failures[:3]))
     _warn_clamped_band(cfg.data_rate, cfg.train.feature)
-    assignment = dict(rows)
-    [(data, stats)] = build_feature_sets(manifest, lambda entry: _read_wav(corpus_root, entry),
-                                         assignment, cfg.data_rate, [cfg.train.feature],
-                                         cfg.segment_seconds, jobs=cfg.jobs)
-    for name, outside in zip(SPLIT_NAMES, data.outside):
-        x, y = getattr(data, name)
-        write_feature_archive(out / f"{name}.sprf", x, y)
-        _echo(f"{name}.sprf: {len(y)} segments"
-              + (f", {outside} outside the train range" if name != "train" else ""))
+    [(stats, segments, outside)] = build_feature_sets(
+        manifest, lambda entry: _read_wav(corpus_root, entry), dict(rows), cfg.data_rate,
+        {out: cfg.train.feature}, cfg.segment_seconds, jobs=cfg.jobs)
+    for name, n, n_outside in zip(SPLIT_NAMES, segments, outside):
+        _echo(f"{name}.sprf: {n} segments"
+              + (f", {n_outside} outside the train range" if name != "train" else ""))
     write_json(out / "norm_stats.json",
                {"global_min": stats.global_min, "global_max": stats.global_max})
     write_json(out / "classes.json", {"classes": list(manifest.classes),
@@ -624,14 +620,22 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, 
     if not cfg.sweep_data_rates or not cfg.sweep_model_rates:
         raise click.ClickException("sweep needs --data-rates and --model-rates "
                                    "(or sweep.* config keys)")
-    with _naming(manifest_path):
-        require_splittable(manifest)
+    with _naming(manifest_path):  # the split refuses what require_splittable does
+        assignment = stratified_split(manifest, segment_counts(manifest, cfg.segment_seconds),
+                                      cfg.split)
     for data_rate in sorted(set(cfg.sweep_data_rates)):
         for model_rate in sorted(set(cfg.sweep_model_rates)):
             _warn_clamped_band(data_rate, scale_config(cfg.train.feature, model_rate))
+
+    def read_cell(cell_dir: Path) -> FeatureSets:
+        """A cell's archives, read as ``train`` reads features, under the manifest's classes."""
+        _, splits = _load_features(cell_dir, SPLIT_NAMES, {}, "sweep",
+                                   record={"classes": list(manifest.classes)})
+        return FeatureSets(*splits, n_classes=len(manifest.classes))
+
     raw, outside = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train,
                              manifest, lambda entry: _read_wav(corpus_root, entry),
-                             split_spec=cfg.split, seconds=cfg.segment_seconds,
+                             assignment, cfg.segment_seconds, out / "features", read_cell,
                              jobs=cfg.jobs)
     write_json(out / "sweep_raw.json", raw)
     write_text(out / "sweep_table.csv", render_sweep_table(raw["cells"]))

@@ -16,6 +16,7 @@ import os
 import struct
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -366,19 +367,54 @@ def features_for_segment(samples: np.ndarray, cfg: FeatureConfig,
 ARCHIVE_MAGIC = b"SPRF1"
 
 
-def write_feature_archive(path, values: np.ndarray, labels) -> None:
-    """Write a [n x frames x mels] array and its n labels, one item at a
-    time and atomically, to the little-endian binary archive format."""
-    if values.ndim != 3 or len(labels) != values.shape[0]:
-        raise SonarprepError(
-            f"need [n x frames x mels] values and n labels, got {values.shape} "
-            f"and {len(labels)} labels")
-    _, n_frames, n_mels = values.shape
-    with atomic_open(path) as f:
-        f.write(ARCHIVE_MAGIC + struct.pack("<I", len(labels)))
+def _item_dtype(shape) -> np.dtype:
+    """One archive item as a record: frames, mels and label, then the values."""
+    return np.dtype([("head", "<u4", 3), ("values", "<f4", tuple(shape))])
+
+
+class FeatureArchive:
+    """Items of one ``(frames, mels)`` shape, written to an open archive as they come."""
+
+    def __init__(self, f, shape):
+        self.f, self.shape, self.count = f, tuple(shape), 0
+        f.write(ARCHIVE_MAGIC + struct.pack("<I", 0))
+
+    def append(self, values, labels) -> None:
+        """Write [k x frames x mels] values and their k labels."""
         for item, label in zip(values, labels):
-            f.write(struct.pack("<III", n_frames, n_mels, int(label)))
-            f.write(item.astype("<f4").tobytes())
+            self.f.write(struct.pack("<III", *self.shape, int(label))
+                         + np.asarray(item, dtype="<f4").tobytes())
+            self.count += 1
+
+    def transform(self, fn) -> None:
+        """Set each item's values to ``fn`` of them, in place through maps of 8 items."""
+        self.f.flush()
+        item = _item_dtype(self.shape)
+        for start in range(0, self.count, 8):  # not the whole archive: RSS would hold it
+            items = np.memmap(self.f, item, "r+", offset=9 + start * item.itemsize,
+                              shape=(min(8, self.count - start),))
+            for values in items["values"]:
+                values[...] = fn(values)
+
+
+@contextmanager
+def feature_archive(path, shape):
+    """A :class:`FeatureArchive` written through :func:`atomic_open` opened ``w+b``;
+    its item count at offset 5 is patched in as the block completes."""
+    with atomic_open(path, "w+b") as f:
+        archive = FeatureArchive(f, shape)
+        yield archive
+        f.seek(5)
+        f.write(struct.pack("<I", archive.count))
+
+
+def write_feature_archive(path, values: np.ndarray, labels) -> None:
+    """Write a [n x frames x mels] array and its n labels as one archive, atomically."""
+    if values.ndim != 3 or len(labels) != values.shape[0]:
+        raise SonarprepError(f"need [n x frames x mels] values and n labels, got "
+                             f"{values.shape} and {len(labels)} labels")
+    with feature_archive(path, values.shape[1:]) as archive:
+        archive.append(values, labels)
 
 
 def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +442,7 @@ def read_feature_archive(path) -> tuple[np.ndarray, np.ndarray]:
             refuse(f"items of shape {shape} hold no cells")
         if 12 + 4 * shape[0] * shape[1] > np.iinfo(np.intc).max:  # numpy's record limit
             refuse(f"items of shape {shape} are too large to read")
-        item = np.dtype([("head", "<u4", 3), ("values", "<f4", shape)])  # frames, mels, label
+        item = _item_dtype(shape)
         size = 9 + count * item.itemsize
         n_fit = min(count, (file_size - 9) // item.itemsize)
         if count and not n_fit:

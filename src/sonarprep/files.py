@@ -10,10 +10,15 @@ from contextlib import contextmanager, suppress
 
 @contextmanager
 def atomic_open(path, mode: str = "wb", **kwargs):
-    """Open ``path.tmp`` for writing, making its directory; rename it onto
-    ``path`` when the block completes, and remove it if the block raises."""
+    """Open ``path.tmp`` for writing, making its directory, and rename it onto ``path``
+    when the block completes; if it raises, remove it and the directories made for it."""
     tmp = f"{path}.tmp"
-    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
+    made, parent = [], os.path.dirname(os.path.abspath(tmp))  # made: innermost first
+    while not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    if made:
+        os.makedirs(made[0])
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
@@ -21,6 +26,9 @@ def atomic_open(path, mode: str = "wb", **kwargs):
     finally:
         with suppress(FileNotFoundError):
             os.remove(tmp)
+        for directory in made:  # one that holds a file stays
+            with suppress(OSError):
+                os.rmdir(directory)
 
 
 def write_text(path, text: str) -> None:

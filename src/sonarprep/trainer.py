@@ -11,18 +11,19 @@ from __future__ import annotations
 import io
 import csv
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from pathlib import Path
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, Waveform
-from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, features_for_segment,
+from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, feature_archive, features_for_segment,
                   item_shape, mel_filterbank, resample, scale_config, segment)
 from .augment import AugmentConfig, drawable_time_width, make_mix_pairs, mixup, spec_augment
-from .datasplit import (SPLIT_NAMES, NormStats, SplitSpec, compute_norm_stats,
-                        normalize, segment_counts, stratified_split)
+from .datasplit import SPLIT_NAMES, NormStats, compute_norm_stats, normalize
 from .nn import (AdamState, DEFAULT_ARCHITECTURE, ModelState, adam_step,
                  cross_entropy_soft, gradients, infer, init_model)
 from .evaluation import Metrics, aggregate_runs, evaluate
@@ -149,9 +150,6 @@ class FeatureSets(NamedTuple):
     val: tuple[np.ndarray, np.ndarray]
     test: tuple[np.ndarray, np.ndarray]
     n_classes: int
-    #: per split, the segments whose extrema fall outside the train split's
-    #: range; counted by :func:`build_feature_sets`, empty elsewhere
-    outside: tuple[int, ...] = ()
 
 
 @dataclass
@@ -200,53 +198,32 @@ def history_csv(history: RunHistory) -> str:
 # rate sweeps
 # ---------------------------------------------------------------------------
 
-def _rows_array(capacity: int, shape: tuple[int, int]) -> np.ndarray:
-    """An unfilled float32 array of ``capacity`` rows; empty if a manifest
-    promises more rows than can be allocated, which then grows as needed."""
-    try:
-        return np.empty((capacity,) + shape, dtype=np.float32)
-    except (MemoryError, ValueError):
-        return np.empty((0,) + shape, dtype=np.float32)
-
-
-def _resize_rows(x: np.ndarray, n: int) -> None:
-    """Grow or cut ``x`` to ``n`` rows in place, without a second copy of
-    its values; no view of ``x`` may be alive."""
-    x.resize((n,) + x.shape[1:], refcheck=False)
-
-
 def build_feature_sets(manifest: Manifest,
                        load_waveform: Callable[[ManifestEntry], Waveform],
                        assignment: dict[str, str], data_rate: int,
-                       feature_cfgs: Sequence[FeatureConfig], seconds: float,
-                       jobs: int = 1) -> list[tuple[FeatureSets, NormStats]]:
-    """Resample, segment, featurize, and normalize a corpus into split
-    arrays, once for each feature config, in the order given.
+                       outputs: Mapping[Path, FeatureConfig], seconds: float,
+                       jobs: int = 1) -> list[tuple[NormStats, tuple, tuple]]:
+    """Resample, segment, featurize, and normalize a corpus into the archives
+    ``train.sprf``, ``val.sprf`` and ``test.sprf`` of each output directory,
+    with its config. Returns, per config in order, its stats and, per split,
+    the segments and those whose extrema fall outside the train range.
 
-    Each recording is read, resampled to ``data_rate`` and segmented once,
-    and every config's log-mel is computed from those segments, so a sweep
-    resamples once per data rate. Every config's filterbank is built before
-    any audio is read. Recordings are featurized on ``jobs`` threads; the
-    arrays do not depend on ``jobs``. Each config's normalization stats come
-    from its training split alone, and each split must produce at least one
-    segment.
-
+    Each recording is read, resampled and segmented once, after every
+    filterbank is built, and featurized for every config on ``jobs`` threads.
     A segment's float64 log-mel is kept only until its float32 row and its
-    float64 min and max are taken; the stats come from the train split's
-    extrema. Each split's array is allocated once, sized from the
-    manifest's durations, and a recording's rows are copied into it in
-    manifest order; each row is then rescaled in place in float64. Memory
-    holds the output plus a recording per worker. Durations that understate
-    the audio grow the array, and rows they overstate are cut at the end.
+    float64 min and max are taken; rows are appended to their split's archive
+    in manifest order as they arrive. Then the train extrema give the stats,
+    and each row is rescaled in place in float64 through a map of its archive.
+    No archive is renamed into place unless all are complete.
     """
-    shapes = [item_shape(cfg, seconds, data_rate) for cfg in feature_cfgs]
-    banks = [mel_filterbank(cfg, data_rate) for cfg in feature_cfgs]
+    shapes = [item_shape(cfg, seconds, data_rate) for cfg in outputs.values()]
+    banks = [mel_filterbank(cfg, data_rate) for cfg in outputs.values()]
 
     def featurize_recording(entry: ManifestEntry) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per config: the recording's float32 rows and each row's [min, max]."""
         segments = segment(resample(load_waveform(entry), data_rate), seconds)
         per_config = []
-        for cfg, fb, shape in zip(feature_cfgs, banks, shapes):
+        for cfg, fb, shape in zip(outputs.values(), banks, shapes):
             rows = np.empty((len(segments),) + shape, dtype=np.float32)
             extrema = np.empty((len(segments), 2))
             for i, samples in enumerate(segments):
@@ -256,71 +233,47 @@ def build_feature_sets(manifest: Manifest,
             per_config.append((rows, extrema))
         return per_config
 
-    counts = segment_counts(manifest, seconds)
-    capacity = dict.fromkeys(SPLIT_NAMES, 0)
-    for entry in manifest.entries:
-        capacity[assignment[entry.recording_id]] += counts[entry.recording_id]
-    # per split, the labels so far (every config featurizes the same
-    # segments); per config and split, the rows and their extrema so far
-    labels = {name: [] for name in SPLIT_NAMES}
-    splits = [{name: (_rows_array(capacity[name], shape), []) for name in SPLIT_NAMES}
-              for shape in shapes]
-    label_index = manifest.label_indices()
-
-    def append(recordings) -> None:
+    extrema = [{name: [] for name in SPLIT_NAMES} for _ in outputs]  # per config and split
+    with ExitStack() as stack:
+        archives = [{name: stack.enter_context(feature_archive(f"{out}/{name}.sprf", shape))
+                     for name in SPLIT_NAMES} for out, shape in zip(outputs, shapes)]
+        pool = stack.enter_context(ThreadPoolExecutor(jobs)) if jobs > 1 else None
+        recordings = (pool.map if pool else map)(featurize_recording, manifest.entries)
         for entry, per_config in zip(manifest.entries, recordings):
             name = assignment[entry.recording_id]
-            n = len(labels[name])
-            for split, (rows, extrema) in zip(splits, per_config):
-                x, split_extrema = split[name]
-                if n + len(rows) > len(x):
-                    _resize_rows(x, n + len(rows))
-                x[n:n + len(rows)] = rows
-                split_extrema.append(extrema)
-            labels[name].extend([label_index[entry.class_label]] * len(per_config[0][0]))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            append(pool.map(featurize_recording, manifest.entries))
-    else:
-        append(map(featurize_recording, manifest.entries))
-    for name, split_labels in labels.items():
-        if not split_labels:
-            raise SonarprepError(f"{name} split produced no segments")
-        labels[name] = np.array(split_labels, dtype=np.int64)
-    results = []
-    for split in splits:
-        stats = compute_norm_stats(np.concatenate(split["train"][1]))
-        sets, outside = {}, []
-        for name, (x, split_extrema) in split.items():
-            _resize_rows(x, len(labels[name]))
-            for i in range(len(x)):
-                x[i] = normalize(x[i].astype(np.float64), stats)
-            lo, hi = np.concatenate(split_extrema).T
-            outside.append(int(np.count_nonzero((lo < stats.global_min)
-                                                | (hi > stats.global_max))))
-            sets[name] = (x, labels[name])
-        results.append((FeatureSets(**sets, n_classes=len(manifest.classes),
-                                    outside=tuple(outside)), stats))
+            labels = [manifest.label_indices()[entry.class_label]] * len(per_config[0][0])
+            for split, split_extrema, (rows, row_extrema) in zip(archives, extrema, per_config):
+                split[name].append(rows, labels)
+                split_extrema[name].append(row_extrema)
+        segments = tuple(archive.count for archive in archives[0].values())
+        if 0 in segments:
+            raise SonarprepError(f"{SPLIT_NAMES[segments.index(0)]} split produced no segments")
+        results = []
+        for split, split_extrema in zip(archives, extrema):
+            stats = compute_norm_stats(np.concatenate(split_extrema["train"]))
+            outside = []
+            for name, archive in split.items():
+                archive.transform(lambda x: normalize(x.astype(np.float64), stats))
+                lo, hi = np.concatenate(split_extrema[name]).T
+                outside.append(int(np.sum((lo < stats.global_min) | (hi > stats.global_max))))
+            results.append((stats, segments, tuple(outside)))
     return results
 
 
 def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
           load_waveform: Callable[[ManifestEntry], Waveform],
-          split_spec: SplitSpec, seconds: float,
+          assignment: dict[str, str], seconds: float, features_dir: Path,
+          read_cell: Callable[[Path], FeatureSets],
           jobs: int = 1) -> tuple[dict, list[tuple[int, ...]]]:
-    """Full grid over data and model sampling rates.
+    """Full grid over data and model sampling rates on one split ``assignment``.
 
-    The recording-level split is drawn once and reused for every cell.
     Every cell's feature config and filterbank is built before any audio is
-    read. The corpus is then featurized once per data rate, on ``jobs``
-    threads, with every model rate's rescaled config; each cell is one
-    :func:`run_seeds` call. Returns the ``sweep_raw.json`` record (the class
-    labels and each cell's record, sorted by data rate, then model rate)
-    and, in the same order, each cell's :attr:`FeatureSets.outside`.
+    read. Per data rate, :func:`build_feature_sets` writes every model rate's
+    cell to ``features_dir/<data_rate>_<model_rate>/``; each cell is one
+    :func:`run_seeds` on ``read_cell(directory)``, so memory holds one cell's
+    features at a time. Returns ``sweep_raw.json`` (the classes and each cell
+    by data rate, then model rate) and each cell's ``outside``.
     """
-    counts = segment_counts(manifest, seconds)
-    assignment = stratified_split(manifest, counts, split_spec)
     features = [scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))]
     data_rates = sorted(set(data_rates))
     for data_rate in data_rates:
@@ -330,11 +283,10 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
             drawable_time_width(cfg.augment, data_rate, cell_feature.model_rate)
     cells, outside = [], []
     for data_rate in data_rates:
-        feature_sets = build_feature_sets(manifest, load_waveform, assignment,
-                                          data_rate, features, seconds, jobs=jobs)
-        for cell_feature in features:
-            outside.append(feature_sets[0][0].outside)
-            # popped, so each cell's arrays are freed once it has trained
-            cells.append(run_seeds(replace(cfg, feature=cell_feature),
-                                   feature_sets.pop(0)[0], data_rate)[0])
+        outputs = {Path(features_dir) / f"{data_rate}_{f.model_rate}": f for f in features}
+        outside += [cell[2] for cell in build_feature_sets(
+            manifest, load_waveform, assignment, data_rate, outputs, seconds, jobs=jobs)]
+        for cell_dir, cell_feature in outputs.items():
+            cells.append(run_seeds(replace(cfg, feature=cell_feature), read_cell(cell_dir),
+                                   data_rate)[0])
     return {"classes": list(manifest.classes), "cells": cells}, outside

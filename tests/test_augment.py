@@ -216,3 +216,11 @@ class TestConfigValidation:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
             AugmentConfig(mixup_alpha=0.0)
+
+    @pytest.mark.parametrize("counts", [{"n_time_masks": -1}, {"n_freq_masks": 1025},
+                                        {"n_time_masks": 2**63}])
+    def test_mask_counts_outside_0_to_1024_rejected(self, counts):
+        """Every mask is drawn on its own, so a count of 2**63 would never finish."""
+        with pytest.raises(ValueError, match=r"n_time_masks and n_freq_masks must be 0\.\.1024"):
+            AugmentConfig(**counts)
+        AugmentConfig(**{key: 1024 for key in counts})

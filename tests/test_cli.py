@@ -19,7 +19,7 @@ from sonarprep.cli import load_config, main, parse_rate
 from sonarprep.datasplit import read_split_rows
 from sonarprep.errors import SonarprepError
 from sonarprep.dsp import write_feature_archive
-from sonarprep import cli, nn, trainer
+from sonarprep import cli, dsp, nn, trainer
 from sonarprep.nn import load_checkpoint, save_checkpoint
 from sonarprep.wavio import load_manifest, parse_wav
 from synthdata import (as_extensible, corpus_manifest_text, make_corpus, subformat_guid,
@@ -914,7 +914,7 @@ class TestErrorSurface:
         ("alpha/a1,alpha,alpha/a1.wav,15.0\nbravo/b1,bravo,bravo/b1.wav,15.0\n",
          "class 'alpha' has 1 recordings, need at least 3 for one per split")],
         ids=["header-only", "one-class", "class-too-small"])
-    @pytest.mark.parametrize("command", ["split", "sweep"])
+    @pytest.mark.parametrize("command", ["split", "featurize", "sweep"])
     def test_manifest_refusal_names_the_manifest(self, pipeline, tmp_path, monkeypatch,
                                                  command, manifest_text, problem):
         root, runner = pipeline
@@ -924,6 +924,8 @@ class TestErrorSurface:
         manifest.write_text("recording_id,class_label,file_path,duration_seconds\n"
                             + manifest_text)
         args = {"split": [],
+                "featurize": ["--split-file", str(root / "split.csv"),
+                              "--corpus-root", str(root / "corpus")],
                 "sweep": ["--corpus-root", str(root / "corpus"), "--data-rates", "8k",
                           "--model-rates", "8k"]}[command]
         result = runner.invoke(main, [command, "--config", str(root / "run.cfg"),
@@ -1513,6 +1515,50 @@ class TestErrorSurface:
         assert_clean_failure(result)
         assert "non-finite samples" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["featurize", "sweep"])
+    def test_failure_mid_stream_leaves_nothing(self, pipeline, tmp_path, monkeypatch,
+                                               command):
+        """The manifest's last recording holds a NaN, which ``ingest`` cannot see:
+        it fails to decode after every other recording was streamed to its
+        archive. The command fails on one line naming it, leaves no archive
+        or ``.tmp`` in a new ``--out``, and a previous run's outputs as they were."""
+        root, runner = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        manifest = root / "manifest.csv"
+        bad = corpus / load_manifest(manifest.read_text()).entries[-1].file_path
+        samples = np.zeros(15 * 8000)
+        samples[-1] = np.nan
+        write_float32(bad, samples, 8000)
+        args = {"featurize": ["--split-file", str(root / "split.csv")],
+                "sweep": ["--data-rates", "8k", "--model-rates", "8k"]}[command]
+
+        def run(corpus_root, out):
+            return runner.invoke(main, [command, "--config", str(root / "run.cfg"),
+                                        "--manifest", str(manifest), *args,
+                                        "--corpus-root", str(corpus_root), "--out", str(out)])
+
+        def files(out):
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        previous = tmp_path / "previous"
+        assert run(root / "corpus", previous).exit_code == 0
+        before = files(previous)
+        assert any(path.suffix == ".sprf" for path in before)
+        appended = []
+        append = dsp.FeatureArchive.append
+        monkeypatch.setattr(dsp.FeatureArchive, "append",
+                            lambda archive, *a: appended.append(append(archive, *a)))
+        for out in (tmp_path / "out", previous):
+            appended.clear()
+            result = run(corpus, out)
+            assert_clean_failure(result)
+            assert result.output.endswith(
+                f"Error: {bad}: waveform contains non-finite samples\n")
+            assert len(appended) == 7  # every recording but the last
+        assert not (tmp_path / "out").exists()
+        assert files(previous) == before
 
     def test_checkpoint_with_trailing_bytes(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -26,6 +26,15 @@ def test_writer_makes_the_directory(tmp_path):
     assert (tmp_path / "new" / "t.txt").read_text() == "x"
 
 
+def test_failed_write_removes_the_directories_it_made(tmp_path):
+    (tmp_path / "kept").mkdir()
+    for path in (tmp_path / "a" / "b" / "out", tmp_path / "kept" / "c" / "out"):
+        with pytest.raises(RuntimeError):
+            _raise_inside_block(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert not list((tmp_path / "kept").iterdir())
+
+
 def _raise_inside_block(path):
     with atomic_open(path) as f:
         f.write(b"partial")

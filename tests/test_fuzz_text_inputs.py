@@ -4,15 +4,21 @@ the run succeeds, or exits 1 with exactly one ``Error:`` line, which starts
 with the file's path, and no traceback.
 
 Each input is fuzzed two ways: byte flips and cuts of a valid file, and files
-built by hand from lines that are each close to valid.
+built by hand from lines that are each close to valid. The ``train.*`` and
+``augment.*`` values of a config are also fuzzed through ``train`` on a tiny
+archive, for one epoch.
 """
 
 import json
 
+import numpy as np
+
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from sonarprep.cli import _CONFIG_KEYS, main
+from sonarprep.cli import _CONFIG_KEYS, load_config, main
+from sonarprep.dsp import write_feature_archive
+from sonarprep.files import write_json
 
 CONFIG = """\
 data.rate = 8k
@@ -161,3 +167,43 @@ def test_fuzzed_sweep_records_report_or_name_the_record(tmp_path):
         "cells": st.lists(cell | values, max_size=3)})
     built = record.map(lambda obj: json.dumps(obj).encode())
     fuzz(flipped_and_cut(SWEEP_RAW.encode()) | built, run)
+
+
+def test_fuzzed_training_settings_train_or_refuse_in_one_line(tmp_path):
+    """``train`` for one epoch on 11x8 items, under fuzzed ``train.*`` and
+    ``augment.*`` values: it trains, or exits 1 on one ``Error:`` line (a
+    refused value, or a run that diverged), never with a traceback."""
+    base = tmp_path / "base.cfg"
+    base.write_text("data.rate = 8k\ndata.segment_seconds = 0.1\nfeature.model_rate = 8k\n"
+                    "feature.win_length = 128\nfeature.hop_length = 80\nfeature.n_mels = 8\n"
+                    "feature.f_max = 3500\ntrain.max_epochs = 1\ntrain.patience = 1\n")
+    feats, rng = tmp_path / "feats", np.random.default_rng(0)
+    for name, n in (("train", 6), ("val", 2), ("test", 2)):
+        write_feature_archive(feats / f"{name}.sprf",
+                              rng.random((n, 11, 8), dtype=np.float32), np.arange(n) % 2)
+    write_json(feats / "classes.json", {"classes": ["alpha", "bravo"],
+                                        "front_end": load_config(base, env={}).front_end()})
+    cfg = tmp_path / "run.cfg"
+    keys = sorted(k for k in _CONFIG_KEYS if k.split(".")[0] in ("train", "augment")
+                  and k != "train.max_epochs")
+    # mostly numbers a key can take, so that most runs reach training
+    numbers = st.sampled_from(["0", "1", "3", "64", "1024", "1025", str(2**63 - 1), str(2**63),
+                               "1e-300", "1e-5", "0.1", "1e300", "1,2", "false"])
+    values = st.one_of(numbers, numbers, EDGES)
+    line = st.builds(lambda key, value: f"{key} = {value}\n", st.sampled_from(keys), values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(line, max_size=3))
+    def each(lines):
+        cfg.write_bytes(base.read_bytes() + encode("".join(lines)))
+        result = CliRunner().invoke(main, ["train", "--config", str(cfg), "--features",
+                                           str(feats), "--out", str(tmp_path / "runs")],
+                                    env={"SONARPREP_SEED": None})
+        assert "Traceback" not in result.output
+        if result.exit_code:
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+                (result.output, result.exception)
+            errors = [x for x in result.output.splitlines() if x.startswith("Error:")]
+            assert len(errors) == 1, result.output
+
+    each()

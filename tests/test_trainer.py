@@ -9,9 +9,10 @@ import pytest
 
 import sonarprep.trainer as trainer_mod
 from sonarprep.augment import AugmentConfig
-from sonarprep.datasplit import SPLIT_NAMES, NormStats, SplitSpec, normalize
-from sonarprep.dsp import (FeatureConfig, features_for_segment, mel_filterbank, resample,
-                           scale_config, segment)
+from sonarprep.datasplit import (SPLIT_NAMES, NormStats, SplitSpec, normalize, segment_counts,
+                                 stratified_split)
+from sonarprep.dsp import (FeatureConfig, features_for_segment, mel_filterbank,
+                           read_feature_archive, resample, scale_config, segment)
 from sonarprep.errors import SonarprepError
 from sonarprep.evaluation import aggregate_runs
 from sonarprep.nn import Architecture, Conv, Dense, GlobalAvgPool, MaxPool, Relu, init_model
@@ -259,9 +260,25 @@ def counting(loader):
     return load, calls
 
 
+def read_cell(directory):
+    """The two-class feature sets of a directory's archives, as ``sweep`` is given them."""
+    return FeatureSets(*(read_feature_archive(directory / f"{name}.sprf")
+                         for name in SPLIT_NAMES), n_classes=2)
+
+
+def build(out, manifest, loader, assignment, feature_cfgs, data_rate=8000, seconds=5.0,
+          jobs=1):
+    """``build_feature_sets`` into ``out/0``, ``out/1``, ..., one directory per
+    config; per config, its archives read back and what it returned."""
+    dirs = {out / str(i): cfg for i, cfg in enumerate(feature_cfgs)}
+    built = build_feature_sets(manifest, loader, assignment, data_rate, dirs, seconds,
+                               jobs=jobs)
+    return [(read_cell(d), result) for d, result in zip(dirs, built)]
+
+
 def assert_same_feature_sets(built, expected):
-    (data, stats), (want, want_stats) = built, expected
-    assert stats == want_stats
+    (data, result), (want, want_result) = built, expected
+    assert result == want_result
     assert data.n_classes == want.n_classes
     for (x, y), (want_x, want_y) in zip(data[:3], want[:3]):
         assert (x.dtype, x.shape, x.tobytes()) == (want_x.dtype, want_x.shape,
@@ -270,16 +287,16 @@ def assert_same_feature_sets(built, expected):
 
 
 class TestBuildFeatureSets:
-    def test_shapes_counts_and_train_based_scaling(self):
+    def test_shapes_counts_and_train_based_scaling(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader()
-        [(data, stats)] = build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
-                                             data_rate=8000, feature_cfgs=[TINY_FEAT],
-                                             seconds=5.0)
+        [(data, built)] = build(tmp_path, manifest, loader, SYNTHETIC_ASSIGNMENT, [TINY_FEAT])
+        stats, segments, outside = built
         assert stats.global_min < stats.global_max
         # 10 s recordings -> 2 segments each
         assert data.train[0].shape[0] == 8
         assert data.val[0].shape[0] == 4
         assert data.test[0].shape[0] == 4
+        assert segments == (8, 4, 4)
         assert data.n_classes == 2
         n_frames = 1 + (5 * 8000) // TINY_FEAT.hop_length
         assert data.train[0].shape[1:] == (n_frames, TINY_FEAT.n_mels)
@@ -291,33 +308,33 @@ class TestBuildFeatureSets:
         assert set(data.train[1][:4]) == {0}
         assert set(data.train[1][4:]) == {1}
 
-    def test_threads_do_not_change_output(self):
+    def test_threads_do_not_change_output(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader()
-        serial, threaded = [build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
-                                               data_rate=8000, feature_cfgs=[TINY_FEAT],
-                                               seconds=5.0, jobs=jobs)[0]
+        serial, threaded = [build(tmp_path / str(jobs), manifest, loader, SYNTHETIC_ASSIGNMENT,
+                                  [TINY_FEAT], jobs=jobs)[0]
                             for jobs in (1, 3)]
         assert_same_feature_sets(threaded, serial)
+        assert ((tmp_path / "3" / "0" / "train.sprf").read_bytes()
+                == (tmp_path / "1" / "0" / "train.sprf").read_bytes())
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_configs_built_together_match_single_builds(self, jobs):
+    def test_configs_built_together_match_single_builds(self, jobs, tmp_path):
         """One read and resample per recording serves every config, and
         each config's arrays and stats are those of a build on its own."""
         manifest, loader = synthetic_manifest_and_loader()
         configs = [TINY_FEAT, scale_config(TINY_FEAT, 16000)]
         load, calls = counting(loader)
 
-        def build(cfgs):
-            return build_feature_sets(manifest, load, SYNTHETIC_ASSIGNMENT,
-                                      data_rate=4000, feature_cfgs=cfgs,
-                                      seconds=5.0, jobs=jobs)
+        def build_at_4k(out, cfgs):
+            return build(out, manifest, load, SYNTHETIC_ASSIGNMENT, cfgs, data_rate=4000,
+                         jobs=jobs)
 
-        together = build(configs)
+        together = build_at_4k(tmp_path / "together", configs)
         assert len(calls) == len(manifest.entries)
         assert len(together) == len(configs)
         assert together[0][0].train[0].shape != together[1][0].train[0].shape
-        for cfg, built in zip(configs, together):
-            [alone] = build([cfg])
+        for i, (cfg, built) in enumerate(zip(configs, together)):
+            [alone] = build_at_4k(tmp_path / f"alone{i}", [cfg])
             assert_same_feature_sets(built, alone)
 
 
@@ -338,11 +355,10 @@ def float64_log_mels(manifest, loader, assignment, cfg, data_rate=8000, seconds=
 
 
 class TestStreamedFeatures:
-    def test_values_within_an_ulp_of_float64_scaling(self):
+    def test_values_within_an_ulp_of_float64_scaling(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader()
-        [(data, stats)] = build_feature_sets(manifest, loader, SYNTHETIC_ASSIGNMENT,
-                                             data_rate=8000, feature_cfgs=[TINY_FEAT],
-                                             seconds=5.0)
+        [(data, built)] = build(tmp_path, manifest, loader, SYNTHETIC_ASSIGNMENT, [TINY_FEAT])
+        stats, segments, outside = built
         exact = float64_log_mels(manifest, loader, SYNTHETIC_ASSIGNMENT, TINY_FEAT)
         train = exact["train"]
         assert stats == NormStats(min(float(s.min()) for s in train),
@@ -352,7 +368,7 @@ class TestStreamedFeatures:
             ulp = np.spacing(np.maximum(np.abs(want), 1).astype(np.float32))
             assert np.all(np.abs(x - want) <= ulp)
 
-    def test_counts_segments_outside_the_train_range(self):
+    def test_counts_segments_outside_the_train_range(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader()
 
         def loud(entry):  # hum2, a val recording, 20 dB above every train one
@@ -361,54 +377,61 @@ class TestStreamedFeatures:
                 return w
             return Waveform(10 * w.samples, w.rate, w.source_id)
 
-        [(data, stats)] = build_feature_sets(manifest, loud, SYNTHETIC_ASSIGNMENT,
-                                             data_rate=8000, feature_cfgs=[TINY_FEAT],
-                                             seconds=5.0)
+        [(_, built)] = build(tmp_path, manifest, loud, SYNTHETIC_ASSIGNMENT, [TINY_FEAT])
+        stats, segments, outside = built
         exact = float64_log_mels(manifest, loud, SYNTHETIC_ASSIGNMENT, TINY_FEAT)
         want = tuple(sum(s.min() < stats.global_min or s.max() > stats.global_max
                          for s in exact[name]) for name in SPLIT_NAMES)
-        assert data.outside == want
+        assert outside == want
         assert want[0] == 0 and want[1] >= 2  # both of hum2's segments
 
     @pytest.mark.parametrize("scale", [0.4, 3.0, 1e12, 1e300],
                              ids=["understated", "overstated", "unallocatable", "huge"])
-    def test_manifest_durations_only_size_the_arrays(self, scale):
+    def test_manifest_durations_only_size_the_arrays(self, scale, tmp_path):
         manifest, loader = synthetic_manifest_and_loader()
         wrong = Manifest([replace(e, duration_seconds=e.duration_seconds * scale)
                           for e in manifest.entries])
-        built, exact = [build_feature_sets(m, loader, SYNTHETIC_ASSIGNMENT, data_rate=8000,
-                                           feature_cfgs=[TINY_FEAT], seconds=5.0)[0]
-                        for m in (wrong, manifest)]
+        built, exact = [build(tmp_path / str(i), m, loader, SYNTHETIC_ASSIGNMENT,
+                              [TINY_FEAT])[0]
+                        for i, m in enumerate((wrong, manifest))]
         assert_same_feature_sets(built, exact)
-        assert built[0].outside == exact[0].outside
+        assert built[1][2] == exact[1][2]  # outside counts
 
-    def test_peak_grows_with_the_output_alone(self):
-        """No float64 spectrogram outlives its segment: as the corpus doubles,
-        the traced peak grows by little more than the float32 output."""
+    def test_peak_grows_with_the_output_alone(self, tmp_path):
+        """No float64 spectrogram outlives its segment and no split is held
+        in memory: as the corpus doubles, the traced peak grows by under a
+        tenth of the archives' growth."""
         def traced(n_per_class):
             manifest, loader = synthetic_manifest_and_loader(n_per_class=n_per_class)
+            out = tmp_path / str(n_per_class)
             tracemalloc.start()
             try:
-                [(data, _)] = build_feature_sets(manifest, loader, split_of(manifest),
-                                                 data_rate=8000, feature_cfgs=[TINY_FEAT],
-                                                 seconds=5.0)
+                build_feature_sets(manifest, loader, split_of(manifest), 8000,
+                                   {out: TINY_FEAT}, 5.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak, sum(x.nbytes for x, _ in data[:3])
+            return peak, sum(path.stat().st_size for path in out.glob("*.sprf"))
 
         (peak, out), (peak2, out2) = traced(4), traced(8)
-        assert peak2 - peak <= 1.25 * (out2 - out)
+        assert out2 > 1.9 * out
+        assert peak2 - peak < 0.1 * (out2 - out)
+
+
+def drawn(manifest, ratios, seconds=5.0):
+    """A split for ``sweep``, drawn from the manifest's durations with seed 0."""
+    return stratified_split(manifest, segment_counts(manifest, seconds),
+                            SplitSpec(ratios=ratios, seed=0))
 
 
 class TestSweep:
-    def test_single_cell_summary(self):
+    def test_single_cell_summary(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         cfg = tiny_config(max_epochs=2, patience=2, seeds=(0,),
                           feature=TINY_FEAT)
         result, _ = sweep((8000,), (8000,), cfg, manifest, loader,
-                          split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
-                          seconds=5.0)
+                          assignment=drawn(manifest, (0.6, 0.2, 0.2)),
+                          seconds=5.0, features_dir=tmp_path, read_cell=read_cell)
         assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [(8000, 8000)]
         cell = result["cells"][0]
         assert cell["mask_width"] == TINY_AUG.base_time_mask_width  # same-rate cell
@@ -416,20 +439,24 @@ class TestSweep:
         assert len(cell["accuracies"]) == 1
         assert result["classes"] == ["hum", "whine"]
 
-    def test_reads_each_recording_once_per_data_rate(self):
+    def test_reads_each_recording_once_per_data_rate(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         load, calls = counting(loader)
         data_rates, model_rates = (4000, 8000), (8000, 16000)
         result, _ = sweep(data_rates, model_rates,
                           tiny_config(max_epochs=1, patience=1, seeds=(0,)),
                           manifest, load,
-                          split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
-                          seconds=5.0)
+                          assignment=drawn(manifest, (0.6, 0.2, 0.2)),
+                          seconds=5.0, features_dir=tmp_path, read_cell=read_cell)
         assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [
             (4000, 8000), (4000, 16000), (8000, 8000), (8000, 16000)]
         assert len(calls) == len(manifest.entries) * len(data_rates)
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(
+            [f"{d}_{m}" for d in data_rates for m in model_rates]
+            + [f"{d}_{m}/{name}.sprf" for d in data_rates for m in model_rates
+               for name in SPLIT_NAMES])
 
-    def test_each_cell_trains_with_the_mask_width_it_records(self, monkeypatch):
+    def test_each_cell_trains_with_the_mask_width_it_records(self, monkeypatch, tmp_path):
         """The width reaching ``spec_augment`` in each cell, including cells
         whose data rate differs from their model rate, is the cell's
         recorded ``mask_width``."""
@@ -450,14 +477,14 @@ class TestSweep:
         cfg = tiny_config(max_epochs=1, patience=1, seeds=(0,),
                           augment=AugmentConfig(base_time_mask_width=8, freq_mask_width=1))
         result, _ = sweep((4000, 8000), (8000, 16000), cfg, manifest, loader,
-                          split_spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
-                          seconds=5.0)
+                          assignment=drawn(manifest, (0.6, 0.2, 0.2)),
+                          seconds=5.0, features_dir=tmp_path, read_cell=read_cell)
         recorded = [c["mask_width"] for c in result["cells"]]
         assert recorded == [round(8 * c["data_rate"] / c["model_rate"])
                             for c in result["cells"]] == [4, 2, 8, 4]
         assert cell_widths == [{width} for width in recorded]
 
-    def test_unbuildable_filterbank_fails_before_any_audio_is_read(self):
+    def test_unbuildable_filterbank_fails_before_any_audio_is_read(self, tmp_path):
         """64 mels fit the 4 kHz bin grid of a 256-sample window but not the
         32 kHz one; the sweep must refuse before featurizing the 4 kHz row."""
         manifest, loader = synthetic_manifest_and_loader()
@@ -466,10 +493,11 @@ class TestSweep:
                                 f_min=50, f_max=3500)
         with pytest.raises(SonarprepError, match="data rate 32000, model rate 8000"):
             sweep((4000, 32000), (8000,), tiny_config(feature=feature), manifest, load,
-                  split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0), seconds=5.0)
+                  assignment=drawn(manifest, (0.5, 0.25, 0.25)), seconds=5.0,
+                  features_dir=tmp_path, read_cell=read_cell)
         assert calls == []
 
-    def test_table_measures_the_data_rate(self):
+    def test_table_measures_the_data_rate(self, tmp_path):
         """Tones at 1.3 and 1.7 kHz survive an 8 kHz data rate but not a
         2 kHz one, whose anti-alias filter stops above 1 kHz: that row of
         the table must sit at chance while the 8 kHz row separates."""
@@ -477,8 +505,8 @@ class TestSweep:
             n_per_class=8, seconds=4.0, tones=(("high", 1700.0), ("low", 1300.0)))
         cfg = tiny_config(lr=1e-2, max_epochs=60, patience=60, use_mixup=False)
         result, _ = sweep((2000, 8000), (8000,), cfg, manifest, loader,
-                          split_spec=SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0),
-                          seconds=1.0)
+                          assignment=drawn(manifest, (0.5, 0.25, 0.25), 1.0),
+                          seconds=1.0, features_dir=tmp_path, read_cell=read_cell)
         cells = {c["data_rate"]: c for c in result["cells"]}
         for cell in cells.values():  # 2 test recordings per class, 4 segments each
             assert np.sum(cell["mean_confusion"], axis=1).tolist() == [8, 8]
