@@ -510,8 +510,8 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
                              + "; ".join(f"{code}: {detail}" for code, detail in failures[:3]))
     _warn_clamped_band(cfg.data_rate, cfg.train.feature)
     [(stats, segments, outside)] = build_feature_sets(
-        manifest, lambda entry: _read_wav(corpus_root, entry), dict(rows), cfg.data_rate,
-        {out: cfg.train.feature}, cfg.segment_seconds, jobs=cfg.jobs)
+        manifest, lambda entry: _read_wav(corpus_root, entry), dict(rows),
+        {out: (cfg.data_rate, cfg.train.feature)}, cfg.segment_seconds, jobs=cfg.jobs)
     for name, n, n_outside in zip(SPLIT_NAMES, segments, outside):
         _echo(f"{name}.sprf: {n} segments"
               + (f", {n_outside} outside the train range" if name != "train" else ""))

@@ -12,10 +12,9 @@ is filtered by a few BLAS matrix products on strided views of its samples.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -84,37 +83,15 @@ def _phase_bank(up: int, down: int) -> np.ndarray:
 MIN_STRIDE, MAX_BLOCK = 128, 512
 
 
-#: Bytes of band matrices kept across calls. Plans used least recently are
-#: dropped first, but the latest plan is always kept, even above the bound:
-#: 52,734 -> 32,000 Hz alone needs 54.3 MB.
-PLAN_CACHE_BYTES = 64 << 20
-_plans: OrderedDict = OrderedDict()  # (up, down) -> (plan, bytes), oldest first
-_plans_lock = threading.Lock()
-
-
+@functools.cache
 def _band_plan(up: int, down: int):
     """``(half, D, U, groups)``: outputs in blocks of ``U = k * up`` whose
     inputs start ``D = k * down`` samples apart. Group ``(r0, r1, a0, H)``
     of block outputs ``r0 <= r < r1`` has a read-only band matrix ``H``
     [B x (r1 - r0)] holding the bank row of output ``r`` from row
     ``anchor(r) - a0``; its anchors span under ``taps``, so B < 2 * taps.
-    Kept per ratio within PLAN_CACHE_BYTES: a corpus repeats a few ratios,
-    and designing them costs more than filtering a short recording."""
-    key = (up, down)
-    with _plans_lock:
-        if key in _plans:
-            _plans.move_to_end(key)
-            return _plans[key][0]
-    plan = _design_band_plan(up, down)
-    with _plans_lock:  # a thread that designed the same plan first wins
-        plan, _ = _plans.setdefault(key, (plan, sum(h.nbytes for *_, h in plan[3])))
-        _plans.move_to_end(key)
-        while len(_plans) > 1 and sum(n for _, n in _plans.values()) > PLAN_CACHE_BYTES:
-            _plans.popitem(last=False)
-    return plan
-
-
-def _design_band_plan(up: int, down: int):
+    Kept per ratio for the life of the process, as each recording of a
+    sweep visits every ratio in turn and a design can take 0.5 s."""
     bank = _phase_bank(up, down)
     taps = bank.shape[1]
     k = max(1, min(-(-MIN_STRIDE // down), MAX_BLOCK // up))
@@ -202,9 +179,8 @@ def scale_config(base: FeatureConfig, model_rate: int) -> FeatureConfig:
     win = int(round(base.win_length * rho))
     hop = int(round(base.hop_length * rho))
     if hop < 1 or win < 1:
-        raise SonarprepError(
-            f"scaling {base.win_length}/{base.hop_length} by {rho} collapses the frame grid"
-        )
+        raise SonarprepError(f"scaling {base.win_length}/{base.hop_length} by {rho} to "
+                             f"model rate {model_rate} collapses the frame grid")
     try:
         return replace(base, model_rate=int(model_rate), win_length=win,
                        hop_length=hop, f_max=float(base.f_max * rho))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import io
 import csv
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
@@ -92,9 +93,9 @@ def _augment_batch(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
 # SonarprepError, so numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
-          data_rate: int, seed: int = 0) -> tuple[ModelState, RunHistory]:
-    """Fit the model on features made at ``data_rate``; returns it restored
-    to the best-validation epoch."""
+          data_rate: int, seed: int = 0) -> RunHistory:
+    """Fit ``model`` in place on features made at ``data_rate``, restored to
+    the best-validation epoch; returns its history."""
     train_x, train_y = train_set
     val_x, val_y = val_set
     if train_x.shape[0] == 0:
@@ -140,7 +141,7 @@ def train(cfg: TrainConfig, train_set, val_set, model: ModelState,
         p[...] = best_params[name]
     history.best_epoch = best_epoch
     history.stopped_epoch = epoch
-    return model, history
+    return history
 
 
 class FeatureSets(NamedTuple):
@@ -167,7 +168,7 @@ def run_seeds(cfg: TrainConfig, data: FeatureSets,
     results = []
     for seed in cfg.seeds:
         model = init_model(DEFAULT_ARCHITECTURE, data.n_classes, seed, dtype=np.float32)
-        model, history = train(cfg, data.train, data.val, model, data_rate, seed=seed)
+        history = train(cfg, data.train, data.val, model, data_rate, seed=seed)
         metrics = evaluate(model, *data.test)
         results.append(SeedResult(seed=seed, model=model, history=history,
                                   metrics=metrics))
@@ -198,58 +199,80 @@ def history_csv(history: RunHistory) -> str:
 # rate sweeps
 # ---------------------------------------------------------------------------
 
+def _in_order(fn, items, jobs: int):
+    """``fn`` of each item, in order; with ``jobs > 1``, on that many threads
+    with at most ``2 * jobs`` items submitted ahead of the one being used."""
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(jobs) as pool:
+        ahead = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > 2 * jobs:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def build_feature_sets(manifest: Manifest,
                        load_waveform: Callable[[ManifestEntry], Waveform],
-                       assignment: dict[str, str], data_rate: int,
-                       outputs: Mapping[Path, FeatureConfig], seconds: float,
+                       assignment: dict[str, str],
+                       outputs: Mapping[Path, tuple[int, FeatureConfig]], seconds: float,
                        jobs: int = 1) -> list[tuple[NormStats, tuple, tuple]]:
     """Resample, segment, featurize, and normalize a corpus into the archives
     ``train.sprf``, ``val.sprf`` and ``test.sprf`` of each output directory,
-    with its config. Returns, per config in order, its stats and, per split,
-    the segments and those whose extrema fall outside the train range.
+    at its data rate with its config. Returns, per output in order, its stats
+    and, per split, the segments and those outside the train range.
 
-    Each recording is read, resampled and segmented once, after every
-    filterbank is built, and featurized for every config on ``jobs`` threads.
-    A segment's float64 log-mel is kept only until its float32 row and its
-    float64 min and max are taken; rows are appended to their split's archive
-    in manifest order as they arrive. Then the train extrema give the stats,
-    and each row is rescaled in place in float64 through a map of its archive.
-    No archive is renamed into place unless all are complete.
+    Every item shape and filterbank is built before any audio is read. Each
+    recording is read once, on one of ``jobs`` threads with at most
+    ``2 * jobs`` ahead of the one being written, and resampled and segmented
+    once per data rate, each rate's samples dropped before the next's. Rows
+    go to their split's archive in manifest order, with each one's float64
+    min and max. Each output's train extrema then give its stats, and each
+    row is rescaled in place in float64 through a map of its archive. No
+    archive is renamed into place unless all are complete.
     """
-    shapes = [item_shape(cfg, seconds, data_rate) for cfg in outputs.values()]
-    banks = [mel_filterbank(cfg, data_rate) for cfg in outputs.values()]
+    configs = list(outputs.values())
+    shapes = [item_shape(cfg, seconds, rate) for rate, cfg in configs]
+    banks = [mel_filterbank(cfg, rate) for rate, cfg in configs]
 
     def featurize_recording(entry: ManifestEntry) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per config: the recording's float32 rows and each row's [min, max]."""
-        segments = segment(resample(load_waveform(entry), data_rate), seconds)
-        per_config = []
-        for cfg, fb, shape in zip(outputs.values(), banks, shapes):
-            rows = np.empty((len(segments),) + shape, dtype=np.float32)
-            extrema = np.empty((len(segments), 2))
-            for i, samples in enumerate(segments):
-                spectrogram = features_for_segment(samples, cfg, fb)
-                rows[i] = spectrogram
-                extrema[i] = spectrogram.min(), spectrogram.max()
-            per_config.append((rows, extrema))
-        return per_config
+        """Per output: the recording's float32 rows and each row's [min, max]."""
+        waveform, per_output = load_waveform(entry), [None] * len(configs)
+        for data_rate in dict.fromkeys(rate for rate, _ in configs):  # in output order
+            segments = segment(resample(waveform, data_rate), seconds)
+            for i in [i for i, (rate, _) in enumerate(configs) if rate == data_rate]:
+                rows = np.empty((len(segments),) + shapes[i], dtype=np.float32)
+                extrema = np.empty((len(segments), 2))
+                for j, samples in enumerate(segments):
+                    spectrogram = features_for_segment(samples, configs[i][1], banks[i])
+                    rows[j] = spectrogram
+                    extrema[j] = spectrogram.min(), spectrogram.max()
+                per_output[i] = rows, extrema
+            del segments  # before the next rate's are made
+        return per_output
 
-    extrema = [{name: [] for name in SPLIT_NAMES} for _ in outputs]  # per config and split
+    extrema = [{name: [] for name in SPLIT_NAMES} for _ in outputs]  # per output and split
     with ExitStack() as stack:
         archives = [{name: stack.enter_context(feature_archive(f"{out}/{name}.sprf", shape))
                      for name in SPLIT_NAMES} for out, shape in zip(outputs, shapes)]
-        pool = stack.enter_context(ThreadPoolExecutor(jobs)) if jobs > 1 else None
-        recordings = (pool.map if pool else map)(featurize_recording, manifest.entries)
-        for entry, per_config in zip(manifest.entries, recordings):
+        recordings = stack.enter_context(closing(
+            _in_order(featurize_recording, manifest.entries, jobs)))
+        for entry, per_output in zip(manifest.entries, recordings):
             name = assignment[entry.recording_id]
-            labels = [manifest.label_indices()[entry.class_label]] * len(per_config[0][0])
-            for split, split_extrema, (rows, row_extrema) in zip(archives, extrema, per_config):
-                split[name].append(rows, labels)
+            label = manifest.label_indices()[entry.class_label]
+            for split, split_extrema, (rows, row_extrema) in zip(archives, extrema, per_output):
+                split[name].append(rows, [label] * len(rows))
                 split_extrema[name].append(row_extrema)
-        segments = tuple(archive.count for archive in archives[0].values())
-        if 0 in segments:
-            raise SonarprepError(f"{SPLIT_NAMES[segments.index(0)]} split produced no segments")
         results = []
-        for split, split_extrema in zip(archives, extrema):
+        for split, split_extrema, (rate, cfg) in zip(archives, extrema, configs):
+            segments = tuple(archive.count for archive in split.values())
+            if 0 in segments:
+                raise SonarprepError(f"data rate {rate}, model rate {cfg.model_rate}: "
+                                     f"{SPLIT_NAMES[segments.index(0)]} split produced "
+                                     f"no segments of {seconds:g} s")
             stats = compute_norm_stats(np.concatenate(split_extrema["train"]))
             outside = []
             for name, archive in split.items():
@@ -267,26 +290,26 @@ def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
           jobs: int = 1) -> tuple[dict, list[tuple[int, ...]]]:
     """Full grid over data and model sampling rates on one split ``assignment``.
 
-    Every cell's feature config and filterbank is built before any audio is
-    read. Per data rate, :func:`build_feature_sets` writes every model rate's
-    cell to ``features_dir/<data_rate>_<model_rate>/``; each cell is one
+    Before any audio is read, each cell's mask width is checked and a zero
+    item of its shape runs through a fresh default network. One
+    :func:`build_feature_sets` call writes every cell to
+    ``features_dir/<data_rate>_<model_rate>/``; each cell is one
     :func:`run_seeds` on ``read_cell(directory)``, so memory holds one cell's
-    features at a time. Returns ``sweep_raw.json`` (the classes and each cell
-    by data rate, then model rate) and each cell's ``outside``.
+    features at a time. Returns ``sweep_raw.json`` (the classes and each
+    cell by data rate, then model rate) and each cell's ``outside``.
     """
     features = [scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))]
-    data_rates = sorted(set(data_rates))
-    for data_rate in data_rates:
-        for cell_feature in features:
-            item_shape(cell_feature, seconds, data_rate)
-            mel_filterbank(cell_feature, data_rate)
-            drawable_time_width(cfg.augment, data_rate, cell_feature.model_rate)
-    cells, outside = [], []
-    for data_rate in data_rates:
-        outputs = {Path(features_dir) / f"{data_rate}_{f.model_rate}": f for f in features}
-        outside += [cell[2] for cell in build_feature_sets(
-            manifest, load_waveform, assignment, data_rate, outputs, seconds, jobs=jobs)]
-        for cell_dir, cell_feature in outputs.items():
-            cells.append(run_seeds(replace(cfg, feature=cell_feature), read_cell(cell_dir),
-                                   data_rate)[0])
-    return {"classes": list(manifest.classes), "cells": cells}, outside
+    cells = {Path(features_dir) / f"{data_rate}_{f.model_rate}": (data_rate, f)
+             for data_rate in sorted(set(data_rates)) for f in features}
+    for data_rate, cell_feature in cells.values():
+        drawable_time_width(cfg.augment, data_rate, cell_feature.model_rate)
+        item = np.zeros((1,) + item_shape(cell_feature, seconds, data_rate), np.float32)
+        try:  # the network takes the cell's items
+            infer(init_model(DEFAULT_ARCHITECTURE, len(manifest.classes), seed=0), item)
+        except SonarprepError as exc:
+            raise SonarprepError(f"data rate {data_rate}, model rate "
+                                 f"{cell_feature.model_rate}: {exc}") from exc
+    built = build_feature_sets(manifest, load_waveform, assignment, cells, seconds, jobs=jobs)
+    records = [run_seeds(replace(cfg, feature=cell_feature), read_cell(cell_dir), data_rate)[0]
+               for cell_dir, (data_rate, cell_feature) in cells.items()]
+    return {"classes": list(manifest.classes), "cells": records}, [cell[2] for cell in built]

@@ -8,7 +8,6 @@ vectorized code never validates itself.
 import math
 import struct
 import tracemalloc
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -125,25 +124,22 @@ class TestResample:
         cached = sum(band.nbytes for *_, band in _band_plan(up, down)[3])
         assert cached <= max(2 * _phase_bank(up, down).nbytes, 2_000_000)
 
-    def test_plan_cache_keeps_within_its_byte_bound(self, monkeypatch):
+    def test_alternating_ratios_design_each_plan_once(self, monkeypatch):
+        """One recording of a sweep visits each of its ratios in turn: at
+        ShipsEar's 26,367 Hz, 8 and 16 kHz alternate, and each plan (54 MB
+        at 16 kHz) is designed once, not once per visit."""
+        designs, phase_bank = [], dsp._phase_bank
+        monkeypatch.setattr(dsp, "_phase_bank",
+                            lambda up, down: designs.append((up, down)) or phase_bank(up, down))
         x = np.random.default_rng(4).standard_normal(3000)
-        ratios = [(44100, 16000), (44100, 8000), (44100, 32000), (22050, 8000),
-                  (48000, 44100)]
-        want = [resample_signal(x, src, dst).tobytes() for src, dst in ratios]
-
-        def cached_bytes():
-            return sum(band.nbytes for plan, _ in dsp._plans.values()
-                       for *_, band in plan[3])
-
-        monkeypatch.setattr(dsp, "_plans", OrderedDict())
-        monkeypatch.setattr(dsp, "PLAN_CACHE_BYTES", 2_000_000)  # two of these plans
-        for (src, dst), expected in zip(ratios * 2, want * 2):
-            assert resample_signal(x, src, dst).tobytes() == expected
-            assert 0 < cached_bytes() <= dsp.PLAN_CACHE_BYTES
-        assert len(dsp._plans) < len(ratios)
-        monkeypatch.setattr(dsp, "PLAN_CACHE_BYTES", 1)  # the latest plan stays
-        assert resample_signal(x, 44100, 32000).tobytes() == want[2]
-        assert list(dsp._plans) == [(320, 441)]
+        _band_plan.cache_clear()
+        try:
+            outputs = [resample_signal(x, 26367, target).tobytes()
+                       for target in (8000, 16000) * 2]
+        finally:
+            _band_plan.cache_clear()  # release the plans' 81 MB
+        assert designs == [(8000, 26367), (16000, 26367)]
+        assert outputs[:2] == outputs[2:]
 
     def test_invalid_rates(self):
         w = Waveform(samples=np.ones(10), rate=8000)

@@ -6,10 +6,12 @@ with the file's path, and no traceback.
 Each input is fuzzed two ways: byte flips and cuts of a valid file, and files
 built by hand from lines that are each close to valid. The ``train.*`` and
 ``augment.*`` values of a config are also fuzzed through ``train`` on a tiny
-archive, for one epoch.
+archive, for one epoch, and the ``data.*`` and ``feature.*`` values through
+``featurize`` and ``sweep`` on a tiny corpus, with ``data.jobs = 2``.
 """
 
 import json
+import shutil
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from sonarprep.cli import _CONFIG_KEYS, load_config, main
 from sonarprep.dsp import write_feature_archive
 from sonarprep.files import write_json
+from synthdata import corpus_manifest_text, make_corpus
 
 CONFIG = """\
 data.rate = 8k
@@ -205,5 +208,74 @@ def test_fuzzed_training_settings_train_or_refuse_in_one_line(tmp_path):
                 (result.output, result.exception)
             errors = [x for x in result.output.splitlines() if x.startswith("Error:")]
             assert len(errors) == 1, result.output
+
+    each()
+
+
+#: values that ``data.*`` and ``feature.*`` keys can take, as most runs should
+#: reach the audio. A data rate that makes a ratio with a large numerator
+#: (999,999 Hz from 8 kHz) would design a resampling plan of gigabytes, so
+#: values come from these lists, not from text.
+FRONT_END_NUMBERS = ["1", "2", "8", "24", "50", "64", "80", "128", "256", "1024", "3500", "4000",
+                     "0.25", "0.5", "1.5", "2k", "4k", "8k", "16k", "11025", "44.1k"]
+
+
+def test_fuzzed_front_ends_featurize_and_sweep_as_one_job_does(tmp_path):
+    """``featurize`` and ``sweep`` with ``data.jobs = 2`` under fuzzed
+    ``data.*`` and ``feature.*`` values: each writes what ``data.jobs = 1``
+    writes, or exits 1 on one ``Error:`` line, with no traceback and nothing
+    under ``--out``. The line names the config, or the data rate and model
+    rate of the cell its values make."""
+    root = make_corpus(tmp_path / "corpus", recordings_per_class=4, seconds=1.5,
+                       classes={"alpha": (300.0,), "bravo": (900.0,)})
+    manifest, split = tmp_path / "manifest.csv", tmp_path / "split.csv"
+    manifest.write_text(corpus_manifest_text(root))
+    base = ("data.rate = 8k\ndata.segment_seconds = 0.5\nfeature.model_rate = 8k\n"
+            "feature.win_length = 128\nfeature.hop_length = 80\nfeature.n_mels = 8\n"
+            "feature.f_max = 3500\ntrain.seeds = 0\ntrain.max_epochs = 1\n"
+            "train.patience = 1\nsplit.ratios = 0.5,0.25,0.25\nsplit.seed = 7\n"
+            "sweep.data_rates = 4k,8k\nsweep.model_rates = 8k\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(base)
+    result = CliRunner().invoke(main, ["split", "--config", str(cfg), "--manifest",
+                                       str(manifest), "--out", str(split)])
+    assert result.exit_code == 0, result.output
+    args = {"featurize": ["--manifest", str(manifest), "--split-file", str(split),
+                          "--corpus-root", str(root)],
+            "sweep": ["--manifest", str(manifest), "--corpus-root", str(root)]}
+
+    def written(out):
+        return {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*")
+                if path.suffix == ".sprf" or path.name in ("norm_stats.json", "sweep_raw.json")}
+
+    def run(command, lines, jobs):
+        cfg.write_bytes(encode(base + "".join(lines) + f"data.jobs = {jobs}\n"))
+        out = tmp_path / f"out{jobs}"
+        shutil.rmtree(out, ignore_errors=True)
+        result = CliRunner().invoke(main, [command, "--config", str(cfg), *args[command],
+                                           "--out", str(out)], env={"SONARPREP_SEED": None})
+        assert "Traceback" not in result.output
+        return result, out
+
+    keys = sorted(k for k in _CONFIG_KEYS if k.split(".")[0] in ("data", "feature")
+                  and k != "data.jobs")
+    line = st.builds(lambda key, value: f"{key} = {value}\n", st.sampled_from(keys),
+                     st.sampled_from(FRONT_END_NUMBERS) | st.sampled_from(EDGE_VALUES))
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(sorted(args)), lines=st.lists(line, max_size=2))
+    def each(command, lines):
+        result, out = run(command, lines, jobs=2)
+        if result.exit_code == 0:
+            one_job, one_job_out = run(command, lines, jobs=1)
+            assert one_job.exit_code == 0, one_job.output
+            assert written(out) and written(out) == written(one_job_out)
+            return
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+            (result.output, result.exception)
+        errors = [x for x in result.output.splitlines() if x.startswith("Error:")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f"Error: {cfg}: ") or "model rate " in errors[0], errors[0]
+        assert not out.exists()
 
     each()

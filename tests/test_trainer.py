@@ -1,6 +1,7 @@
 """Training loop behavior: early stopping, weight restore, determinism."""
 
 import json
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -76,7 +77,7 @@ class TestEarlyStopping:
         cfg = tiny_config(patience=patience, max_epochs=max_epochs, lr=1e-2)
         data = tiny_data()
         model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
-        model, history = train(cfg, data.train, data.val, model, 8000, seed=0)
+        history = train(cfg, data.train, data.val, model, 8000, seed=0)
         return model, history, snapshots
 
     def test_stops_after_patience_without_improvement(self, monkeypatch):
@@ -118,7 +119,7 @@ class TestTrainLoop:
         runs = []
         for _ in range(2):
             model = init_model(TINY_ARCH, data.n_classes, seed=5, dtype=np.float32)
-            model, history = train(cfg, data.train, data.val, model, 8000, seed=5)
+            history = train(cfg, data.train, data.val, model, 8000, seed=5)
             runs.append((model, history))
         (m1, h1), (m2, h2) = runs
         assert h1.train_loss == h2.train_loss
@@ -130,9 +131,9 @@ class TestTrainLoop:
         cfg = tiny_config()
         data = tiny_data()
         model1 = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
-        _, h1 = train(cfg, data.train, data.val, model1, 8000, seed=0)
+        h1 = train(cfg, data.train, data.val, model1, 8000, seed=0)
         model2 = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
-        _, h2 = train(cfg, data.train, data.val, model2, 8000, seed=1)
+        h2 = train(cfg, data.train, data.val, model2, 8000, seed=1)
         assert h1.train_loss != h2.train_loss
 
     def test_every_train_batch_augmented_including_partial(self, monkeypatch):
@@ -170,7 +171,7 @@ class TestTrainLoop:
                           augment=AugmentConfig(n_time_masks=0, n_freq_masks=0))
         data = tiny_data(n_train=20)
         model = init_model(TINY_ARCH, data.n_classes, seed=0, dtype=np.float32)
-        _, history = train(cfg, data.train, data.val, model, 8000, seed=0)
+        history = train(cfg, data.train, data.val, model, 8000, seed=0)
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_empty_splits_rejected(self):
@@ -270,9 +271,8 @@ def build(out, manifest, loader, assignment, feature_cfgs, data_rate=8000, secon
           jobs=1):
     """``build_feature_sets`` into ``out/0``, ``out/1``, ..., one directory per
     config; per config, its archives read back and what it returned."""
-    dirs = {out / str(i): cfg for i, cfg in enumerate(feature_cfgs)}
-    built = build_feature_sets(manifest, loader, assignment, data_rate, dirs, seconds,
-                               jobs=jobs)
+    dirs = {out / str(i): (data_rate, cfg) for i, cfg in enumerate(feature_cfgs)}
+    built = build_feature_sets(manifest, loader, assignment, dirs, seconds, jobs=jobs)
     return [(read_cell(d), result) for d, result in zip(dirs, built)]
 
 
@@ -319,23 +319,76 @@ class TestBuildFeatureSets:
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_configs_built_together_match_single_builds(self, jobs, tmp_path):
-        """One read and resample per recording serves every config, and
-        each config's arrays and stats are those of a build on its own."""
-        manifest, loader = synthetic_manifest_and_loader()
-        configs = [TINY_FEAT, scale_config(TINY_FEAT, 16000)]
-        load, calls = counting(loader)
+        """One read per recording serves every output at every data rate,
+        and each output's arrays and stats are those of a build on its own,
+        labelled from its own rows: whine0's 7,999 samples make one 1 s
+        segment at 4 kHz (4,000 samples) and none at 8 kHz."""
+        manifest, loader = synthetic_manifest_and_loader(seconds=3.0)
 
-        def build_at_4k(out, cfgs):
-            return build(out, manifest, load, SYNTHETIC_ASSIGNMENT, cfgs, data_rate=4000,
-                         jobs=jobs)
+        def shortened(entry):
+            w = loader(entry)
+            if entry.recording_id != "whine0":
+                return w
+            return Waveform(w.samples[:7999], w.rate, w.source_id)
 
-        together = build_at_4k(tmp_path / "together", configs)
+        load, calls = counting(shortened)
+        outputs = {tmp_path / "a": (4000, TINY_FEAT),
+                   tmp_path / "b": (4000, scale_config(TINY_FEAT, 16000)),
+                   tmp_path / "c": (8000, TINY_FEAT)}
+        together = build_feature_sets(manifest, load, SYNTHETIC_ASSIGNMENT, outputs, 1.0,
+                                      jobs=jobs)
         assert len(calls) == len(manifest.entries)
-        assert len(together) == len(configs)
-        assert together[0][0].train[0].shape != together[1][0].train[0].shape
-        for i, (cfg, built) in enumerate(zip(configs, together)):
-            [alone] = build_at_4k(tmp_path / f"alone{i}", [cfg])
-            assert_same_feature_sets(built, alone)
+        assert [result[1][0] for result in together] == [10, 10, 9]  # train segments
+        cells = [read_cell(out) for out in outputs]
+        assert cells[0].train[0].shape != cells[1].train[0].shape
+        for i, (rate, cfg) in enumerate(outputs.values()):
+            [alone] = build(tmp_path / f"alone{i}", manifest, shortened, SYNTHETIC_ASSIGNMENT,
+                            [cfg], data_rate=rate, seconds=1.0)
+            assert_same_feature_sets((cells[i], together[i]), alone)
+
+    def test_each_output_refuses_its_own_empty_split(self, tmp_path):
+        """Val recordings of 7,999 samples make a segment at 4 kHz but none
+        at 8 kHz, so the 8 kHz output is refused though the 4 kHz one is not."""
+        manifest, loader = synthetic_manifest_and_loader(seconds=3.0)
+
+        def short_val(entry):
+            w = loader(entry)
+            if SYNTHETIC_ASSIGNMENT[entry.recording_id] != "val":
+                return w
+            return Waveform(w.samples[:7999], w.rate, w.source_id)
+
+        build(tmp_path / "4k", manifest, short_val, SYNTHETIC_ASSIGNMENT, [TINY_FEAT],
+              data_rate=4000, seconds=1.0)
+        with pytest.raises(SonarprepError, match="^data rate 8000, model rate 8000: val split "
+                                                 "produced no segments of 1 s$"):
+            build_feature_sets(manifest, short_val, SYNTHETIC_ASSIGNMENT,
+                               {tmp_path / "a": (4000, TINY_FEAT),
+                                tmp_path / "b": (8000, TINY_FEAT)}, 1.0)
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_at_most_two_jobs_recordings_load_ahead_of_the_one_written(self, tmp_path):
+        """The first recording's load waits until every other load has
+        begun, or 1 s: only ``2 * jobs`` of them may begin meanwhile, as the
+        rest wait for the first recording to be written."""
+        manifest, loader = synthetic_manifest_and_loader(n_per_class=6, seconds=5.0)
+        jobs, first = 2, manifest.entries[0].recording_id
+        started, lock, all_started = [], threading.Lock(), threading.Event()
+        began_ahead = []
+
+        def held(entry):
+            with lock:
+                started.append(entry.recording_id)
+                if len(started) == len(manifest.entries):
+                    all_started.set()
+            if entry.recording_id == first:
+                all_started.wait(timeout=1.0)
+                with lock:
+                    began_ahead.append(len(started) - 1)
+            return loader(entry)
+
+        build(tmp_path, manifest, held, split_of(manifest), [TINY_FEAT], jobs=jobs)
+        assert sorted(started) == sorted(e.recording_id for e in manifest.entries)
+        assert began_ahead[0] <= 2 * jobs
 
 
 def split_of(manifest):
@@ -406,8 +459,8 @@ class TestStreamedFeatures:
             out = tmp_path / str(n_per_class)
             tracemalloc.start()
             try:
-                build_feature_sets(manifest, loader, split_of(manifest), 8000,
-                                   {out: TINY_FEAT}, 5.0)
+                build_feature_sets(manifest, loader, split_of(manifest),
+                                   {out: (8000, TINY_FEAT)}, 5.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -439,7 +492,7 @@ class TestSweep:
         assert len(cell["accuracies"]) == 1
         assert result["classes"] == ["hum", "whine"]
 
-    def test_reads_each_recording_once_per_data_rate(self, tmp_path):
+    def test_reads_each_recording_once(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         load, calls = counting(loader)
         data_rates, model_rates = (4000, 8000), (8000, 16000)
@@ -450,7 +503,7 @@ class TestSweep:
                           seconds=5.0, features_dir=tmp_path, read_cell=read_cell)
         assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [
             (4000, 8000), (4000, 16000), (8000, 8000), (8000, 16000)]
-        assert len(calls) == len(manifest.entries) * len(data_rates)
+        assert sorted(calls) == sorted(e.recording_id for e in manifest.entries)
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(
             [f"{d}_{m}" for d in data_rates for m in model_rates]
             + [f"{d}_{m}/{name}.sprf" for d in data_rates for m in model_rates
@@ -496,6 +549,18 @@ class TestSweep:
                   assignment=drawn(manifest, (0.5, 0.25, 0.25)), seconds=5.0,
                   features_dir=tmp_path, read_cell=read_cell)
         assert calls == []
+
+    def test_items_the_network_cannot_take_fail_before_any_audio_is_read(self, tmp_path):
+        """One mel is too narrow for the network's 2x2 pool: the sweep must
+        refuse, naming the cell, before it featurizes any cell."""
+        manifest, loader = synthetic_manifest_and_loader()
+        load, calls = counting(loader)
+        with pytest.raises(SonarprepError, match="^data rate 4000, model rate 8000: input "
+                                                 "126x1 too small for pool 2$"):
+            sweep((4000, 8000), (8000,), tiny_config(feature=replace(TINY_FEAT, n_mels=1)),
+                  manifest, load, assignment=drawn(manifest, (0.5, 0.25, 0.25)),
+                  seconds=1.0, features_dir=tmp_path / "features", read_cell=read_cell)
+        assert calls == [] and not (tmp_path / "features").exists()
 
     def test_table_measures_the_data_rate(self, tmp_path):
         """Tones at 1.3 and 1.7 kHz survive an 8 kHz data rate but not a
