@@ -30,13 +30,13 @@ from .errors import SonarprepError
 from .files import write_json, write_text
 from .wavio import (Manifest, ManifestEntry, load_manifest, parse_wav, wav_duration,
                     write_manifest)
-from .dsp import (DEFAULT_FEATURE_CONFIG, FeatureConfig, item_shape, read_feature_archive,
-                  scale_config, segment_length)
-from .augment import AugmentConfig
+from .dsp import (DEFAULT_FEATURE_CONFIG, item_shape, read_feature_archive, scale_config,
+                  segment_length)
+from .augment import AugmentConfig, drawable_time_width
 from .datasplit import (SPLIT_NAMES, SplitSpec, read_split_rows, require_splittable,
                         require_two_classes, segment_counts, stratified_split,
                         validate_split, write_split_file)
-from .nn import (DEFAULT_ARCHITECTURE, apply_checkpoint, init_model,
+from .nn import (DEFAULT_ARCHITECTURE, apply_checkpoint, infer, init_model,
                  load_checkpoint, save_checkpoint)
 from .trainer import TrainConfig, FeatureSets, build_feature_sets, history_csv, run_seeds
 from .trainer import sweep as run_sweep
@@ -276,16 +276,6 @@ def _echo(message: str) -> None:
     click.echo(message, file=click.get_text_stream("stdout"))
 
 
-def _warn_clamped_band(data_rate: int, feature: FeatureConfig) -> None:
-    """Print a ``warning:`` line when the data rate's Nyquist cuts the mel
-    band below ``feature.f_max``; standard error is named for the reason
-    :func:`_echo` gives."""
-    if feature.f_max > data_rate / 2:
-        click.echo(f"warning: data rate {data_rate} Hz clamps the mel band of model "
-                   f"rate {feature.model_rate} Hz from f_max {feature.f_max:g} Hz to "
-                   f"{data_rate / 2:g} Hz", file=click.get_text_stream("stderr"))
-
-
 def _guarded(fn):
     """Convert package and file-system errors into exit-code-1 CLI failures."""
     @wraps(fn)
@@ -356,14 +346,14 @@ def _provenance(record: dict, source) -> dict:
 
 
 def _load_features(features_dir: Path, splits, wanted: dict, source: str,
-                   shape: tuple[int, int] | None = None, record: dict | None = None):
-    """The :func:`_provenance` of ``classes.json`` (or of a ``record`` given in its
-    place) and the (features, labels) of each named split archive. Features whose
-    record differs from ``wanted`` in any key, or lacks one, are refused, naming
-    ``source``, before any archive is read; so are items of another given shape."""
+                   shape: tuple[int, int] | None = None):
+    """The :func:`_provenance` of ``classes.json`` and the (features, labels) of
+    each named split archive. Features whose record differs from ``wanted`` in
+    any key, or lacks one, are refused, naming ``source``, before any archive is
+    read; so are items of another given shape."""
     path = features_dir / "classes.json"
     try:
-        record = record or json.loads(_parse_file(path, str))
+        record = json.loads(_parse_file(path, str))
     except (ValueError, RecursionError) as exc:
         raise SonarprepError(f"{path}: not a classes file ({exc!r})") from exc
     if not isinstance(record, dict) or "classes" not in record:
@@ -389,6 +379,50 @@ def _load_features(features_dir: Path, splits, wanted: dict, source: str,
                                  f"of classes.json")
         arrays.append((values, labels))
     return made, arrays
+
+
+def _check_cell(cfg: RunConfig) -> None:
+    """Warn on stderr, named as in :func:`_echo`, when the data rate clamps the mel
+    band; then refuse a cell whose item shape or mask width the config cannot make,
+    or whose zero item a fresh default network cannot take, naming both rates."""
+    feature = cfg.train.feature
+    if feature.f_max > cfg.data_rate / 2:
+        click.echo(f"warning: data rate {cfg.data_rate} Hz clamps the mel band of model "
+                   f"rate {feature.model_rate} Hz from f_max {feature.f_max:g} Hz to "
+                   f"{cfg.data_rate / 2:g} Hz", file=click.get_text_stream("stderr"))
+    item = np.zeros((1,) + item_shape(feature, cfg.segment_seconds, cfg.data_rate), np.float32)
+    drawable_time_width(cfg.train.augment, cfg.data_rate, feature.model_rate)
+    try:  # the class count does not change which items fit
+        infer(init_model(DEFAULT_ARCHITECTURE, 2, seed=0), item)
+    except SonarprepError as exc:
+        raise SonarprepError(f"data rate {cfg.data_rate}, model rate {feature.model_rate}: "
+                             f"{exc}") from exc
+
+
+def _write_features(manifest: Manifest, corpus_root: Path, assignment: dict[str, str],
+                    cells: dict[Path, RunConfig]) -> list:
+    """Check every cell, featurize each directory's cell in one :func:`build_feature_sets`
+    pass, and write its ``norm_stats.json`` and ``classes.json``; returns that pass's result."""
+    for cfg in cells.values():
+        _check_cell(cfg)
+    first = next(iter(cells.values()))  # the cells differ only in their front ends
+    built = build_feature_sets(manifest, partial(_read_wav, corpus_root), assignment,
+                               {out: (c.data_rate, c.train.feature) for out, c in cells.items()},
+                               first.segment_seconds, jobs=first.jobs)
+    for (out, cfg), (stats, _, _) in zip(cells.items(), built):
+        write_json(out / "norm_stats.json",
+                   {"global_min": stats.global_min, "global_max": stats.global_max})
+        write_json(out / "classes.json", {"classes": list(manifest.classes),
+                                          "front_end": cfg.front_end()})
+    return built
+
+
+def _read_features(features_dir: Path, cfg: RunConfig, source: str) -> tuple[dict, FeatureSets]:
+    """The :func:`_provenance` and feature sets of a features directory ``cfg`` made."""
+    made, splits = _load_features(features_dir, SPLIT_NAMES, cfg.front_end(), source,
+                                  item_shape(cfg.train.feature, cfg.segment_seconds,
+                                             cfg.data_rate))
+    return made, FeatureSets(*splits, n_classes=len(made["classes"]))
 
 
 def _load_test_run(model_path: Path, features_dir: Path):
@@ -508,17 +542,10 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
     if failures:
         raise SonarprepError(f"{split_file}: split file failed validation: "
                              + "; ".join(f"{code}: {detail}" for code, detail in failures[:3]))
-    _warn_clamped_band(cfg.data_rate, cfg.train.feature)
-    [(stats, segments, outside)] = build_feature_sets(
-        manifest, lambda entry: _read_wav(corpus_root, entry), dict(rows),
-        {out: (cfg.data_rate, cfg.train.feature)}, cfg.segment_seconds, jobs=cfg.jobs)
+    [(_, segments, outside)] = _write_features(manifest, corpus_root, dict(rows), {out: cfg})
     for name, n, n_outside in zip(SPLIT_NAMES, segments, outside):
         _echo(f"{name}.sprf: {n} segments"
               + (f", {n_outside} outside the train range" if name != "train" else ""))
-    write_json(out / "norm_stats.json",
-               {"global_min": stats.global_min, "global_max": stats.global_max})
-    write_json(out / "classes.json", {"classes": list(manifest.classes),
-                                      "front_end": cfg.front_end()})
     _write_run_record(out, "featurize", _settings_record(cfg))
 
 
@@ -531,11 +558,9 @@ def featurize(config_path, manifest_path, split_file, corpus_root, data_rate, jo
 def train(config_path, features_dir, out):
     """Train over the configured seeds and save checkpoints and histories."""
     cfg = load_config(config_path)
-    made, splits = _load_features(features_dir, SPLIT_NAMES, cfg.front_end(), "the config sets",
-                                  item_shape(cfg.train.feature, cfg.segment_seconds,
-                                             cfg.data_rate))
+    _check_cell(cfg)
+    made, data = _read_features(features_dir, cfg, "the config sets")
     classes = made.pop("classes")
-    data = FeatureSets(*splits, n_classes=len(classes))
     record, results = run_seeds(cfg.train, data, cfg.data_rate)
     for result in results:
         save_checkpoint(out / f"model_seed{result.seed}.spnn", result.model.params,
@@ -623,24 +648,17 @@ def sweep_cmd(config_path, manifest_path, corpus_root, data_rates, model_rates, 
     with _naming(manifest_path):  # the split refuses what require_splittable does
         assignment = stratified_split(manifest, segment_counts(manifest, cfg.segment_seconds),
                                       cfg.split)
-    for data_rate in sorted(set(cfg.sweep_data_rates)):
-        for model_rate in sorted(set(cfg.sweep_model_rates)):
-            _warn_clamped_band(data_rate, scale_config(cfg.train.feature, model_rate))
-
-    def read_cell(cell_dir: Path) -> FeatureSets:
-        """A cell's archives, read as ``train`` reads features, under the manifest's classes."""
-        _, splits = _load_features(cell_dir, SPLIT_NAMES, {}, "sweep",
-                                   record={"classes": list(manifest.classes)})
-        return FeatureSets(*splits, n_classes=len(manifest.classes))
-
-    raw, outside = run_sweep(cfg.sweep_data_rates, cfg.sweep_model_rates, cfg.train,
-                             manifest, lambda entry: _read_wav(corpus_root, entry),
-                             assignment, cfg.segment_seconds, out / "features", read_cell,
-                             jobs=cfg.jobs)
+    features = [scale_config(cfg.train.feature, m) for m in sorted(set(cfg.sweep_model_rates))]
+    cells = {out / "features" / f"{d}_{f.model_rate}":
+             replace(cfg, data_rate=d, train=replace(cfg.train, feature=f))
+             for d in sorted(set(cfg.sweep_data_rates)) for f in features}
+    built = _write_features(manifest, corpus_root, assignment, cells)
+    raw = run_sweep(manifest.classes, ((cell.train, _read_features(d, cell, "the sweep sets")[1],
+                                        cell.data_rate) for d, cell in cells.items()))
     write_json(out / "sweep_raw.json", raw)
     write_text(out / "sweep_table.csv", render_sweep_table(raw["cells"]))
     _write_run_record(out, "sweep", _settings_record(cfg))
-    for cell, (_, val, test) in zip(raw["cells"], outside):
+    for cell, (_, _, (_, val, test)) in zip(raw["cells"], built):
         _echo(f"data {cell['data_rate']} Hz / model {cell['model_rate']} Hz: "
               f"{cell['mean_accuracy']:.4f} +/- {cell['std_accuracy']:.4f}, "
               f"val {val} / test {test} outside the train range")

@@ -29,6 +29,7 @@ from .wavio import Waveform
 LOG_FLOOR = 1e-10            # power floor before dB conversion (-100 dB)
 KAISER_BETA = 8.555          # shape of the window on the resampling sinc
 FILTER_ZERO_CROSSINGS = 64   # sinc half-width, in zero crossings
+MAX_BANK_BYTES = 1 << 27     # one ratio's float64 phase bank; its band matrices add under 2x
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,14 @@ def resample_signal(x: np.ndarray, source_rate: int, target_rate: int) -> np.nda
     ``out[:, group] = sum_c window_c @ H[chunk c]`` over chunks of at most
     ``D`` rows of the group's band matrix ``H``: ``window_c``, the padded
     input as rows ``D`` apart and one chunk wide, is a strided view that
-    BLAS takes as it is.
+    BLAS takes as it is. A ratio whose bank exceeds ``MAX_BANK_BYTES`` is refused.
     """
     x = np.asarray(x, dtype=np.float64)
     up, down = Fraction(int(target_rate), int(source_rate)).as_integer_ratio()
+    bank_bytes = 8 * up * (2 * int(np.ceil(FILTER_ZERO_CROSSINGS / min(1.0, up / down))) + 1)
+    if bank_bytes > MAX_BANK_BYTES:
+        raise SonarprepError(f"resampling {source_rate} Hz to {target_rate} Hz needs a "
+                             f"{bank_bytes:,}-byte filter bank, above {MAX_BANK_BYTES:,} bytes")
     n_out = (2 * x.size * up + down) // (2 * down)
     half, stride, block, groups = _band_plan(up, down)
     n_blocks = -(-n_out // block)

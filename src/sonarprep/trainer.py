@@ -13,16 +13,17 @@ import csv
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import SonarprepError
 from .wavio import Manifest, ManifestEntry, Waveform
 from .dsp import (FeatureConfig, DEFAULT_FEATURE_CONFIG, feature_archive, features_for_segment,
-                  item_shape, mel_filterbank, resample, scale_config, segment)
+                  item_shape, mel_filterbank, resample, segment)
 from .augment import AugmentConfig, drawable_time_width, make_mix_pairs, mixup, spec_augment
 from .datasplit import SPLIT_NAMES, NormStats, compute_norm_stats, normalize
 from .nn import (AdamState, DEFAULT_ARCHITECTURE, ModelState, adam_step,
@@ -260,9 +261,9 @@ def build_feature_sets(manifest: Manifest,
                      for name in SPLIT_NAMES} for out, shape in zip(outputs, shapes)]
         recordings = stack.enter_context(closing(
             _in_order(featurize_recording, manifest.entries, jobs)))
+        labels = manifest.label_indices()
         for entry, per_output in zip(manifest.entries, recordings):
-            name = assignment[entry.recording_id]
-            label = manifest.label_indices()[entry.class_label]
+            name, label = assignment[entry.recording_id], labels[entry.class_label]
             for split, split_extrema, (rows, row_extrema) in zip(archives, extrema, per_output):
                 split[name].append(rows, [label] * len(rows))
                 split_extrema[name].append(row_extrema)
@@ -283,33 +284,9 @@ def build_feature_sets(manifest: Manifest,
     return results
 
 
-def sweep(data_rates, model_rates, cfg: TrainConfig, manifest: Manifest,
-          load_waveform: Callable[[ManifestEntry], Waveform],
-          assignment: dict[str, str], seconds: float, features_dir: Path,
-          read_cell: Callable[[Path], FeatureSets],
-          jobs: int = 1) -> tuple[dict, list[tuple[int, ...]]]:
-    """Full grid over data and model sampling rates on one split ``assignment``.
-
-    Before any audio is read, each cell's mask width is checked and a zero
-    item of its shape runs through a fresh default network. One
-    :func:`build_feature_sets` call writes every cell to
-    ``features_dir/<data_rate>_<model_rate>/``; each cell is one
-    :func:`run_seeds` on ``read_cell(directory)``, so memory holds one cell's
-    features at a time. Returns ``sweep_raw.json`` (the classes and each
-    cell by data rate, then model rate) and each cell's ``outside``.
-    """
-    features = [scale_config(cfg.feature, rm) for rm in sorted(set(model_rates))]
-    cells = {Path(features_dir) / f"{data_rate}_{f.model_rate}": (data_rate, f)
-             for data_rate in sorted(set(data_rates)) for f in features}
-    for data_rate, cell_feature in cells.values():
-        drawable_time_width(cfg.augment, data_rate, cell_feature.model_rate)
-        item = np.zeros((1,) + item_shape(cell_feature, seconds, data_rate), np.float32)
-        try:  # the network takes the cell's items
-            infer(init_model(DEFAULT_ARCHITECTURE, len(manifest.classes), seed=0), item)
-        except SonarprepError as exc:
-            raise SonarprepError(f"data rate {data_rate}, model rate "
-                                 f"{cell_feature.model_rate}: {exc}") from exc
-    built = build_feature_sets(manifest, load_waveform, assignment, cells, seconds, jobs=jobs)
-    records = [run_seeds(replace(cfg, feature=cell_feature), read_cell(cell_dir), data_rate)[0]
-               for cell_dir, (data_rate, cell_feature) in cells.items()]
-    return {"classes": list(manifest.classes), "cells": records}, [cell[2] for cell in built]
+def sweep(classes, cells: Iterable[tuple[TrainConfig, FeatureSets, int]]) -> dict:
+    """``sweep_raw.json``: the classes and each ``(config, features, data rate)``
+    cell's :func:`run_seeds` record. ``starmap`` drops a cell's features before it
+    draws the next, so cells read as they are drawn are held one at a time."""
+    return {"classes": list(classes),
+            "cells": [record for record, _ in starmap(run_seeds, cells)]}

@@ -636,6 +636,63 @@ class TestPipelineCommands:
         assert (tmp_path / "report" / "confusion_8000_8000.csv").read_bytes() == \
             (root / "runs" / "confusion_mean.csv").read_bytes()
 
+    def test_sweep_reads_each_recording_once(self, pipeline, tmp_path, monkeypatch):
+        """Every cell is featurized in one pass, and each cell directory is a
+        features directory as ``featurize`` writes one, without its run.json."""
+        root, runner = pipeline
+        reads, read_wav = [], cli._read_wav
+        monkeypatch.setattr(cli, "_read_wav", lambda corpus_root, entry: (
+            reads.append(entry.recording_id), read_wav(corpus_root, entry))[1])
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, [
+            "sweep", "--config", str(root / "run.cfg"), "--manifest", str(root / "manifest.csv"),
+            "--corpus-root", str(root / "corpus"), "--data-rates", "4k,8k",
+            "--model-rates", "8k", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        manifest = load_manifest((root / "manifest.csv").read_text())
+        assert sorted(reads) == sorted(e.recording_id for e in manifest.entries)
+        cells = ["4000_8000", "8000_8000"]
+        assert sorted(str(p.relative_to(out / "features"))
+                      for p in (out / "features").rglob("*")) == sorted(
+            cells + [f"{cell}/{name}" for cell in cells
+                     for name in ("train.sprf", "val.sprf", "test.sprf", "norm_stats.json",
+                                  "classes.json")])
+
+    def test_train_on_a_sweep_cell_gives_the_cell_accuracies(self, pipeline, tmp_path):
+        """``train`` reads a sweep cell as it reads ``featurize``'s output:
+        with the cell's front end in its config, it trains the cell's seeds to
+        the accuracies ``sweep_raw.json`` holds for the cell."""
+        root, runner = pipeline
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, [
+            "sweep", "--config", str(root / "run.cfg"), "--manifest", str(root / "manifest.csv"),
+            "--corpus-root", str(root / "corpus"), "--data-rates", "4k",
+            "--model-rates", "8k,16k", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        raw = json.loads((out / "sweep_raw.json").read_text())
+        assert [(c["data_rate"], c["model_rate"]) for c in raw["cells"]] == [(4000, 8000),
+                                                                             (4000, 16000)]
+        for cell in raw["cells"]:
+            scale = cell["model_rate"] // 8000
+            feats = out / "features" / f"4000_{cell['model_rate']}"
+            classes = json.loads((feats / "classes.json").read_text())
+            assert classes == {"classes": ["alpha", "bravo"], "front_end": {
+                "data.rate": 4000, "data.segment_seconds": 5.0,
+                "feature.model_rate": cell["model_rate"], "feature.win_length": 256 * scale,
+                "feature.hop_length": 80 * scale, "feature.n_mels": 24, "feature.f_min": 50.0,
+                "feature.f_max": 3500.0 * scale}}
+            cfg = tmp_path / f"cell{scale}.cfg"
+            cfg.write_text(SMOKE_CONFIG + "".join(f"{key} = {value}\n"
+                                                  for key, value in classes["front_end"].items()))
+            runs = tmp_path / f"runs{scale}"
+            result = runner.invoke(main, ["train", "--config", str(cfg), "--features",
+                                          str(feats), "--out", str(runs)])
+            assert result.exit_code == 0, result.output
+            summary = json.loads((runs / "summary.json").read_text())
+            assert [s["test_accuracy"] for s in summary["seeds"]] == cell["accuracies"]
+            assert (summary["mean_accuracy"], summary["std_accuracy"]) == \
+                (cell["mean_accuracy"], cell["std_accuracy"])
+
 
 def test_recording_ids_with_commas_survive_the_split_file(tmp_path):
     corpus = make_corpus(tmp_path / "corpus", recordings_per_class=4, seconds=15.0,
@@ -808,6 +865,42 @@ class TestErrorSurface:
         assert "data rate 32000, model rate 8000" in result.output
         assert reads == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["featurize", "sweep", "train"])
+    def test_items_the_network_cannot_take_are_refused_before_audio_or_epochs(
+            self, pipeline, tmp_path, monkeypatch, command):
+        """One mel is too narrow for the network's 2x2 pool: the refusal names
+        the cell before any recording is loaded or any epoch runs, and
+        nothing is written. ``train`` reads a features directory made by hand
+        with one mel, as ``featurize`` no longer writes one."""
+        root, runner = pipeline
+        reads, steps = [], []
+        monkeypatch.setattr(cli, "_read_wav", lambda *args: reads.append(args))
+        monkeypatch.setattr(trainer, "gradients", lambda *args: steps.append(args))
+        cfg = tmp_path / "mel.cfg"
+        cfg.write_text(SMOKE_CONFIG.replace("feature.n_mels = 24", "feature.n_mels = 1"))
+        feats = tmp_path / "feats"
+        for name in ("train", "val", "test"):
+            write_feature_archive(feats / f"{name}.sprf", np.zeros((2, 501, 1), np.float32),
+                                  [0, 1])
+        classes = json.loads((root / "feats" / "classes.json").read_text())
+        classes["front_end"]["feature.n_mels"] = 1
+        (feats / "classes.json").write_text(json.dumps(classes))
+        args = {"featurize": ["--manifest", str(root / "manifest.csv"),
+                              "--split-file", str(root / "split.csv"),
+                              "--corpus-root", str(root / "corpus")],
+                "sweep": ["--manifest", str(root / "manifest.csv"),
+                          "--corpus-root", str(root / "corpus"), "--data-rates", "4k,8k",
+                          "--model-rates", "8k"],
+                "train": ["--features", str(feats)]}[command]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg), *args, "--out", str(out)])
+        assert_clean_failure(result)
+        rate, frames = (4000, 251) if command == "sweep" else (8000, 501)
+        assert result.output.splitlines()[-1] == (f"Error: data rate {rate}, model rate 8000: "
+                                                  f"input {frames}x1 too small for pool 2")
+        assert reads == [] and steps == []
+        assert not out.exists()
 
     def test_seed_flag_beats_environment(self, pipeline, tmp_path):
         root, runner = pipeline

@@ -9,6 +9,7 @@ import math
 import struct
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,36 @@ class TestResample:
             _band_plan.cache_clear()  # release the plans' 81 MB
         assert designs == [(8000, 26367), (16000, 26367)]
         assert outputs[:2] == outputs[2:]
+
+    def test_a_plan_above_the_bound_is_refused_before_it_is_made(self):
+        """8 kHz to 999,999 Hz is up = 999,999 phases of 129 taps: a 1.03 GB
+        bank, refused naming both rates before any of it is allocated."""
+        _band_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SonarprepError, match="^resampling 8000 Hz to 999999 Hz needs a "
+                                                     "1,031,998,968-byte filter bank, above "
+                                                     "134,217,728 bytes$"):
+                resample(Waveform(np.ones(8000), 8000), 999_999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert _band_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("target", [8000, 16000, 32000])
+    def test_shipsear_ratios_stay_within_the_bound(self, target):
+        """ShipsEar's 26,367 Hz to each sweep data rate is a plan of about
+        54 MB, under the bound, so it still resamples."""
+        x = np.random.default_rng(5).standard_normal(26367)
+        _band_plan.cache_clear()
+        try:
+            y = resample_signal(x, 26367, target)
+            up, down = Fraction(target, 26367).as_integer_ratio()
+            assert 8 * up * _phase_bank(up, down).shape[1] <= dsp.MAX_BANK_BYTES
+        finally:
+            _band_plan.cache_clear()  # release the plan
+        assert y.size == target and np.all(np.isfinite(y))
 
     def test_invalid_rates(self):
         w = Waveform(samples=np.ones(10), rate=8000)

@@ -214,8 +214,9 @@ def test_fuzzed_training_settings_train_or_refuse_in_one_line(tmp_path):
 
 #: values that ``data.*`` and ``feature.*`` keys can take, as most runs should
 #: reach the audio. A data rate that makes a ratio with a large numerator
-#: (999,999 Hz from 8 kHz) would design a resampling plan of gigabytes, so
-#: values come from these lists, not from text.
+#: designs a resampling plan of up to a few hundred MB below
+#: ``dsp.MAX_BANK_BYTES`` (100,003 Hz from 8 kHz), so values come from these
+#: lists, not from text.
 FRONT_END_NUMBERS = ["1", "2", "8", "24", "50", "64", "80", "128", "256", "1024", "3500", "4000",
                      "0.25", "0.5", "1.5", "2k", "4k", "8k", "16k", "11025", "44.1k"]
 

@@ -3,6 +3,7 @@
 import json
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -477,37 +478,29 @@ def drawn(manifest, ratios, seconds=5.0):
                             SplitSpec(ratios=ratios, seed=0))
 
 
+def run_sweep(out, manifest, loader, assignment, cfg, data_rates, model_rates, seconds):
+    """Build every (data rate, model rate) cell in one ``build_feature_sets``
+    call and ``sweep`` them, each cell read as it is drawn."""
+    cells = {out / f"{d}_{m}": (d, scale_config(cfg.feature, m))
+             for d in data_rates for m in model_rates}
+    build_feature_sets(manifest, loader, assignment, cells, seconds)
+    return sweep(manifest.classes, ((replace(cfg, feature=feature), read_cell(cell_dir), d)
+                                    for cell_dir, (d, feature) in cells.items()))
+
+
 class TestSweep:
     def test_single_cell_summary(self, tmp_path):
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         cfg = tiny_config(max_epochs=2, patience=2, seeds=(0,),
                           feature=TINY_FEAT)
-        result, _ = sweep((8000,), (8000,), cfg, manifest, loader,
-                          assignment=drawn(manifest, (0.6, 0.2, 0.2)),
-                          seconds=5.0, features_dir=tmp_path, read_cell=read_cell)
+        result = run_sweep(tmp_path, manifest, loader, drawn(manifest, (0.6, 0.2, 0.2)), cfg,
+                           (8000,), (8000,), seconds=5.0)
         assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [(8000, 8000)]
         cell = result["cells"][0]
         assert cell["mask_width"] == TINY_AUG.base_time_mask_width  # same-rate cell
         assert cell["n_frames"] == 1 + (5 * 8000) // TINY_FEAT.hop_length
         assert len(cell["accuracies"]) == 1
         assert result["classes"] == ["hum", "whine"]
-
-    def test_reads_each_recording_once(self, tmp_path):
-        manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
-        load, calls = counting(loader)
-        data_rates, model_rates = (4000, 8000), (8000, 16000)
-        result, _ = sweep(data_rates, model_rates,
-                          tiny_config(max_epochs=1, patience=1, seeds=(0,)),
-                          manifest, load,
-                          assignment=drawn(manifest, (0.6, 0.2, 0.2)),
-                          seconds=5.0, features_dir=tmp_path, read_cell=read_cell)
-        assert [(c["data_rate"], c["model_rate"]) for c in result["cells"]] == [
-            (4000, 8000), (4000, 16000), (8000, 8000), (8000, 16000)]
-        assert sorted(calls) == sorted(e.recording_id for e in manifest.entries)
-        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(
-            [f"{d}_{m}" for d in data_rates for m in model_rates]
-            + [f"{d}_{m}/{name}.sprf" for d in data_rates for m in model_rates
-               for name in SPLIT_NAMES])
 
     def test_each_cell_trains_with_the_mask_width_it_records(self, monkeypatch, tmp_path):
         """The width reaching ``spec_augment`` in each cell, including cells
@@ -529,9 +522,8 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(n_per_class=5)
         cfg = tiny_config(max_epochs=1, patience=1, seeds=(0,),
                           augment=AugmentConfig(base_time_mask_width=8, freq_mask_width=1))
-        result, _ = sweep((4000, 8000), (8000, 16000), cfg, manifest, loader,
-                          assignment=drawn(manifest, (0.6, 0.2, 0.2)),
-                          seconds=5.0, features_dir=tmp_path, read_cell=read_cell)
+        result = run_sweep(tmp_path, manifest, loader, drawn(manifest, (0.6, 0.2, 0.2)), cfg,
+                           (4000, 8000), (8000, 16000), seconds=5.0)
         recorded = [c["mask_width"] for c in result["cells"]]
         assert recorded == [round(8 * c["data_rate"] / c["model_rate"])
                             for c in result["cells"]] == [4, 2, 8, 4]
@@ -539,28 +531,36 @@ class TestSweep:
 
     def test_unbuildable_filterbank_fails_before_any_audio_is_read(self, tmp_path):
         """64 mels fit the 4 kHz bin grid of a 256-sample window but not the
-        32 kHz one; the sweep must refuse before featurizing the 4 kHz row."""
+        32 kHz one; building the cells must refuse before featurizing the
+        4 kHz row, and write no cell."""
         manifest, loader = synthetic_manifest_and_loader()
         load, calls = counting(loader)
         feature = FeatureConfig(8000, win_length=256, hop_length=80, n_mels=64,
                                 f_min=50, f_max=3500)
         with pytest.raises(SonarprepError, match="data rate 32000, model rate 8000"):
-            sweep((4000, 32000), (8000,), tiny_config(feature=feature), manifest, load,
-                  assignment=drawn(manifest, (0.5, 0.25, 0.25)), seconds=5.0,
-                  features_dir=tmp_path, read_cell=read_cell)
-        assert calls == []
-
-    def test_items_the_network_cannot_take_fail_before_any_audio_is_read(self, tmp_path):
-        """One mel is too narrow for the network's 2x2 pool: the sweep must
-        refuse, naming the cell, before it featurizes any cell."""
-        manifest, loader = synthetic_manifest_and_loader()
-        load, calls = counting(loader)
-        with pytest.raises(SonarprepError, match="^data rate 4000, model rate 8000: input "
-                                                 "126x1 too small for pool 2$"):
-            sweep((4000, 8000), (8000,), tiny_config(feature=replace(TINY_FEAT, n_mels=1)),
-                  manifest, load, assignment=drawn(manifest, (0.5, 0.25, 0.25)),
-                  seconds=1.0, features_dir=tmp_path / "features", read_cell=read_cell)
+            run_sweep(tmp_path / "features", manifest, load, drawn(manifest, (0.5, 0.25, 0.25)),
+                      tiny_config(feature=feature), (4000, 32000), (8000,), seconds=5.0)
         assert calls == [] and not (tmp_path / "features").exists()
+
+    def test_reads_each_cell_after_the_previous_one_trained(self, monkeypatch):
+        """Given a generator, ``sweep`` draws a cell only once the previous
+        cell's run is over and its features are dropped, so one cell's
+        features are held at a time."""
+        events, drawn_x = [], []  # weak references to each drawn cell's train features
+
+        def read(rate):
+            events.append(("draw", rate, sum(x() is not None for x in drawn_x)))
+            data = tiny_data()
+            drawn_x.append(weakref.ref(data.train[0]))
+            return data
+
+        cells = ((tiny_config(max_epochs=1, patience=1), read(rate), rate)
+                 for rate in (4000, 8000))
+
+        monkeypatch.setattr(trainer_mod, "run_seeds",
+                            lambda cfg, data, rate: (events.append(("run", rate)) or {}, []))
+        assert sweep(["a", "b"], cells) == {"classes": ["a", "b"], "cells": [{}, {}]}
+        assert events == [("draw", 4000, 0), ("run", 4000), ("draw", 8000, 0), ("run", 8000)]
 
     def test_table_measures_the_data_rate(self, tmp_path):
         """Tones at 1.3 and 1.7 kHz survive an 8 kHz data rate but not a
@@ -569,9 +569,8 @@ class TestSweep:
         manifest, loader = synthetic_manifest_and_loader(
             n_per_class=8, seconds=4.0, tones=(("high", 1700.0), ("low", 1300.0)))
         cfg = tiny_config(lr=1e-2, max_epochs=60, patience=60, use_mixup=False)
-        result, _ = sweep((2000, 8000), (8000,), cfg, manifest, loader,
-                          assignment=drawn(manifest, (0.5, 0.25, 0.25), 1.0),
-                          seconds=1.0, features_dir=tmp_path, read_cell=read_cell)
+        result = run_sweep(tmp_path, manifest, loader, drawn(manifest, (0.5, 0.25, 0.25), 1.0),
+                           cfg, (2000, 8000), (8000,), seconds=1.0)
         cells = {c["data_rate"]: c for c in result["cells"]}
         for cell in cells.values():  # 2 test recordings per class, 4 segments each
             assert np.sum(cell["mean_confusion"], axis=1).tolist() == [8, 8]
